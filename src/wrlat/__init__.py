@@ -12,15 +12,12 @@ from .arith import (
     DeltaKind,
     QuadInt,
     QuadOrder,
-    Rational,
     euler_phi,
     factorize,
     is_prime,
     is_squarefree,
     is_valid_radicand,
     mobius,
-    quad_mul,
-    quad_norm,
 )
 from .cyclo import (
     CycloElement,
@@ -47,9 +44,7 @@ from .ideals import (
     enumerate_ideals,
     hnf_from_generators,
     ideal_norm,
-    principal_ideal,
     triple_violation,
-    validate_triple,
 )
 from .planar import (
     BinaryForm,

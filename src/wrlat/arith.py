@@ -6,11 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-
-# Exact rational scalar used throughout the package.  Plain ints are accepted
-# anywhere a rational is expected; both are exact.
-Rational = Fraction
 
 _U64_LIMIT = 2**64
 
@@ -206,11 +201,3 @@ class QuadInt:
 
     def trace(self) -> int:
         return trace_xy(self.order, self.x, self.y)
-
-
-def quad_mul(u: QuadInt, v: QuadInt) -> QuadInt:
-    return u * v
-
-
-def quad_norm(u: QuadInt) -> int:
-    return u.norm()

@@ -8,8 +8,11 @@ ideal, 2 invalid input, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import QuadOrder, euler_phi
@@ -17,24 +20,7 @@ from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
 from .errors import InvariantViolation
 from .families import family_stream
 from .ideals import IdealTriple, triple_violation
-from .survey import (
-    SurveyConfig,
-    canonical_json,
-    classify_triple,
-    record_dict,
-    record_line,
-    records_to_csv,
-    records_to_json,
-    records_to_text,
-    reference_tables,
-    run_survey,
-    summary_line,
-    tables_to_csv,
-    tables_to_json,
-    tables_to_text,
-    _bool_str,
-    _yn,
-)
+from .survey import SurveyConfig, classify_triple, reference_tables, run_survey
 from .svp import MAX_ENUM_DIM
 
 EXIT_OK = 0
@@ -42,18 +28,97 @@ EXIT_NOT_WR = 1
 EXIT_BAD_INPUT = 2
 EXIT_INVARIANT = 3
 
+FORMATS = ("json", "csv", "text")
+RECORD_COLUMNS = (
+    "D", "a", "b", "g", "norm",
+    "minimum_num", "minimum_den",
+    "n_minimal", "wr", "hexagonal", "order_maximal",
+)
+FAMILY_COLUMNS = ("t", "D", "a", "b", "g", "c1", "c2", "c3", "p_prime", "squarefree")
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _summary_line(summary: dict) -> str:
+    return (
+        f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
+        f"bound holds for {summary['bound_ok']}/{summary['records']}"
+    )
+
+
+def render(args, rows, columns, text_lines, key=None, summary=None):
+    """Write `rows`, flat dicts with the keys `columns`, to --out or stdout in
+    the requested format; only that format is built.
+
+    JSON is the one row itself when `key` is None, else {key: [rows]}.  CSV is
+    a header plus one line per row, booleans as true/false.  Text is the lines
+    of `text_lines(rows)`.  A survey `summary` goes under "summary" in JSON, on
+    the last text line, and to stderr with CSV.  `rows` may be a generator, so
+    a large survey streams into the CSV writer without a list of all rows.
+    """
+    fmt = args.format or "text"
+    if fmt == "json":
+        obj = next(iter(rows)) if key is None else {key: list(rows)}
+        if summary is not None:
+            obj["summary"] = summary
+        text = json.dumps(obj, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+        text = buf.getvalue()
+    else:
+        lines = list(text_lines(rows))
+        if summary is not None:
+            lines.append(_summary_line(summary))
+        text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if summary is not None and fmt == "csv":
+        print(_summary_line(summary), file=sys.stderr)
 
 
 def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sub.add_argument("--format", choices=FORMATS, default=None, help="output format (default: text)")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+def _record_row(r) -> dict:
+    return {
+        "D": r.D,
+        "a": r.a,
+        "b": r.b,
+        "g": r.g,
+        "norm": r.norm,
+        "minimum_num": r.minimum.numerator,
+        "minimum_den": r.minimum.denominator,
+        "n_minimal": r.n_minimal,
+        "wr": r.wr,
+        "hexagonal": r.hexagonal,
+        "order_maximal": r.order_maximal,
+    }
+
+
+def _record_lines(rows):
+    for r in rows:
+        minimum = Fraction(r["minimum_num"], r["minimum_den"])
+        yield (
+            f"D={r['D']} (a,b,g)=({r['a']},{r['b']},{r['g']}) norm={r['norm']} min={minimum} "
+            f"nmin={r['n_minimal']} wr={_yn(r['wr'])} hex={_yn(r['hexagonal'])} "
+            f"maximal={_yn(r['order_maximal'])}"
+        )
 
 
 def _cmd_classify(args) -> int:
@@ -68,16 +133,12 @@ def _cmd_classify(args) -> int:
         print(f"error: invalid ideal triple: {reason}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rec = classify_triple(triple)
-    if args.format == "json":
-        _emit(canonical_json(record_dict(rec)), args.out)
-    elif args.format == "csv":
-        _emit(records_to_csv([rec]), args.out)
-    else:
-        _emit(record_line(rec) + "\n", args.out)
+    render(args, [_record_row(rec)], RECORD_COLUMNS, _record_lines)
     return EXIT_OK if rec.wr else EXIT_NOT_WR
 
 
-_CONFIG_KEYS = ("d_min", "d_max", "norm_bound", "require_squarefree", "output_format", "workers")
+_INT_KEYS = ("d_min", "d_max", "norm_bound", "workers")
+_CONFIG_KEYS = _INT_KEYS + ("require_squarefree", "output_format")
 
 
 def _as_bool(v) -> bool:
@@ -90,6 +151,18 @@ def _as_bool(v) -> bool:
     raise ValueError(f"cannot interpret {v!r} as a boolean")
 
 
+def _as_int(key: str, v, from_json: bool) -> int:
+    """A JSON integer that is not a boolean, or key=value text that int() parses."""
+    if from_json and isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if not from_json:
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValueError(f"config key {key!r} needs an integer, not {v!r}")
+
+
 def load_config(path: str) -> dict:
     """Survey settings from a JSON object or flat key=value lines."""
     with open(path, encoding="utf-8") as fh:
@@ -98,7 +171,9 @@ def load_config(path: str) -> dict:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config JSON must be an object")
+        from_json = True
     except json.JSONDecodeError:
+        from_json = False
         data = {}
         for line in text.splitlines():
             line = line.strip()
@@ -115,9 +190,11 @@ def load_config(path: str) -> dict:
         if key == "require_squarefree":
             out[key] = _as_bool(val)
         elif key == "output_format":
-            out[key] = str(val)
+            if val not in FORMATS:
+                raise ValueError(f"unknown output format {val!r}")
+            out[key] = val
         else:
-            out[key] = int(val)
+            out[key] = _as_int(key, val, from_json)
     return out
 
 
@@ -125,58 +202,48 @@ def _cmd_survey(args) -> int:
     settings = {}
     if args.config:
         settings = load_config(args.config)
-    if args.d_min is not None:
-        settings["d_min"] = args.d_min
-    if args.d_max is not None:
-        settings["d_max"] = args.d_max
-    if args.norm_bound is not None:
-        settings["norm_bound"] = args.norm_bound
+    # flags override the config file
+    config_format = settings.pop("output_format", None)
+    args.format = args.format or config_format
+    for key in _INT_KEYS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     if args.squarefree:
         settings["require_squarefree"] = True
-    if args.workers is not None:
-        settings["workers"] = args.workers
-    if args.format_given:
-        settings["output_format"] = args.format
     if "d_min" not in settings or "d_max" not in settings:
         print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    cfg = SurveyConfig(**settings)
-    cfg.validate()
-    records, summary = run_survey(cfg)
-    if cfg.output_format == "json":
-        _emit(records_to_json(records, summary), args.out)
-    elif cfg.output_format == "csv":
-        _emit(records_to_csv(records), args.out)
-        print(summary_line(summary), file=sys.stderr)
-    else:
-        _emit(records_to_text(records, summary), args.out)
+    records, summary = run_survey(SurveyConfig(**settings))
+    rows = (_record_row(r) for r in records)
+    render(args, rows, RECORD_COLUMNS, _record_lines, key="records", summary=summary)
     return EXIT_OK
 
 
+def _table_lines(rows):
+    for family in ("imaginary", "real"):
+        yield f"{family} family:"
+        for row in rows:
+            if row["family"] != family:
+                continue
+            flag = "MATCH" if row["match"] else "MISMATCH"
+            note = "" if row["order_maximal"] else " [non-maximal order]"
+            yield (
+                f"  t={row['t']} D={row['D']} I={row['ideal']} "
+                f"minimal: {row['minimal_elements']}{note} {flag}"
+            )
+    yield "all rows match" if all(row["match"] for row in rows) else "MISMATCH detected"
+
+
 def _cmd_tables(args) -> int:
-    rows = reference_tables()
-    if args.format == "json":
-        _emit(tables_to_json(rows), args.out)
-    elif args.format == "csv":
-        _emit(tables_to_csv(rows), args.out)
-    else:
-        _emit(tables_to_text(rows), args.out)
-    if not all(row.match for row in rows):
+    rows = [asdict(row) for row in reference_tables()]
+    render(args, rows, tuple(rows[0]), _table_lines, key="rows")
+    if not all(row["match"] for row in rows):
         print("error: reference table row failed to reproduce", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _family_line(inst) -> str:
-    trip = inst.triple
-    c1, c2, c3 = inst.closed_form.coeffs()
-    return (
-        f"t={inst.t} D={inst.D} (a,b,g)=({trip.a},{trip.b},{trip.g}) "
-        f"form=({c1},{c2},{c3}) p_prime={_yn(inst.p_prime)} squarefree={_yn(inst.squarefree)}"
-    )
-
-
-def _family_dict(inst) -> dict:
+def _family_row(inst) -> dict:
     trip = inst.triple
     c1, c2, c3 = inst.closed_form.coeffs()
     return {
@@ -186,26 +253,23 @@ def _family_dict(inst) -> dict:
     }
 
 
+def _family_lines(rows):
+    for r in rows:
+        yield (
+            f"t={r['t']} D={r['D']} (a,b,g)=({r['a']},{r['b']},{r['g']}) "
+            f"form=({r['c1']},{r['c2']},{r['c3']}) p_prime={_yn(r['p_prime'])} "
+            f"squarefree={_yn(r['squarefree'])}"
+        )
+
+
 def _cmd_family(args) -> int:
     instances = family_stream(args.kind, args.t_max, require_squarefree=args.squarefree)
-    if args.format == "json":
-        _emit(canonical_json({"instances": [_family_dict(i) for i in instances]}), args.out)
-    elif args.format == "csv":
-        cols = ("t", "D", "a", "b", "g", "c1", "c2", "c3", "p_prime", "squarefree")
-        lines = [",".join(cols)]
-        for inst in instances:
-            d = _family_dict(inst)
-            lines.append(",".join(
-                _bool_str(d[c]) if isinstance(d[c], bool) else str(d[c]) for c in cols
-            ))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        body = "\n".join(_family_line(i) for i in instances)
-        _emit((body + "\n") if body else "", args.out)
+    rows = [_family_row(inst) for inst in instances]
+    render(args, rows, FAMILY_COLUMNS, _family_lines, key="instances")
     return EXIT_OK
 
 
-def _cyclo_dict(rep: CycloTheoremReport) -> dict:
+def _cyclo_row(rep: CycloTheoremReport) -> dict:
     mn = Fraction(rep.minimum)
     ex = Fraction(rep.expected)
     return {
@@ -217,6 +281,18 @@ def _cyclo_dict(rep: CycloTheoremReport) -> dict:
     }
 
 
+def _cyclo_lines(rows):
+    for r in rows:
+        minimum = Fraction(r["minimum_num"], r["minimum_den"])
+        expected = Fraction(r["expected_num"], r["expected_den"])
+        yield (
+            f"k={r['k']} phi={r['phi']}: minimum={minimum} expected={expected} "
+            f"minimal_vectors={r['n_minimal']} expected_count={r['expected_count']} "
+            f"wr={_yn(r['wr'])}"
+        )
+        yield "PASS" if r["pass"] else "FAIL"
+
+
 def _cmd_cyclo(args) -> int:
     if args.k < 3:
         print("error: k must be at least 3", file=sys.stderr)
@@ -225,21 +301,8 @@ def _cmd_cyclo(args) -> int:
         print(f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})", file=sys.stderr)
         return EXIT_BAD_INPUT
     rep = verify_cyclotomic_theorem(cyclo_field(args.k))
-    if args.format == "json":
-        _emit(canonical_json(_cyclo_dict(rep)), args.out)
-    elif args.format == "csv":
-        d = _cyclo_dict(rep)
-        cols = tuple(d)
-        rows = ",".join(_bool_str(d[c]) if isinstance(d[c], bool) else str(d[c]) for c in cols)
-        _emit(",".join(cols) + "\n" + rows + "\n", args.out)
-    else:
-        verdict = "PASS" if rep.passed else "FAIL"
-        _emit(
-            f"k={rep.k} phi={rep.phi}: minimum={Fraction(rep.minimum)} "
-            f"expected={Fraction(rep.expected)} minimal_vectors={rep.n_minimal} "
-            f"expected_count={rep.expected_count} wr={_yn(rep.wr)}\n{verdict}\n",
-            args.out,
-        )
+    row = _cyclo_row(rep)
+    render(args, [row], tuple(row), _cyclo_lines)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 
@@ -290,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # survey distinguishes an explicit --format from the default
-    args.format_given = "--format" in (argv if argv is not None else sys.argv[1:])
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, euler_phi, mobius
+from .arith import euler_phi, mobius
 from .errors import InvariantViolation
 from .svp import GramMatrix, enumerate_shortest
 
@@ -158,8 +158,8 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
 class CycloTheoremReport:
     k: int
     phi: int
-    minimum: Rational
-    expected: Rational
+    minimum: Fraction
+    expected: Fraction
     n_minimal: int
     expected_count: int
     wr: bool

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DeltaKind, QuadInt, QuadOrder, norm_xy
+from .arith import DeltaKind, QuadInt, QuadOrder
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ def triple_violation(t: IdealTriple) -> str | None:
     if t.second_generator.norm() % (t.g * t.a):
         return "g*a does not divide N(b + g*delta)"
     return None
-
-
-def validate_triple(t: IdealTriple) -> bool:
-    return triple_violation(t) is None
 
 
 def ideal_norm(t: IdealTriple) -> int:
@@ -110,11 +106,6 @@ def hnf_from_generators(u: QuadInt, v: QuadInt | None = None) -> IdealTriple:
         # closure under delta makes this unreachable for genuine generators
         raise ValueError(f"generators produced an invalid triple: {reason}")
     return t
-
-
-def principal_ideal(gen: QuadInt) -> IdealTriple:
-    """Canonical triple of the principal ideal generated by a nonzero element."""
-    return hnf_from_generators(gen)
 
 
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:

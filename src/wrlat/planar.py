@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import QuadInt, Rational
+from .arith import QuadInt
 from .ideals import IdealTriple, ideal_norm, triple_violation
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -33,9 +33,9 @@ def _mul2(p: Mat2, q: Mat2) -> Mat2:
 class BinaryForm:
     """Positive definite binary quadratic form c1*m^2 + c2*m*n + c3*n^2."""
 
-    c1: Rational | int
-    c2: Rational | int
-    c3: Rational | int
+    c1: Fraction | int
+    c2: Fraction | int
+    c3: Fraction | int
 
     def __post_init__(self):
         if not (self.c1 > 0 and 4 * self.c1 * self.c3 - self.c2 * self.c2 > 0):
@@ -61,7 +61,7 @@ class BinaryForm:
 class MinimalSet:
     """Lattice minimum together with every vector attaining it."""
 
-    minimum: Rational | int
+    minimum: Fraction | int
     vectors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):

@@ -1,28 +1,20 @@
 """Batch classification of quadratic ideal lattices and the reference tables.
 
-Survey output is deterministic: records are sorted by (D, norm, a, b, g) and
-serialized with a fixed schema, so identical configurations produce identical
-bytes regardless of worker count.
+Survey results are deterministic: records are sorted by (D, norm, a, b, g),
+so identical configurations give identical records regardless of worker count.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DeltaKind, QuadOrder, Rational, is_squarefree, is_valid_radicand
+from .arith import DeltaKind, QuadOrder, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
 from .ideals import IdealTriple, enumerate_ideals
 from .planar import form_from_ideal, minimal_vectors
-
-CSV_COLUMNS = (
-    "D", "a", "b", "g", "norm",
-    "minimum_num", "minimum_den",
-    "n_minimal", "wr", "hexagonal", "order_maximal",
-)
 
 
 @dataclass(frozen=True)
@@ -32,7 +24,7 @@ class SurveyRecord:
     b: int
     g: int
     norm: int
-    minimum: Rational
+    minimum: Fraction
     n_minimal: int
     wr: bool
     hexagonal: bool
@@ -46,7 +38,6 @@ class SurveyConfig:
     d_max: int
     norm_bound: int = 10
     require_squarefree: bool = False
-    output_format: str = "text"
     workers: int = 1
 
     def validate(self):
@@ -54,8 +45,6 @@ class SurveyConfig:
             raise ValueError("d_min must not exceed d_max")
         if self.norm_bound < 1:
             raise ValueError("norm bound must be at least 1")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -120,72 +109,6 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
         "bound_ok": sum(r.bound_ok for r in records),
     }
     return records, summary
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def record_dict(r: SurveyRecord) -> dict:
-    m = Fraction(r.minimum)
-    return {
-        "D": r.D,
-        "a": r.a,
-        "b": r.b,
-        "g": r.g,
-        "norm": r.norm,
-        "minimum_num": m.numerator,
-        "minimum_den": m.denominator,
-        "n_minimal": r.n_minimal,
-        "wr": r.wr,
-        "hexagonal": r.hexagonal,
-        "order_maximal": r.order_maximal,
-    }
-
-
-def record_line(r: SurveyRecord) -> str:
-    return (
-        f"D={r.D} (a,b,g)=({r.a},{r.b},{r.g}) norm={r.norm} min={Fraction(r.minimum)} "
-        f"nmin={r.n_minimal} wr={_yn(r.wr)} hex={_yn(r.hexagonal)} maximal={_yn(r.order_maximal)}"
-    )
-
-
-def summary_line(summary: dict) -> str:
-    return (
-        f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
-        f"bound holds for {summary['bound_ok']}/{summary['records']}"
-    )
-
-
-def records_to_csv(records) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        d = record_dict(r)
-        lines.append(",".join(
-            _bool_str(d[c]) if isinstance(d[c], bool) else str(d[c]) for c in CSV_COLUMNS
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records, summary) -> str:
-    return canonical_json({"records": [record_dict(r) for r in records], "summary": summary})
-
-
-def records_to_text(records, summary) -> str:
-    lines = [record_line(r) for r in records]
-    lines.append(summary_line(summary))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -268,55 +191,3 @@ def reference_tables() -> list[TableRow]:
             family, t, inst.D, trip.a, trip.b, trip.g, ideal, minimal, maximal, match,
         ))
     return rows
-
-
-def table_row_dict(row: TableRow) -> dict:
-    return {
-        "family": row.family,
-        "t": row.t,
-        "D": row.D,
-        "a": row.a,
-        "b": row.b,
-        "g": row.g,
-        "ideal": row.ideal,
-        "minimal_elements": row.minimal_elements,
-        "order_maximal": row.order_maximal,
-        "match": row.match,
-    }
-
-
-def tables_to_text(rows) -> str:
-    lines = []
-    for family in ("imaginary", "real"):
-        lines.append(f"{family} family:")
-        for row in rows:
-            if row.family != family:
-                continue
-            flag = "MATCH" if row.match else "MISMATCH"
-            note = "" if row.order_maximal else " [non-maximal order]"
-            lines.append(
-                f"  t={row.t} D={row.D} I={row.ideal} minimal: {row.minimal_elements}{note} {flag}"
-            )
-    ok = all(row.match for row in rows)
-    lines.append("all rows match" if ok else "MISMATCH detected")
-    return "\n".join(lines) + "\n"
-
-
-def tables_to_csv(rows) -> str:
-    cols = ("family", "t", "D", "a", "b", "g", "ideal", "minimal_elements", "order_maximal", "match")
-    lines = [",".join(cols)]
-    for row in rows:
-        d = table_row_dict(row)
-        cells = []
-        for c in cols:
-            v = d[c]
-            cell = _bool_str(v) if isinstance(v, bool) else str(v)
-            if "," in cell:
-                cell = f'"{cell}"'
-            cells.append(cell)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def tables_to_json(rows) -> str:
-    return canonical_json({"rows": [table_row_dict(r) for r in rows]})

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational
 
 MAX_ENUM_DIM = 24
 
@@ -24,7 +23,7 @@ _HALF = Fraction(1, 2)
 class GramMatrix:
     """Symmetric positive definite matrix with exact rational entries."""
 
-    entries: tuple[tuple[Rational | int, ...], ...]
+    entries: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
@@ -45,7 +44,7 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class ShortVectorReport:
-    minimum: Rational
+    minimum: Fraction
     vectors: tuple[tuple[int, ...], ...]
     span_rank: int
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
 from wrlat.errors import InvariantViolation
@@ -171,6 +174,62 @@ def test_config_format_respected_without_flag(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0].startswith("D,a,b,g,norm")
 
 
+@pytest.mark.parametrize("flag", (["--format", "text"], ["--format=text"]))
+def test_flag_format_overrides_config_format(tmp_path, capsys, flag):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"d_min": -5, "d_max": -3, "output_format": "csv"}))
+    assert main(["survey", "--config", str(cfg)] + flag) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("D=-5 (a,b,g)=(1,0,1) ")
+    assert "ideals:" in lines[-1]
+    assert captured.err == ""
+
+
+def test_config_rejects_bad_format(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"d_min": -5, "d_max": -3, "output_format": "xml"}))
+    assert main(["survey", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    assert "unknown output format" in capsys.readouterr().err
+
+
+def _config_error(tmp_path, capsys, settings) -> str:
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"d_min": -5, "d_max": -3, **settings}))
+    assert main(["survey", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_config_rejects_null_integer(tmp_path, capsys):
+    assert "'d_min'" in _config_error(tmp_path, capsys, {"d_min": None})
+
+
+def test_config_rejects_list_integer(tmp_path, capsys):
+    assert "'d_max'" in _config_error(tmp_path, capsys, {"d_max": [3]})
+
+
+def test_config_rejects_float_integer(tmp_path, capsys):
+    assert "'workers'" in _config_error(tmp_path, capsys, {"workers": 1.5})
+
+
+def test_config_rejects_bool_integer(tmp_path, capsys):
+    assert "'norm_bound'" in _config_error(tmp_path, capsys, {"norm_bound": True})
+
+
+def test_config_rejects_json_string_integer(tmp_path, capsys):
+    assert "'d_min'" in _config_error(tmp_path, capsys, {"d_min": "-5"})
+
+
+def test_config_rejects_unparsable_integer_line(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("d_min = -10\nd_max = 2.5\n")
+    with pytest.raises(ValueError, match="'d_max' needs an integer"):
+        load_config(str(cfg))
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"d_min": -10, "d_max": -1, "colour": "red"}))
@@ -306,12 +365,47 @@ def test_cyclo_csv(capsys):
 
 
 # ---------------------------------------------------------------------------
+# --format X and --format=X
+
+FORMAT_COMMANDS = (
+    ["classify", "-15", "2", "0", "1"],
+    ["survey", "--d-min", "-5", "--d-max", "-3"],
+    ["tables"],
+    ["family", "real", "--t-max", "9"],
+    ["cyclo", "5"],
+)
+
+
+@pytest.mark.parametrize("argv", FORMAT_COMMANDS, ids=lambda argv: argv[0])
+def test_format_equals_form_matches_spaced_form(capsys, argv):
+    outputs = []
+    for flag in (["--format", "csv"], ["--format=csv"]):
+        assert main(argv + flag) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "," in outputs[0].out.splitlines()[0]
+
+
+def test_survey_format_equals_csv_prints_header(capsys):
+    assert main(["survey", "--d-min", "-5", "--d-max", "-3", "--format=csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "D,a,b,g,norm,minimum_num,minimum_den,n_minimal,wr,hexagonal,order_maximal"
+    )
+
+
+# ---------------------------------------------------------------------------
 # end to end
+
+# the subprocess imports the same wrlat as these tests, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(wrlat.__file__).parent.parent), os.environ.get("PYTHONPATH")))
+)}
+
 
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wrlat", "classify", "--", "-15", "2", "0", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_ENV,
     )
     assert proc.returncode == EXIT_OK
     assert "wr=yes" in proc.stdout
@@ -320,6 +414,6 @@ def test_module_entry_point():
 def test_module_entry_point_not_wr():
     proc = subprocess.run(
         [sys.executable, "-m", "wrlat", "classify", "--", "-5", "3", "1", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_ENV,
     )
     assert proc.returncode == EXIT_NOT_WR

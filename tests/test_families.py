@@ -7,7 +7,7 @@ from wrlat.families import (
     imaginary_instance,
     real_instance,
 )
-from wrlat.ideals import validate_triple
+from wrlat.ideals import triple_violation
 from wrlat.planar import form_from_ideal, gauss_reduce, is_wr, minimal_vectors
 
 
@@ -51,7 +51,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == -(t + 2) * (3 * t + 2)
-        assert validate_triple(trip)
+        assert triple_violation(trip) is None
         assert trip.second_generator.norm() == trip.a**2
         assert inst.closed_form.coeffs() == form_from_ideal(trip).coeffs()
         assert inst.p_prime == is_prime(t + 2)
@@ -60,7 +60,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == (t - 2) * (t + 2)
-        assert validate_triple(trip)
+        assert triple_violation(trip) is None
         assert trip.second_generator.norm() == trip.a
         reduced, _ = gauss_reduce(form_from_ideal(trip))
         assert inst.closed_form.coeffs() == reduced.coeffs()

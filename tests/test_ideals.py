@@ -10,9 +10,7 @@ from wrlat.ideals import (
     enumerate_ideals,
     hnf_from_generators,
     ideal_norm,
-    principal_ideal,
     triple_violation,
-    validate_triple,
 )
 from oracles import coset_index
 
@@ -32,11 +30,11 @@ def in_module(x, y, a, b, g):
 # validation
 
 def test_validate_examples():
-    assert validate_triple(IdealTriple(2, 0, 1, QuadOrder(-15)))
+    assert triple_violation(IdealTriple(2, 0, 1, QuadOrder(-15))) is None
     for D in SAMPLE_D:
-        assert validate_triple(IdealTriple(1, 0, 1, QuadOrder(D)))
+        assert triple_violation(IdealTriple(1, 0, 1, QuadOrder(D))) is None
     # N(1 + delta) = 6 for D = -15, and 2*1 divides 6
-    assert validate_triple(IdealTriple(2, 1, 1, QuadOrder(-15)))
+    assert triple_violation(IdealTriple(2, 1, 1, QuadOrder(-15))) is None
 
 
 def test_violation_reasons():
@@ -124,7 +122,7 @@ def test_principal_ideal_norm_is_absolute_norm(D, x, y):
     if x == 0 and y == 0:
         return
     gen = QuadInt(x, y, QuadOrder(D))
-    assert ideal_norm(principal_ideal(gen)) == abs(gen.norm())
+    assert ideal_norm(hnf_from_generators(gen)) == abs(gen.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def brute_force_triples(order, bound):
                 if a * g > bound:
                     continue
                 t = IdealTriple(a, b, g, order)
-                if validate_triple(t):
+                if triple_violation(t) is None:
                     out.append((a * g, a, b, g))
     return sorted(out)
 
@@ -155,7 +153,7 @@ def test_enumerate_sorted_unique_valid():
         ts = enumerate_ideals(QuadOrder(D), 40)
         keys = [(t.a * t.g, t.a, t.b, t.g) for t in ts]
         assert keys == sorted(set(keys))
-        assert all(validate_triple(t) for t in ts)
+        assert all(triple_violation(t) is None for t in ts)
         assert all(t.a * t.g <= 40 for t in ts)
 
 

@@ -1,30 +1,19 @@
+import dataclasses
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder, is_squarefree
+from wrlat.cli import RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.survey import (
-    CSV_COLUMNS,
     SurveyConfig,
     classify_triple,
-    canonical_json,
     element_str,
-    record_dict,
-    record_line,
-    records_to_csv,
-    records_to_json,
-    records_to_text,
     reference_tables,
     run_survey,
-    summary_line,
-    table_row_dict,
-    tables_to_csv,
-    tables_to_json,
-    tables_to_text,
 )
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
@@ -91,8 +80,6 @@ def test_config_validation():
         SurveyConfig(d_min=5, d_max=4).validate()
     with pytest.raises(ValueError, match="norm bound"):
         SurveyConfig(d_min=2, d_max=3, norm_bound=0).validate()
-    with pytest.raises(ValueError, match="output format"):
-        SurveyConfig(d_min=2, d_max=3, output_format="xml").validate()
     with pytest.raises(ValueError, match="workers"):
         SurveyConfig(d_min=2, d_max=3, workers=0).validate()
 
@@ -134,48 +121,64 @@ def test_survey_worker_count_is_invisible():
     serial, sum1 = run_survey(SurveyConfig(d_min=-25, d_max=25, norm_bound=6))
     pooled, sum2 = run_survey(SurveyConfig(d_min=-25, d_max=25, norm_bound=6, workers=2))
     assert sum1 == sum2
-    assert records_to_csv(serial) == records_to_csv(pooled)
-    assert records_to_json(serial, sum1) == records_to_json(pooled, sum2)
+    assert serial == pooled
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# rendering through the command line
 
-def test_csv_schema():
+def survey_output(capsys, d_min, d_max, norm_bound, fmt):
+    argv = ["survey", "--d-min", str(d_min), "--d-max", str(d_max),
+            "--norm-bound", str(norm_bound), "--format", fmt]
+    assert main(argv) == 0
+    return capsys.readouterr()
+
+
+def test_csv_schema(capsys):
     records, _ = run_survey(SurveyConfig(d_min=-5, d_max=-5, norm_bound=4))
-    text = records_to_csv(records)
+    text = survey_output(capsys, -5, -5, 4, "csv").out
     lines = text.splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(RECORD_COLUMNS)
     assert len(lines) == len(records) + 1
-    first = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+    first = dict(zip(RECORD_COLUMNS, lines[1].split(",")))
     assert first["D"] == "-5"
     assert first["wr"] in ("true", "false")
     assert text.endswith("\n")
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
     records, summary = run_survey(SurveyConfig(d_min=-5, d_max=-3, norm_bound=4))
-    text = records_to_json(records, summary)
+    text = survey_output(capsys, -5, -3, 4, "json").out
     obj = json.loads(text)
     assert obj["summary"] == summary
-    assert obj["records"] == [record_dict(r) for r in records]
-    assert canonical_json(obj) == text
+    assert obj["records"] == [
+        {
+            "D": r.D, "a": r.a, "b": r.b, "g": r.g, "norm": r.norm,
+            "minimum_num": r.minimum.numerator, "minimum_den": r.minimum.denominator,
+            "n_minimal": r.n_minimal, "wr": r.wr, "hexagonal": r.hexagonal,
+            "order_maximal": r.order_maximal,
+        }
+        for r in records
+    ]
+    assert json.dumps(obj, indent=2) + "\n" == text
 
 
-def test_text_rendering():
+def test_text_rendering(capsys):
     records, summary = run_survey(SurveyConfig(d_min=-3, d_max=-3, norm_bound=2))
-    text = records_to_text(records, summary)
+    text = survey_output(capsys, -3, -3, 2, "text").out
     lines = text.splitlines()
-    assert lines[-1] == summary_line(summary)
-    assert lines[0] == record_line(records[0])
-    assert "D=-3" in lines[0] and "wr=yes" in lines[0]
+    assert len(lines) == len(records) + 1
+    assert lines[-1] == (
+        f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
+        f"bound holds for {summary['bound_ok']}/{summary['records']}"
+    )
+    assert lines[0] == "D=-3 (a,b,g)=(1,0,1) norm=1 min=1 nmin=6 wr=yes hex=yes maximal=yes"
 
 
-def test_record_line_format():
-    rec = classify_triple(IdealTriple(2, 0, 1, QuadOrder(-15)))
-    line = record_line(rec)
-    assert line == (
-        "D=-15 (a,b,g)=(2,0,1) norm=2 min=4 nmin=4 wr=yes hex=no maximal=yes"
+def test_record_line_format(capsys):
+    assert main(["classify", "--", "-15", "2", "0", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "D=-15 (a,b,g)=(2,0,1) norm=2 min=4 nmin=4 wr=yes hex=no maximal=yes\n"
     )
 
 
@@ -228,15 +231,20 @@ def test_reference_tables_cells():
     assert row.minimal_elements == "±(7-√21)/2, ±(7+√21)/2"
 
 
-def test_tables_text_rendering():
-    text = tables_to_text(reference_tables())
+def tables_output(capsys, fmt):
+    code = main(["tables", "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+def test_tables_text_rendering(capsys):
+    _, text = tables_output(capsys, "text")
     assert text.splitlines()[-1] == "all rows match"
     assert text.count("[non-maximal order]") == 1
     assert "imaginary family:" in text and "real family:" in text
 
 
-def test_tables_csv_quotes_commas():
-    text = tables_to_csv(reference_tables())
+def test_tables_csv_quotes_commas(capsys):
+    _, text = tables_output(capsys, "csv")
     lines = text.splitlines()
     assert lines[0].startswith("family,t,D,")
     # real rows list two minimal elements, so the cell must be quoted
@@ -244,13 +252,13 @@ def test_tables_csv_quotes_commas():
     assert len(lines) == 9
 
 
-def test_tables_json_round_trip():
+def test_tables_json_round_trip(capsys):
     rows = reference_tables()
-    obj = json.loads(tables_to_json(rows))
-    assert obj["rows"] == [table_row_dict(r) for r in rows]
+    obj = json.loads(tables_output(capsys, "json")[1])
+    assert obj["rows"] == [dataclasses.asdict(r) for r in rows]
 
 
-def test_tables_disagree_when_expectation_is_wrong(monkeypatch):
+def test_tables_disagree_when_expectation_is_wrong(monkeypatch, capsys):
     import wrlat.survey as sv
 
     patched = list(sv._EXPECTED_ROWS)
@@ -259,4 +267,6 @@ def test_tables_disagree_when_expectation_is_wrong(monkeypatch):
     monkeypatch.setattr(sv, "_EXPECTED_ROWS", tuple(patched))
     rows = sv.reference_tables()
     assert not rows[0].match and all(r.match for r in rows[1:])
-    assert tables_to_text(rows).splitlines()[-1] == "MISMATCH detected"
+    code, text = tables_output(capsys, "text")
+    assert code == 3
+    assert text.splitlines()[-1] == "MISMATCH detected"
