@@ -297,7 +297,8 @@ def _cmd_cyclo(args) -> int:
     if args.k < 3:
         print("error: k must be at least 3", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if euler_phi(args.k) > MAX_ENUM_DIM:
+    # phi(k) >= sqrt(k/2) for every k, so a larger k is refused without factoring it
+    if args.k > 2 * MAX_ENUM_DIM**2 or euler_phi(args.k) > MAX_ENUM_DIM:
         print(f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})", file=sys.stderr)
         return EXIT_BAD_INPUT
     rep = verify_cyclotomic_theorem(cyclo_field(args.k))

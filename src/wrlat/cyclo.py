@@ -10,6 +10,7 @@ product of the Minkowski embedding is half the trace of u * conj(v).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,31 +191,34 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     )
 
 
-def _form_value(G: GramMatrix, c) -> Fraction:
-    n = G.n
-    total = Fraction(0)
-    for i in range(n):
-        if c[i]:
-            row = G.entries[i]
-            for j in range(n):
-                if c[j]:
-                    total += row[j] * c[i] * c[j]
-    return total
+def _form_value(g2, c) -> int:
+    """c^T (2G) c for an integer vector c."""
+    return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, g2) if ci)
 
 
 def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None, trials: int = 100) -> bool:
     """Well-roundedness of the lattice of the principal ideal (x).
 
     Also spot-checks rotation invariance: multiplying the ring coordinate
-    vector by zeta leaves the quadratic form value unchanged, exactly.
+    vector by zeta leaves the quadratic form value unchanged, exactly, on
+    the integer matrix 2G.
     """
     if x.is_zero:
         raise ValueError("zero element generates no lattice")
     G = gram_principal(F, x)
+    doubled = [[2 * Fraction(v) for v in row] for row in G.entries]
+    if any(v.denominator != 1 for row in doubled for v in row):
+        raise InvariantViolation(
+            f"Gram entry not a half-integer (k={F.k}, generator={list(x.coeffs)})"
+        )
+    g2 = [[int(v) for v in row] for row in doubled]
     rng = rng if rng is not None else random.Random(20210)
     for _ in range(trials):
         w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
         rotated = w.times_zeta()
-        if _form_value(G, rotated.coeffs) != _form_value(G, w.coeffs):
-            raise InvariantViolation(f"rotation by zeta changed a vector length (k={F.k})")
+        if _form_value(g2, rotated.coeffs) != _form_value(g2, w.coeffs):
+            raise InvariantViolation(
+                f"rotation by zeta changed a vector length "
+                f"(k={F.k}, generator={list(x.coeffs)}, w={list(w.coeffs)})"
+            )
     return enumerate_shortest(G).span_rank == F.phi

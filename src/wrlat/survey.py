@@ -6,7 +6,6 @@ so identical configurations give identical records regardless of worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,6 +87,16 @@ def _survey_radicand(args) -> list[SurveyRecord]:
     return out
 
 
+def __getattr__(name):
+    # keeps wrlat.survey.ProcessPoolExecutor reachable without importing the pool
+    # machinery for every command (PEP 562)
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     cfg.validate()
     radicands = [
@@ -96,6 +105,8 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     ]
     jobs = [(D, cfg.norm_bound) for D in radicands]
     if cfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_survey_radicand, jobs, chunksize=8))
     else:

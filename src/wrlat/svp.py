@@ -4,12 +4,21 @@ LLL (delta = 3/4) runs directly on the Gram matrix in exact rational
 arithmetic, then a depth-first Fincke-Pohst walk enumerates every vector
 attaining the minimum.  Dimensions are capped at MAX_ENUM_DIM: this is a
 verification tool, not a general SVP solver.
+
+The LDL factorization G = L diag(d) L^T, whose L is the Gram-Schmidt
+coefficient matrix mu and whose d holds the squared Gram-Schmidt lengths, is
+computed once per matrix: GramMatrix computes it as its positive-definiteness
+check and keeps it.  LLL starts from it and updates mu and d in place after
+each size reduction and swap (Cohen, A Course in Computational Algebraic
+Number Theory, Alg. 2.6.3), and hands the final mu and d to the reduced
+matrix, which enumeration reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -21,9 +30,14 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive definite matrix with exact rational entries."""
+    """Symmetric positive definite matrix with exact rational entries.
+
+    ``ldl`` is the pair (mu, d) of ``_ldl``, computed by the constructor as
+    its positive-definiteness check.
+    """
 
     entries: tuple[tuple[Fraction | int, ...], ...]
+    ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
@@ -35,7 +49,7 @@ class GramMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix must be symmetric")
-        _ldl(rows)  # raises if not positive definite
+        object.__setattr__(self, "ldl", _ldl(rows))  # raises if not positive definite
 
     @property
     def n(self) -> int:
@@ -59,18 +73,30 @@ def _ldl(g):
     L = [[Fraction(0)] * n for _ in range(n)]
     d = [Fraction(0)] * n
     for i in range(n):
-        for j in range(i + 1):
-            s = Fraction(g[i][j])
-            for k in range(j):
-                s -= L[i][k] * L[j][k] * d[k]
-            if j < i:
-                L[i][j] = s / d[j]
-            else:
-                if s <= 0:
-                    raise ValueError("matrix is not positive definite")
-                d[i] = s
-                L[i][i] = Fraction(1)
-    return L, d
+        Li = L[i]
+        r = []  # r[j] = L[i][j] * d[j]
+        for j in range(i):
+            s = Fraction(g[i][j]) - sum(map(operator.mul, r, L[j]))
+            r.append(s)
+            Li[j] = s / d[j]
+        s = Fraction(g[i][i]) - sum(map(operator.mul, r, Li))
+        if s <= 0:
+            raise ValueError("matrix is not positive definite")
+        d[i] = s
+        Li[i] = Fraction(1)
+    return tuple(map(tuple, L)), tuple(d)
+
+
+def _reduced_gram(rows, mu, d) -> GramMatrix:
+    """GramMatrix of a basis change of a GramMatrix, with its LDL already known.
+
+    Skips the checks of the constructor, so it is only for matrices that LLL
+    derives from one that passed them.
+    """
+    G = object.__new__(GramMatrix)
+    object.__setattr__(G, "entries", rows)
+    object.__setattr__(G, "ldl", (tuple(map(tuple, mu)), tuple(d)))
+    return G
 
 
 def _row_op(g, t, k, j, q):
@@ -83,11 +109,25 @@ def _row_op(g, t, k, j, q):
     t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
 
 
-def _swap_rows(g, t, k):
+def _swap(g, t, mu, d, k):
+    """Exchange b_(k-1) and b_k, updating mu and d in place (Cohen, Alg. 2.6.3, SWAP)."""
     g[k - 1], g[k] = g[k], g[k - 1]
     for row in g:
         row[k - 1], row[k] = row[k], row[k - 1]
     t[k - 1], t[k] = t[k], t[k - 1]
+    mk, mp = mu[k], mu[k - 1]
+    for j in range(k - 1):
+        mk[j], mp[j] = mp[j], mk[j]
+    m = mk[k - 1]
+    b = d[k] + m * m * d[k - 1]
+    mk[k - 1] = m * d[k - 1] / b
+    d[k] = d[k - 1] * d[k] / b
+    d[k - 1] = b
+    for i in range(k + 1, len(d)):
+        mi = mu[i]
+        x = mi[k]
+        mi[k] = mi[k - 1] - m * x
+        mi[k - 1] = x + mk[k - 1] * mi[k]
 
 
 def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
@@ -100,23 +140,26 @@ def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
     n = G.n
     g = [list(row) for row in G.entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n > 1:
-        mu, d = _ldl(g)
-        k = 1
-        while k < n:
-            for j in range(k - 1, -1, -1):
-                q = math.floor(mu[k][j] + _HALF)
-                if q:
-                    _row_op(g, t, k, j, q)
-                    mu, d = _ldl(g)
-            if d[k] >= (_LOVASZ - mu[k][k - 1] ** 2) * d[k - 1]:
-                k += 1
-            else:
-                _swap_rows(g, t, k)
-                mu, d = _ldl(g)
-                k = max(k - 1, 1)
+    mu = [list(row) for row in G.ldl[0]]
+    d = list(G.ldl[1])
+    k = 1
+    while k < n:
+        mk = mu[k]
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mk[j] + _HALF)
+            if q:
+                _row_op(g, t, k, j, q)
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        if d[k] >= (_LOVASZ - mk[k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            _swap(g, t, mu, d, k)
+            k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))  # transpose
-    return GramMatrix(tuple(tuple(row) for row in g)), u
+    return _reduced_gram(tuple(tuple(row) for row in g), mu, d), u
 
 
 def _walk(mu, d, bound, adapt):
@@ -215,7 +258,7 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     """
     _check_dim(G.n)
     red, u = lll_reduce(G)
-    mu, d = _ldl([list(row) for row in red.entries])
+    mu, d = red.ldl
     bound = min(red.entries[i][i] for i in range(red.n))
     minimum, vecs = _walk(mu, d, bound, adapt=True)
     mapped = sorted(_apply(u, w) for w in vecs)
@@ -226,7 +269,7 @@ def enumerate_within(G: GramMatrix, bound) -> list[tuple[int, ...]]:
     """All nonzero vectors with form value <= bound (original coordinates)."""
     _check_dim(G.n)
     red, u = lll_reduce(G)
-    mu, d = _ldl([list(row) for row in red.entries])
+    mu, d = red.ldl
     _, vecs = _walk(mu, d, bound, adapt=False)
     return sorted(_apply(u, w) for w in vecs)
 

@@ -133,6 +133,63 @@ def box_gram_minimum(entries, radius: int):
 
 
 # ---------------------------------------------------------------------------
+# LLL that refactors the Gram matrix from scratch after every step
+
+def ldl_factor(g):
+    """Unit lower triangular L and diagonal d with G = L diag(d) L^T."""
+    n = len(g)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i + 1):
+            s = Fraction(g[i][j])
+            for k in range(j):
+                s -= L[i][k] * L[j][k] * d[k]
+            if j < i:
+                L[i][j] = s / d[j]
+            else:
+                d[i] = s
+                L[i][i] = Fraction(1)
+    return L, d
+
+
+def lll_rebuild(entries):
+    """LLL (delta = 3/4) on a Gram matrix, recomputing mu and d by a full LDL
+    after every size reduction and swap.
+
+    Returns (reduced entries, U) with the conventions of ``svp.lll_reduce``:
+    reduced = U^T G U.
+    """
+    n = len(entries)
+    g = [list(row) for row in entries]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        mu, d = ldl_factor(g)
+        k = 1
+        while k < n:
+            for j in range(k - 1, -1, -1):
+                q = math.floor(mu[k][j] + Fraction(1, 2))
+                if q:
+                    for col in range(n):
+                        g[k][col] -= q * g[j][col]
+                    for row in range(n):
+                        g[row][k] -= q * g[row][j]
+                    t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
+                    mu, d = ldl_factor(g)
+            if d[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * d[k - 1]:
+                k += 1
+            else:
+                g[k - 1], g[k] = g[k], g[k - 1]
+                for row in g:
+                    row[k - 1], row[k] = row[k], row[k - 1]
+                t[k - 1], t[k] = t[k], t[k - 1]
+                mu, d = ldl_factor(g)
+                k = max(k - 1, 1)
+    u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))
+    return tuple(tuple(row) for row in g), u
+
+
+# ---------------------------------------------------------------------------
 # lattice index by literal coset counting
 
 def coset_index(a: int, b: int, g: int) -> int:

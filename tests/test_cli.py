@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,9 @@ import pytest
 import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
+from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
+from wrlat.svp import MAX_ENUM_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +353,41 @@ def test_cyclo_dimension_guard(capsys):
     assert "enumeration guard" in capsys.readouterr().err
 
 
+GUARD_LINE = f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})\n"
+
+
+def test_cyclo_huge_k_refused_without_factoring(capsys, monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"euler_phi({n}) called")
+
+    monkeypatch.setattr(cli, "euler_phi", no_factoring)
+    start = time.perf_counter()
+    assert main(["cyclo", "1000000000000000003"]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == GUARD_LINE
+
+
+class _Accepted(Exception):
+    pass
+
+
+def test_cyclo_guard_agrees_with_phi(capsys, monkeypatch):
+    def accepted(k):
+        raise _Accepted(k)
+
+    monkeypatch.setattr(cli, "cyclo_field", accepted)
+    for k in range(3, 2001):
+        try:
+            code = cli._cmd_cyclo(argparse.Namespace(k=k))
+        except _Accepted:
+            assert euler_phi(k) <= MAX_ENUM_DIM, k
+            continue
+        assert euler_phi(k) > MAX_ENUM_DIM, k
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == GUARD_LINE
+
+
 def test_cyclo_json(capsys):
     assert main(["cyclo", "12", "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
@@ -417,3 +456,16 @@ def test_module_entry_point_not_wr():
         capture_output=True, text=True, env=_ENV,
     )
     assert proc.returncode == EXIT_NOT_WR
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wrlat.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=_ENV,
+    )
+    assert proc.stdout == "False\n", proc.stderr
+    import concurrent.futures
+    import wrlat.survey
+
+    assert wrlat.survey.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor

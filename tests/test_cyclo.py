@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wrlat import cyclo
 from wrlat.cyclo import (
     CycloElement,
     cyclo_field,
@@ -16,6 +17,8 @@ from wrlat.cyclo import (
     zeta_power,
 )
 from wrlat.arith import euler_phi
+from wrlat.errors import InvariantViolation
+from wrlat.svp import GramMatrix
 from wrlat.planar import BinaryForm, is_similar
 from oracles import (
     moebius_cyclo_poly,
@@ -245,3 +248,27 @@ def test_verify_principal_rejects_zero():
     F = cyclo_field(5)
     with pytest.raises(ValueError, match="zero element"):
         verify_principal_ideal_wr(F, element(F, [0]))
+
+
+def test_rotation_violation_names_its_witness(monkeypatch):
+    F = cyclo_field(5)
+    gen = [2, -1, 0, 3]
+    # a positive definite form that rotation by zeta does not preserve
+    skewed = GramMatrix(tuple(tuple(i + 1 if i == j else 0 for j in range(4)) for i in range(4)))
+    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: skewed)
+    draws = random.Random(31)
+    w = element(F, [draws.randint(-9, 9) for _ in range(F.phi)]).coeffs  # the first vector tried
+    with pytest.raises(InvariantViolation) as info:
+        verify_principal_ideal_wr(F, element(F, gen), rng=random.Random(31))
+    msg = str(info.value)
+    assert "k=5" in msg
+    assert f"generator={gen}" in msg
+    assert f"w={list(w)}" in msg
+
+
+def test_rotation_check_requires_half_integral_gram(monkeypatch):
+    F = cyclo_field(4)
+    third = GramMatrix(((1, Fraction(1, 3)), (Fraction(1, 3), 1)))
+    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: third)
+    with pytest.raises(InvariantViolation, match="half-integer"):
+        verify_principal_ideal_wr(F, element(F, [1]))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat.arith import QuadOrder
+from wrlat import svp
+from wrlat.arith import QuadOrder, euler_phi
 from wrlat.cyclo import cyclo_field, element, gram_principal
 from wrlat.ideals import enumerate_ideals
 from wrlat.planar import form_from_ideal, minimal_vectors
@@ -17,7 +18,7 @@ from wrlat.svp import (
     is_wr_nd,
     lll_reduce,
 )
-from oracles import box_gram_minimum
+from oracles import box_gram_minimum, ldl_factor, lll_rebuild
 
 
 def identity_gram(n):
@@ -110,6 +111,55 @@ def test_lll_transform_soundness():
                     f = m[r][c] / m[c][c]
                     m[r] = [x - f * y for x, y in zip(m[r], m[c])]
             assert det in (1, -1)
+
+
+def _lll_inputs():
+    """Full rings with phi(k) <= 24, seeded principal ideals of the sizes the
+    benchmark uses, and seeded random Gram matrices for n = 2..8."""
+    for k in range(3, 91):
+        if euler_phi(k) <= 24:
+            F = cyclo_field(k)
+            yield f"ring k={k}", gram_principal(F, element(F, [1]))
+    rng = random.Random(0)
+    for k in (13, 17, 19, 21, 25, 27, 28, 32, 36, 40, 44, 48, 60):
+        F = cyclo_field(k)
+        coeffs = [0]
+        while not any(coeffs):
+            coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
+        yield f"ideal k={k} {coeffs}", gram_principal(F, element(F, coeffs))
+    rng = random.Random(2024)
+    for n in range(2, 9):
+        for i in range(4):
+            yield f"random n={n} #{i}", random_gram(rng, n)
+
+
+def test_lll_matches_rebuilding_oracle():
+    """In-place Gram-Schmidt updates give exactly the reduction that a full
+    LDL after every step gives, and the reduced matrix carries its own LDL."""
+    for label, G in _lll_inputs():
+        L, d = ldl_factor(G.entries)
+        assert G.ldl == (tuple(map(tuple, L)), tuple(d)), label
+        red, u = lll_reduce(G)
+        assert (red.entries, u) == lll_rebuild(G.entries), label
+        assert red.ldl == svp._ldl(red.entries), label
+
+
+def test_enumeration_reuses_stored_ldl(monkeypatch):
+    F = cyclo_field(12)
+    G = gram_principal(F, element(F, [1, 2, 0, -1]))
+    calls = []
+    real_ldl = svp._ldl
+
+    def counting_ldl(g):
+        calls.append(len(g))
+        return real_ldl(g)
+
+    monkeypatch.setattr(svp, "_ldl", counting_ldl)
+    rep = enumerate_shortest(G)
+    enumerate_within(G, rep.minimum)
+    assert calls == []
+    assert GramMatrix(G.entries).ldl == G.ldl
+    assert calls == [F.phi]
 
 
 # ---------------------------------------------------------------------------
