@@ -43,18 +43,13 @@ from .ideals import (
     IdealTriple,
     enumerate_ideals,
     hnf_from_generators,
-    ideal_norm,
-    triple_violation,
 )
 from .planar import (
     BinaryForm,
     MinimalSet,
-    check_min_bound,
     form_from_ideal,
     gauss_reduce,
-    is_hexagonal,
     is_similar,
-    is_wr,
     minimal_vectors,
 )
 from .survey import (
@@ -70,7 +65,6 @@ from .svp import (
     GramMatrix,
     ShortVectorReport,
     enumerate_shortest,
-    enumerate_within,
     is_wr_nd,
     lll_reduce,
 )

@@ -2,7 +2,8 @@
 
 Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 (for classify: well-rounded), 1 classify on a valid but not well-rounded
-ideal, 2 invalid input, 3 internal invariant violation.
+ideal, 2 invalid input, 3 internal invariant violation (for classify and
+survey: a minimum below its bound).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .arith import QuadOrder, euler_phi
 from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
 from .errors import InvariantViolation
 from .families import family_stream
-from .ideals import IdealTriple, triple_violation
+from .ideals import IdealTriple
 from .survey import SurveyConfig, classify_triple, reference_tables, run_survey
 from .svp import MAX_ENUM_DIM
 
@@ -122,17 +123,9 @@ def _record_lines(rows):
 
 
 def _cmd_classify(args) -> int:
-    try:
-        order = QuadOrder(args.D)
-        triple = IdealTriple(args.a, args.b, args.g, order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    reason = triple_violation(triple)
-    if reason:
-        print(f"error: invalid ideal triple: {reason}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    rec = classify_triple(triple)
+    # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
+    # violation (InvariantViolation) to exit 3
+    rec = classify_triple(IdealTriple(args.a, args.b, args.g, QuadOrder(args.D)))
     render(args, [_record_row(rec)], RECORD_COLUMNS, _record_lines)
     return EXIT_OK if rec.wr else EXIT_NOT_WR
 

@@ -10,46 +10,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DeltaKind, QuadInt, QuadOrder
+from .arith import DeltaKind, QuadInt, QuadOrder, norm_xy
 
 
 @dataclass(frozen=True)
 class IdealTriple:
+    """A valid triple: the constructor raises ValueError for one that does not
+    span an ideal, so every IdealTriple is an ideal of norm a*g."""
+
     a: int
     b: int
     g: int
     order: QuadOrder
 
     def __post_init__(self):
-        if self.a < 1 or self.g < 1 or self.b < 0:
+        a, b, g = self.a, self.b, self.g
+        if a < 1 or g < 1 or b < 0:
             raise ValueError("triple entries must satisfy a >= 1, g >= 1, b >= 0")
+        if b >= a:
+            reason = "b out of range [0, a)"
+        elif g > a:
+            reason = "g out of range (0, a]"
+        elif a % g:
+            reason = "g does not divide a"
+        elif b % g:
+            reason = "g does not divide b"
+        elif norm_xy(self.order, b, g) % (g * a):
+            reason = "g*a does not divide N(b + g*delta)"
+        else:
+            return
+        raise ValueError(f"invalid ideal triple: {reason}")
 
     @property
     def second_generator(self) -> QuadInt:
         return QuadInt(self.b, self.g, self.order)
-
-
-def triple_violation(t: IdealTriple) -> str | None:
-    """Reason the triple fails to span an ideal, or None if it is valid."""
-    if not t.b < t.a:
-        return "b out of range [0, a)"
-    if not t.g <= t.a:
-        return "g out of range (0, a]"
-    if t.a % t.g:
-        return "g does not divide a"
-    if t.b % t.g:
-        return "g does not divide b"
-    if t.second_generator.norm() % (t.g * t.a):
-        return "g*a does not divide N(b + g*delta)"
-    return None
-
-
-def ideal_norm(t: IdealTriple) -> int:
-    """Index of the ideal in its order, equal to a*g for valid triples."""
-    reason = triple_violation(t)
-    if reason:
-        raise ValueError(f"invalid ideal triple: {reason}")
-    return t.a * t.g
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -100,12 +94,8 @@ def hnf_from_generators(u: QuadInt, v: QuadInt | None = None) -> IdealTriple:
         a = math.gcd(a, x)
     if a == 0 or g_y == 0:
         raise ValueError("generators do not span a rank-2 module")
-    t = IdealTriple(a, b_x % a, g_y, order)
-    reason = triple_violation(t)
-    if reason:
-        # closure under delta makes this unreachable for genuine generators
-        raise ValueError(f"generators produced an invalid triple: {reason}")
-    return t
+    # closure under delta makes the triple valid, so the constructor's check passes
+    return IdealTriple(a, b_x % a, g_y, order)
 
 
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:

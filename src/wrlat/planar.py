@@ -4,7 +4,8 @@ An ideal (a, b + g*delta) embeds in the plane; the squared length of
 m*sigma(a) + n*sigma(b + g*delta) is a positive definite form
 Q(m, n) = c1*m^2 + c2*m*n + c3*n^2 with exact rational coefficients.
 Everything here is exact: reduction, minima, and the well-rounded /
-hexagonal / similarity predicates use no floating point.
+hexagonal / similarity predicates use no floating point.  The minimum bound
+is checked where ideals are classified, in survey.classify_triple.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import QuadInt
-from .ideals import IdealTriple, ideal_norm, triple_violation
+from .ideals import IdealTriple
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -68,6 +69,16 @@ class MinimalSet:
         if len(self.vectors) not in (2, 4, 6):
             raise ValueError("a planar lattice has 2, 4 or 6 minimal vectors")
 
+    @property
+    def wr(self) -> bool:
+        """Well-rounded: the minimal vectors span the plane (4 or 6 of them)."""
+        return len(self.vectors) >= 4
+
+    @property
+    def hexagonal(self) -> bool:
+        """Similar to the hexagonal lattice, equivalently six minimal vectors."""
+        return len(self.vectors) == 6
+
 
 def form_from_ideal(t: IdealTriple) -> BinaryForm:
     """Norm form of the embedded ideal in the canonical basis (a, b + g*delta).
@@ -76,9 +87,6 @@ def form_from_ideal(t: IdealTriple) -> BinaryForm:
     come from N and the trace of the conjugate product; for D > 0 they are
     traces of plain products across the two real embeddings.
     """
-    reason = triple_violation(t)
-    if reason:
-        raise ValueError(f"invalid ideal triple: {reason}")
     o = t.order
     beta = QuadInt(t.b, t.g, o)
     if o.D < 0:
@@ -134,16 +142,6 @@ def minimal_vectors(f: BinaryForm) -> MinimalSet:
     return MinimalSet(m0, tuple(vecs))
 
 
-def is_wr(f: BinaryForm) -> bool:
-    """Well-rounded: the minimal vectors span the plane (4 or 6 of them)."""
-    return len(minimal_vectors(f).vectors) >= 4
-
-
-def is_hexagonal(f: BinaryForm) -> bool:
-    """Similar to the hexagonal lattice, equivalently six minimal vectors."""
-    return len(minimal_vectors(f).vectors) == 6
-
-
 def is_similar(f: BinaryForm, h: BinaryForm) -> bool:
     """Lattice similarity: reduced forms proportional up to the sign of c2.
 
@@ -156,15 +154,3 @@ def is_similar(f: BinaryForm, h: BinaryForm) -> bool:
         and a.c3 * b.c1 == b.c3 * a.c1
     )
 
-
-def check_min_bound(t: IdealTriple) -> bool:
-    """Exact check of the minimum lower bound for an ideal lattice.
-
-    Imaginary: minimum >= N(I).  Real: minimum^2 >= 4*N(I).  Both sides are
-    integers, so the comparison is exact.
-    """
-    ms = minimal_vectors(form_from_ideal(t))
-    nrm = ideal_norm(t)
-    if t.order.D < 0:
-        return ms.minimum >= nrm
-    return ms.minimum * ms.minimum >= 4 * nrm

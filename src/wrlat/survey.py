@@ -6,6 +6,7 @@ so identical configurations give identical records regardless of worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ class SurveyRecord:
     n_minimal: int
     wr: bool
     hexagonal: bool
-    bound_ok: bool
     order_maximal: bool
 
 
@@ -49,42 +49,38 @@ class SurveyConfig:
 
 
 def classify_triple(t: IdealTriple) -> SurveyRecord:
-    """Full classification of one ideal: minimum, minimal vector count, the
-    well-rounded and hexagonal flags, and the exact minimum bound check."""
+    """Full classification of one ideal: minimum, minimal vector count, and the
+    well-rounded and hexagonal flags.
+
+    Raises InvariantViolation, naming the replay command, if the minimum breaks
+    its lower bound: min >= N(I) for D < 0, min^2 >= 4*N(I) for D > 0.  Both
+    sides are integers, so the comparison is exact.
+    """
     ms = minimal_vectors(form_from_ideal(t))
+    D = t.order.D
     nrm = t.a * t.g
-    if t.order.D < 0:
-        ok = ms.minimum >= nrm
-    else:
-        ok = ms.minimum * ms.minimum >= 4 * nrm
-    count = len(ms.vectors)
+    if not (ms.minimum >= nrm if D < 0 else ms.minimum * ms.minimum >= 4 * nrm):
+        raise InvariantViolation(
+            f"minimum bound violated for D={D}, triple=({t.a},{t.b},{t.g}), "
+            f"min={ms.minimum}, norm={nrm}; replay: wrlat classify -- {D} {t.a} {t.b} {t.g}"
+        )
     return SurveyRecord(
-        D=t.order.D,
+        D=D,
         a=t.a,
         b=t.b,
         g=t.g,
         norm=nrm,
         minimum=Fraction(ms.minimum),
-        n_minimal=count,
-        wr=count >= 4,
-        hexagonal=count == 6,
-        bound_ok=ok,
+        n_minimal=len(ms.vectors),
+        wr=ms.wr,
+        hexagonal=ms.hexagonal,
         order_maximal=t.order.maximal,
     )
 
 
 def _survey_radicand(args) -> list[SurveyRecord]:
     D, norm_bound = args
-    order = QuadOrder(D)
-    out = []
-    for t in enumerate_ideals(order, norm_bound):
-        rec = classify_triple(t)
-        if not rec.bound_ok:
-            raise InvariantViolation(
-                f"minimum bound violated for D={D}, triple=({t.a},{t.b},{t.g})"
-            )
-        out.append(rec)
-    return out
+    return [classify_triple(t) for t in enumerate_ideals(QuadOrder(D), norm_bound)]
 
 
 def __getattr__(name):
@@ -97,6 +93,9 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+_CHUNK = 8  # radicands per task sent to a survey worker
+
+
 def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     cfg.validate()
     radicands = [
@@ -104,11 +103,14 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
     jobs = [(D, cfg.norm_bound) for D in radicands]
-    if cfg.workers > 1 and len(jobs) > 1:
+    # the pool starts all its processes at once, so start no more than there
+    # are chunks of jobs or CPUs
+    workers = min(cfg.workers, -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_survey_radicand, jobs, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_survey_radicand, jobs, chunksize=_CHUNK))
     else:
         chunks = [_survey_radicand(job) for job in jobs]
     records = [rec for chunk in chunks for rec in chunk]
@@ -117,7 +119,7 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
         "records": len(records),
         "wr": sum(r.wr for r in records),
         "hexagonal": sum(r.hexagonal for r in records),
-        "bound_ok": sum(r.bound_ok for r in records),
+        "bound_ok": len(records),  # classify_triple raises on a violation
     }
     return records, summary
 

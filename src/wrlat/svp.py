@@ -2,8 +2,11 @@
 
 LLL (delta = 3/4) runs directly on the Gram matrix in exact rational
 arithmetic, then a depth-first Fincke-Pohst walk enumerates every vector
-attaining the minimum.  Dimensions are capped at MAX_ENUM_DIM: this is a
-verification tool, not a general SVP solver.
+attaining the minimum: its bound starts at the smallest diagonal entry of the
+reduced matrix and tightens to the best value seen.  Whether the minimal
+vectors span the space is decided by an integer echelon built one vector at a
+time, which stops as soon as the rank is full.  Dimensions are capped at
+MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
 
 The LDL factorization G = L diag(d) L^T, whose L is the Gram-Schmidt
 coefficient matrix mu and whose d holds the squared Gram-Schmidt lengths, is
@@ -162,32 +165,25 @@ def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
     return _reduced_gram(tuple(tuple(row) for row in g), mu, d), u
 
 
-def _walk(mu, d, bound, adapt):
-    """Depth-first enumeration of nonzero vectors with form value <= bound.
+def _walk(mu, d, bound):
+    """Depth-first enumeration of the nonzero vectors of least form value.
 
-    With adapt=True the bound tightens to the best value seen, and only
-    vectors attaining the final minimum are kept.
+    Some vector must attain the starting bound; the bound then tightens to the
+    best value seen, so the vectors kept are exactly those attaining the
+    minimum.  Returns (minimum, vectors) in the coordinates of mu and d.
     """
     n = len(d)
     x = [0] * n
     found: list[tuple[int, ...]] = []
-    state = {"bound": Fraction(bound), "min": None}
+    bound = Fraction(bound)
 
     def descend(j, partial):
+        nonlocal bound
         if j < 0:
-            if not any(x):
-                return
-            if not adapt:
-                found.append(tuple(x))
-                return
-            q = partial
-            cur = state["min"]
-            if cur is None or q < cur:
-                state["min"] = q
-                state["bound"] = q
-                found.clear()
-                found.append(tuple(x))
-            elif q == cur:
+            if any(x):
+                if partial < bound:
+                    bound = partial
+                    found.clear()
                 found.append(tuple(x))
             return
         c = Fraction(0)
@@ -198,7 +194,7 @@ def _walk(mu, d, bound, adapt):
         k = start
         while True:
             step = d[j] * (k + c) ** 2
-            if partial + step > state["bound"]:
+            if partial + step > bound:
                 break
             x[j] = k
             descend(j - 1, partial + step)
@@ -206,7 +202,7 @@ def _walk(mu, d, bound, adapt):
         k = start - 1
         while True:
             step = d[j] * (k + c) ** 2
-            if partial + step > state["bound"]:
+            if partial + step > bound:
                 break
             x[j] = k
             descend(j - 1, partial + step)
@@ -214,7 +210,7 @@ def _walk(mu, d, bound, adapt):
         x[j] = 0
 
     descend(n - 1, Fraction(0))
-    return state["min"], found
+    return bound, found
 
 
 def _apply(u, w):
@@ -222,32 +218,27 @@ def _apply(u, w):
 
 
 def _span_rank(vectors) -> int:
-    rows = [list(map(Fraction, v)) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+    """Rank of integer vectors, from an integer echelon built one vector at a time.
+
+    Each new vector is reduced against the rows kept so far by
+    cross-multiplication and divided by its content; the scan stops once the
+    rank is full.
+    """
+    ncols = len(vectors[0]) if vectors else 0
+    rows = []  # (pivot column, row); each row is zero at the earlier rows' pivots
+    for v in vectors:
+        for p, r in rows:
+            if v[p]:
+                a, b = r[p], v[p]
+                v = [a * x - b * y for x, y in zip(v, r)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == ncols:
+        content = math.gcd(*v)
+        rows.append((pivot, [x // content for x in v]))
+        if len(rows) == ncols:
             break
-    return rank
-
-
-def _check_dim(n):
-    if n > MAX_ENUM_DIM:
-        raise ValueError(f"dimension {n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
+    return len(rows)
 
 
 def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
@@ -256,22 +247,14 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     The initial enumeration bound is the smallest diagonal entry after LLL,
     which a basis vector always attains.
     """
-    _check_dim(G.n)
+    if G.n > MAX_ENUM_DIM:
+        raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
     red, u = lll_reduce(G)
     mu, d = red.ldl
     bound = min(red.entries[i][i] for i in range(red.n))
-    minimum, vecs = _walk(mu, d, bound, adapt=True)
+    minimum, vecs = _walk(mu, d, bound)
     mapped = sorted(_apply(u, w) for w in vecs)
     return ShortVectorReport(minimum, tuple(mapped), _span_rank(mapped))
-
-
-def enumerate_within(G: GramMatrix, bound) -> list[tuple[int, ...]]:
-    """All nonzero vectors with form value <= bound (original coordinates)."""
-    _check_dim(G.n)
-    red, u = lll_reduce(G)
-    mu, d = red.ldl
-    _, vecs = _walk(mu, d, bound, adapt=False)
-    return sorted(_apply(u, w) for w in vecs)
 
 
 def is_wr_nd(G: GramMatrix) -> bool:

@@ -89,6 +89,14 @@ def qd_trace(u):
 # ---------------------------------------------------------------------------
 # brute-force minima
 
+def min_bound_holds(rec) -> bool:
+    """The minimum bound read off a survey record: min >= N(I) for D < 0,
+    min^2 >= 4 N(I) for D > 0."""
+    if rec.D < 0:
+        return rec.minimum >= rec.norm
+    return rec.minimum * rec.minimum >= 4 * rec.norm
+
+
 def box_form_minimum(c1, c2, c3, radius: int):
     """Minimum and all minimizers of a binary form over 0 < max(|m|,|n|) <= radius."""
     best = None
@@ -130,6 +138,53 @@ def box_gram_minimum(entries, radius: int):
         elif q == best:
             vecs.append(v)
     return best, sorted(vecs)
+
+
+def box_gram_within(entries, bound):
+    """Every nonzero v with v G v^T <= bound, sorted, by a box search over the
+    whole ellipsoid: each |v_i| <= sqrt(bound * (G^-1)_ii) (Cauchy-Schwarz)."""
+    n = len(entries)
+    # Gauss-Jordan inverse over the rationals
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(entries)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    radii = [math.isqrt(math.floor(Fraction(bound) * m[i][n + i])) for i in range(n)]
+    out = []
+    for v in product(*(range(-r, r + 1) for r in radii)):
+        if any(v) and sum(entries[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) <= bound:
+            out.append(v)
+    return sorted(out)
+
+
+def span_rank_fraction(vectors) -> int:
+    """Rank by Gaussian elimination over the rationals on all the vectors."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / prow[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        if rank == ncols:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
 from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
+from wrlat.planar import MinimalSet
 from wrlat.svp import MAX_ENUM_DIM
 
 
@@ -138,6 +140,24 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys):
     code = main(["survey", "--d-min", "-20", "--d-max", "-1"])
     assert code == EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
+    # a minimum of 1/2 breaks min >= N(I) for every ideal
+    monkeypatch.setattr(
+        wrlat.survey, "minimal_vectors", lambda f: MinimalSet(Fraction(1, 2), ((-1, 0), (1, 0)))
+    )
+    assert main(["classify", "--", "-15", "2", "0", "1"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "invariant violation: minimum bound violated for D=-15, triple=(2,0,1), "
+        "min=1/2, norm=2; replay: wrlat classify -- -15 2 0 1\n"
+    )
+    assert main(["survey", "--d-min", "-15", "--d-max", "-15", "--norm-bound", "2"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("replay: wrlat classify -- -15 1 0 1\n")
 
 
 # ---------------------------------------------------------------------------

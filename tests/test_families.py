@@ -7,8 +7,8 @@ from wrlat.families import (
     imaginary_instance,
     real_instance,
 )
-from wrlat.ideals import triple_violation
-from wrlat.planar import form_from_ideal, gauss_reduce, is_wr, minimal_vectors
+from wrlat.ideals import IdealTriple
+from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 
 
 def test_imaginary_examples():
@@ -51,7 +51,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == -(t + 2) * (3 * t + 2)
-        assert triple_violation(trip) is None
+        assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert trip.second_generator.norm() == trip.a**2
         assert inst.closed_form.coeffs() == form_from_ideal(trip).coeffs()
         assert inst.p_prime == is_prime(t + 2)
@@ -60,7 +60,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == (t - 2) * (t + 2)
-        assert triple_violation(trip) is None
+        assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert trip.second_generator.norm() == trip.a
         reduced, _ = gauss_reduce(form_from_ideal(trip))
         assert inst.closed_form.coeffs() == reduced.coeffs()
@@ -73,8 +73,9 @@ def test_every_instance_is_wr_with_four_minimal_vectors():
         for inst in family_stream(kind, 201):
             f = inst.closed_form
             assert abs(f.c2) <= f.c1 == f.c3  # reduced and symmetric
-            assert is_wr(f)
-            assert len(minimal_vectors(f).vectors) == 4
+            ms = minimal_vectors(f)
+            assert ms.wr
+            assert len(ms.vectors) == 4
 
 
 def test_family_stream_filters():

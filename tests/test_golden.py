@@ -25,6 +25,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 COMMANDS = {
     "classify": ["classify", "--", "-15", "2", "0", "1"],
+    # a valid ideal that is not WR (exit 1) and an invalid triple (exit 2)
+    "classify_not_wr": ["classify", "--", "-15", "1", "0", "1"],
+    "classify_invalid": ["classify", "--", "-15", "4", "1", "1"],
     # includes the non-maximal orders D = -12, -8, 8, 12
     "survey": ["survey", "--d-min", "-12", "--d-max", "12", "--norm-bound", "6"],
     "tables": ["tables"],

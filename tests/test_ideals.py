@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadInt, QuadOrder, is_valid_radicand
-from wrlat.ideals import (
-    IdealTriple,
-    enumerate_ideals,
-    hnf_from_generators,
-    ideal_norm,
-    triple_violation,
-)
+from wrlat.ideals import IdealTriple, enumerate_ideals, hnf_from_generators
 from oracles import coset_index
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
@@ -29,21 +23,33 @@ def in_module(x, y, a, b, g):
 # ---------------------------------------------------------------------------
 # validation
 
+def is_ideal(a, b, g, order) -> bool:
+    try:
+        IdealTriple(a, b, g, order)
+    except ValueError:
+        return False
+    return True
+
+
 def test_validate_examples():
-    assert triple_violation(IdealTriple(2, 0, 1, QuadOrder(-15))) is None
+    assert is_ideal(2, 0, 1, QuadOrder(-15))
     for D in SAMPLE_D:
-        assert triple_violation(IdealTriple(1, 0, 1, QuadOrder(D))) is None
+        assert is_ideal(1, 0, 1, QuadOrder(D))
     # N(1 + delta) = 6 for D = -15, and 2*1 divides 6
-    assert triple_violation(IdealTriple(2, 1, 1, QuadOrder(-15))) is None
+    assert is_ideal(2, 1, 1, QuadOrder(-15))
 
 
 def test_violation_reasons():
     o = QuadOrder(-15)
-    assert "b out of range" in triple_violation(IdealTriple(2, 2, 1, o))
-    assert "g out of range" in triple_violation(IdealTriple(2, 0, 4, o))
-    assert "does not divide a" in triple_violation(IdealTriple(6, 4, 4, o))
-    assert "does not divide b" in triple_violation(IdealTriple(4, 1, 2, o))
-    assert "N(b" in triple_violation(IdealTriple(4, 1, 1, o))
+    for bad, reason in (
+        ((2, 2, 1), "b out of range"),
+        ((2, 0, 4), "g out of range"),
+        ((6, 4, 4), "does not divide a"),
+        ((4, 1, 2), "does not divide b"),
+        ((4, 1, 1), "N\\(b"),
+    ):
+        with pytest.raises(ValueError, match=f"^invalid ideal triple: .*{reason}"):
+            IdealTriple(*bad, o)
 
 
 def test_triple_constructor_guards():
@@ -57,20 +63,21 @@ def test_triple_constructor_guards():
 # norms
 
 def test_ideal_norm_examples():
-    assert ideal_norm(IdealTriple(2, 0, 1, QuadOrder(-15))) == 2
-    assert ideal_norm(IdealTriple(1, 0, 1, QuadOrder(7))) == 1
-    assert ideal_norm(IdealTriple(7, 3, 1, QuadOrder(21))) == 7
+    # the norm of a valid triple is a*g
+    for a, b, g, D, norm in ((2, 0, 1, -15, 2), (1, 0, 1, 7, 1), (7, 3, 1, 21, 7)):
+        t = IdealTriple(a, b, g, QuadOrder(D))
+        assert t.a * t.g == norm == coset_index(t.a, t.b, t.g)
 
 
 def test_ideal_norm_rejects_invalid():
     with pytest.raises(ValueError, match="invalid ideal triple"):
-        ideal_norm(IdealTriple(4, 1, 1, QuadOrder(-15)))
+        IdealTriple(4, 1, 1, QuadOrder(-15))
 
 
 def test_ideal_norm_equals_coset_count():
     for D in SAMPLE_D:
         for t in enumerate_ideals(QuadOrder(D), 50):
-            assert ideal_norm(t) == coset_index(t.a, t.b, t.g)
+            assert t.a * t.g == coset_index(t.a, t.b, t.g)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +129,8 @@ def test_principal_ideal_norm_is_absolute_norm(D, x, y):
     if x == 0 and y == 0:
         return
     gen = QuadInt(x, y, QuadOrder(D))
-    assert ideal_norm(hnf_from_generators(gen)) == abs(gen.norm())
+    t = hnf_from_generators(gen)
+    assert t.a * t.g == abs(gen.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +143,7 @@ def brute_force_triples(order, bound):
             for g in range(1, a + 1):
                 if a * g > bound:
                     continue
-                t = IdealTriple(a, b, g, order)
-                if triple_violation(t) is None:
+                if is_ideal(a, b, g, order):
                     out.append((a * g, a, b, g))
     return sorted(out)
 
@@ -153,7 +160,7 @@ def test_enumerate_sorted_unique_valid():
         ts = enumerate_ideals(QuadOrder(D), 40)
         keys = [(t.a * t.g, t.a, t.b, t.g) for t in ts]
         assert keys == sorted(set(keys))
-        assert all(triple_violation(t) is None for t in ts)
+        assert all(is_ideal(t.a, t.b, t.g, t.order) for t in ts)
         assert all(t.a * t.g <= 40 for t in ts)
 
 

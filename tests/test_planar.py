@@ -10,15 +10,13 @@ from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import (
     BinaryForm,
     MinimalSet,
-    check_min_bound,
     form_from_ideal,
     gauss_reduce,
-    is_hexagonal,
     is_similar,
-    is_wr,
     minimal_vectors,
 )
-from oracles import box_form_minimum, numeric_quad_gram
+from wrlat.survey import classify_triple
+from oracles import box_form_minimum, min_bound_holds, numeric_quad_gram
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
@@ -61,8 +59,9 @@ def test_form_from_ideal_examples():
 
 
 def test_form_from_ideal_rejects_invalid():
+    # an invalid triple cannot be built, so it never reaches form_from_ideal
     with pytest.raises(ValueError, match="invalid ideal triple"):
-        form_from_ideal(IdealTriple(4, 1, 1, QuadOrder(-15)))
+        IdealTriple(4, 1, 1, QuadOrder(-15))
 
 
 def test_form_value_is_embedded_length():
@@ -168,8 +167,8 @@ def test_minimal_vectors_properties(c):
         assert (-v[0], -v[1]) in got
     # well-roundedness is equivalent to a symmetric reduced form
     red, _ = gauss_reduce(f)
-    assert is_wr(f) == (red.c1 == red.c3)
-    assert is_hexagonal(f) == (len(ms.vectors) == 6)
+    assert ms.wr == (red.c1 == red.c3)
+    assert ms.hexagonal == (len(ms.vectors) == 6)
 
 
 def test_minimal_vector_count_bulk():
@@ -201,17 +200,21 @@ def test_minimal_vectors_match_box_oracle():
 # ---------------------------------------------------------------------------
 # predicates
 
+def ideal_minimal_set(a, b, g, D) -> MinimalSet:
+    return minimal_vectors(form_from_ideal(IdealTriple(a, b, g, QuadOrder(D))))
+
+
 def test_is_wr_examples():
-    assert is_wr(form_from_ideal(IdealTriple(2, 0, 1, QuadOrder(-15))))
-    assert not is_wr(form_from_ideal(IdealTriple(1, 0, 1, QuadOrder(2))))
-    f = form_from_ideal(IdealTriple(1, 0, 1, QuadOrder(-3)))
-    assert is_wr(f) and is_hexagonal(f)
+    assert ideal_minimal_set(2, 0, 1, -15).wr
+    assert not ideal_minimal_set(1, 0, 1, 2).wr
+    ms = ideal_minimal_set(1, 0, 1, -3)
+    assert ms.wr and ms.hexagonal
 
 
 def test_is_hexagonal_examples():
-    assert is_hexagonal(BinaryForm(1, 1, 1))
-    assert not is_hexagonal(BinaryForm(1, 0, 1))
-    assert is_hexagonal(form_from_ideal(IdealTriple(2, 1, 1, QuadOrder(3))))
+    assert minimal_vectors(BinaryForm(1, 1, 1)).hexagonal
+    assert not minimal_vectors(BinaryForm(1, 0, 1)).hexagonal
+    assert ideal_minimal_set(2, 1, 1, 3).hexagonal
 
 
 def test_is_similar():
@@ -229,12 +232,14 @@ def test_is_similar():
 
 
 def test_check_min_bound_examples():
-    assert check_min_bound(IdealTriple(2, 0, 1, QuadOrder(-15)))
-    assert check_min_bound(IdealTriple(1, 0, 1, QuadOrder(-1)))  # equality case
-    assert check_min_bound(IdealTriple(7, 3, 1, QuadOrder(21)))
+    # classify_triple raises InvariantViolation on a violation
+    assert min_bound_holds(classify_triple(IdealTriple(2, 0, 1, QuadOrder(-15))))
+    rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(-1)))
+    assert min_bound_holds(rec) and rec.minimum == rec.norm  # equality case
+    assert min_bound_holds(classify_triple(IdealTriple(7, 3, 1, QuadOrder(21))))
 
 
 def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
         for t in enumerate_ideals(QuadOrder(D), 40):
-            assert check_min_bound(t), (D, t.a, t.b, t.g)
+            assert min_bound_holds(classify_triple(t)), (D, t.a, t.b, t.g)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from wrlat.survey import (
     reference_tables,
     run_survey,
 )
+from oracles import min_bound_holds
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
@@ -32,7 +35,7 @@ def test_classify_square_lattice():
     assert rec.minimum == 1
     assert rec.n_minimal == 4
     assert rec.wr and not rec.hexagonal
-    assert rec.bound_ok and rec.order_maximal
+    assert min_bound_holds(rec) and rec.order_maximal
 
 
 def test_classify_hexagonal_lattice():
@@ -68,7 +71,7 @@ def test_classify_consistency(trip):
     assert rec.n_minimal in (2, 4, 6)
     assert rec.wr == (rec.n_minimal >= 4)
     assert rec.hexagonal == (rec.n_minimal == 6)
-    assert rec.bound_ok
+    assert min_bound_holds(rec)
     assert rec.order_maximal == trip.order.maximal
 
 
@@ -122,6 +125,47 @@ def test_survey_worker_count_is_invisible():
     pooled, sum2 = run_survey(SurveyConfig(d_min=-25, d_max=25, norm_bound=6, workers=2))
     assert sum1 == sum2
     assert serial == pooled
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and runs the
+    tasks in this process, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        assert chunksize == 8
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "d_range, workers, cpus, expected",
+    [
+        ((-6, -3), 5000, 64, None),      # 4 radicands fit one chunk: serial
+        ((-60, -1), 5000, 64, 8),        # 60 radicands make 8 chunks
+        ((-60, -1), 5000, 3, 3),         # no more workers than CPUs
+        ((-60, -1), 2, 64, 2),           # nor more than asked for
+        ((-60, -1), 5000, None, None),   # unknown CPU count: serial
+    ],
+)
+def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expected):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
+    records, summary = run_survey(cfg)
+    assert RecordingPool.sizes == ([] if expected is None else [expected])
+    serial = run_survey(dataclasses.replace(cfg, workers=1))
+    assert (records, summary) == serial
 
 
 # ---------------------------------------------------------------------------

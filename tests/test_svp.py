@@ -14,11 +14,10 @@ from wrlat.svp import (
     MAX_ENUM_DIM,
     GramMatrix,
     enumerate_shortest,
-    enumerate_within,
     is_wr_nd,
     lll_reduce,
 )
-from oracles import box_gram_minimum, ldl_factor, lll_rebuild
+from oracles import box_gram_minimum, box_gram_within, ldl_factor, lll_rebuild, span_rank_fraction
 
 
 def identity_gram(n):
@@ -68,7 +67,12 @@ def test_dimension_guard():
     with pytest.raises(ValueError, match="enumeration guard"):
         enumerate_shortest(G)
     with pytest.raises(ValueError, match="enumeration guard"):
-        enumerate_within(G, 1)
+        is_wr_nd(G)
+    # at the guard itself enumeration runs: the minimal vectors of Z^n are the
+    # 2n signed unit vectors
+    rep = enumerate_shortest(identity_gram(MAX_ENUM_DIM))
+    assert rep.minimum == 1 and len(rep.vectors) == 2 * MAX_ENUM_DIM
+    assert rep.span_rank == MAX_ENUM_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +160,8 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
 
     monkeypatch.setattr(svp, "_ldl", counting_ldl)
     rep = enumerate_shortest(G)
-    enumerate_within(G, rep.minimum)
     assert calls == []
+    assert list(rep.vectors) == box_gram_within(G.entries, rep.minimum)
     assert GramMatrix(G.entries).ldl == G.ldl
     assert calls == [F.phi]
 
@@ -232,13 +236,30 @@ def test_vectors_attain_minimum_in_original_gram():
             assert tuple(-c for c in v) in got
 
 
+def test_span_rank_matches_fraction_oracle():
+    """The integer echelon gives the rank of full Gaussian elimination over Q,
+    on the minimal vectors of every LLL input and on rank-deficient sets."""
+    for label, G in _lll_inputs():
+        vecs = enumerate_shortest(G).vectors
+        assert svp._span_rank(vecs) == span_rank_fraction(vecs), label
+    rng = random.Random(99)
+    for _ in range(200):
+        n, rank, count = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 12)
+        basis = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rank)]
+        vecs = [
+            tuple(sum(rng.randint(-3, 3) * row[i] for row in basis) for i in range(n))
+            for _ in range(count)
+        ]
+        assert svp._span_rank(vecs) == span_rank_fraction(vecs), vecs
+
+
 def test_enumerate_within_consistency():
     rng = random.Random(42)
     for _ in range(10):
         G = random_gram(rng, 3)
         rep = enumerate_shortest(G)
-        at_min = enumerate_within(G, rep.minimum)
+        at_min = box_gram_within(G.entries, rep.minimum)
         assert sorted(rep.vectors) == at_min
-        assert enumerate_within(G, rep.minimum - Fraction(1, 2)) == []
-        larger = enumerate_within(G, rep.minimum + 5)
+        assert box_gram_within(G.entries, rep.minimum - Fraction(1, 2)) == []
+        larger = box_gram_within(G.entries, rep.minimum + 5)
         assert set(at_min) <= set(larger)
