@@ -41,29 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n.
-
-    Trial division up to isqrt(n); fine for desk-scale inputs.
-    """
-    if n < 1:
-        raise ValueError("nonpositive input")
-    for p in (2, 3):
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return False
-        f += 6
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, as {prime: exponent}."""
     if n < 1:
@@ -97,6 +74,11 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
+
+
+def is_squarefree(n: int) -> bool:
+    """True iff no prime square divides n."""
+    return mobius(n) != 0
 
 
 def is_valid_radicand(d: int) -> bool:

@@ -81,7 +81,7 @@ def cyclo_field(k: int) -> CycloField:
         g = math.gcd(j, k)
         m = k // g
         mu = mobius(m)
-        table.append(0 if mu == 0 else mu * (euler_phi(k) // euler_phi(m)))
+        table.append(0 if mu == 0 else mu * (phi // euler_phi(m)))
     return CycloField(k, phi, poly, tuple(table))
 
 
@@ -137,22 +137,16 @@ def zeta_power(F: CycloField, j: int) -> CycloElement:
 def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     """Gram matrix of the ideal lattice generated by x, basis x*zeta^i.
 
-    Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2, exact in half-integers.
+    Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2 = Tr(y*zeta^|i-j|) / 2
+    with y = x*conj(x), which is real, so one product gives every entry:
+    Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).  Exact in half-integers.
     """
     if x.is_zero:
         raise ValueError("zero element generates no lattice")
-    us = [x]
-    for _ in range(F.phi - 1):
-        us.append(us[-1].times_zeta())
-    vs = [u.conj() for u in us]
-    n = F.phi
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            val = Fraction((us[i] * vs[j]).trace(), 2)
-            rows[i][j] = val
-            rows[j][i] = val
-    return GramMatrix(tuple(tuple(r) for r in rows))
+    y = (x * x.conj()).coeffs
+    k, n, T = F.k, F.phi, F.trace_table
+    diag = [Fraction(sum(c * T[(l + m) % k] for l, c in enumerate(y) if c), 2) for m in range(n)]
+    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 A triple (a, b, g) spans the Z-module a*Z + (b + g*delta)*Z.  The module is an
 ideal of Z[delta] exactly when 0 <= b < a, 0 < g <= a, g | a, g | b and
-g*a | N(b + g*delta); the ideal then has norm a*g.
+g*a | N(b + g*delta); the ideal then has norm a*g.  Since
+N(b + g*delta) = g^2 * N(b/g + delta), (a, b, g) is an ideal exactly when the
+primitive triple (a/g, b/g, 1) is one, so enumeration scans primitive pairs
+and scales each by g.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DeltaKind, QuadInt, QuadOrder, norm_xy
+from .arith import QuadInt, QuadOrder, norm_xy
 
 
 @dataclass(frozen=True)
@@ -99,26 +102,22 @@ def hnf_from_generators(u: QuadInt, v: QuadInt | None = None) -> IdealTriple:
 
 
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:
-    """Every valid triple with a*g <= norm_bound, sorted by (norm, a, b, g)."""
+    """Every valid triple with a*g <= norm_bound, sorted by (norm, a, b, g).
+
+    One scan finds the primitive pairs (a, b), those with
+    a | N(b + delta) = b*(b + Tr(delta)) + N(delta); each gives the ideals
+    (g*a, g*b, g) of norm g^2*a for every g with g^2*a <= norm_bound.
+    """
     if norm_bound < 1:
         raise ValueError("norm bound must be at least 1")
-    half = order.delta_kind is DeltaKind.HALF_ONE_MINUS_SQRT_D
-    D = order.D
-    c = (1 - D) // 4 if half else 0
+    tr, nm = order.delta_trace, norm_xy(order, 0, 1)
     out = []
-    g = 1
-    while g * g <= norm_bound:
-        gg = g * g
-        for a in range(g, norm_bound // g + 1, g):
-            ga = g * a
-            if half:
-                for b in range(0, a, g):
-                    if (b * b + b * g + gg * c) % ga == 0:
-                        out.append(IdealTriple(a, b, g, order))
-            else:
-                for b in range(0, a, g):
-                    if (b * b - D * gg) % ga == 0:
-                        out.append(IdealTriple(a, b, g, order))
-        g += 1
+    for a in range(1, norm_bound + 1):
+        for b in range(a):
+            if (b * (b + tr) + nm) % a == 0:
+                g = 1
+                while g * g * a <= norm_bound:
+                    out.append(IdealTriple(g * a, g * b, g, order))
+                    g += 1
     out.sort(key=lambda t: (t.a * t.g, t.a, t.b, t.g))
     return out

@@ -2,10 +2,13 @@
 
 An ideal (a, b + g*delta) embeds in the plane; the squared length of
 m*sigma(a) + n*sigma(b + g*delta) is a positive definite form
-Q(m, n) = c1*m^2 + c2*m*n + c3*n^2 with exact rational coefficients.
-Everything here is exact: reduction, minima, and the well-rounded /
-hexagonal / similarity predicates use no floating point.  The minimum bound
-is checked where ideals are classified, in survey.classify_triple.
+Q(m, n) = c1*m^2 + c2*m*n + c3*n^2 with integer coefficients, read off the
+trace and norm of b + g*delta.  Gauss-Lagrange reduction tracks the two
+basis vectors p, q it ends on, and every answer is read off the reduced form
+(c1, c2, c3): the minimum is c1, the lattice is well-rounded exactly when
+c1 = c3, and hexagonal exactly when also c1 = c2 (Buchmann & Vollmer, Binary
+Quadratic Forms).  Everything is exact; the minimum bound is checked where
+ideals are classified, in survey.classify_triple.
 """
 
 from __future__ import annotations
@@ -13,21 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import QuadInt
+from .arith import norm_xy, trace_xy
 from .ideals import IdealTriple
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-_IDENT2: Mat2 = ((1, 0), (0, 1))
-# basis swap and shear (m, n) -> (m - k*n); both have determinant +-1
-_SWAP: Mat2 = ((0, -1), (1, 0))
-
-
-def _mul2(p: Mat2, q: Mat2) -> Mat2:
-    return (
-        (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-        (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-    )
 
 
 @dataclass(frozen=True)
@@ -83,16 +75,16 @@ class MinimalSet:
 def form_from_ideal(t: IdealTriple) -> BinaryForm:
     """Norm form of the embedded ideal in the canonical basis (a, b + g*delta).
 
-    For D < 0 the plane is the single complex embedding and the Gram entries
-    come from N and the trace of the conjugate product; for D > 0 they are
-    traces of plain products across the two real embeddings.
+    With beta = b + g*delta: for D < 0 the plane is the single complex
+    embedding and the form is (a^2, a*Tr(beta), N(beta)); for D > 0 the
+    entries are traces across the two real embeddings, Tr(a^2) = 2a^2,
+    2*Tr(a*beta) = 2a*Tr(beta) and Tr(beta^2) = Tr(beta)^2 - 2N(beta).
     """
-    o = t.order
-    beta = QuadInt(t.b, t.g, o)
+    o, a = t.order, t.a
+    tr, nm = trace_xy(o, t.b, t.g), norm_xy(o, t.b, t.g)
     if o.D < 0:
-        return BinaryForm(t.a * t.a, t.a * beta.trace(), beta.norm())
-    alpha = QuadInt(t.a, 0, o)
-    return BinaryForm((alpha * alpha).trace(), 2 * (alpha * beta).trace(), (beta * beta).trace())
+        return BinaryForm(a * a, a * tr, nm)
+    return BinaryForm(2 * a * a, 2 * a * tr, tr * tr - 2 * nm)
 
 
 def gauss_reduce(f: BinaryForm) -> tuple[BinaryForm, Mat2]:
@@ -100,46 +92,46 @@ def gauss_reduce(f: BinaryForm) -> tuple[BinaryForm, Mat2]:
 
     Returns (reduced form, U) with |c2| <= c1 <= c3, sign-normalized to
     c2 >= 0 whenever |c2| = c1 or c1 = c3, and U unimodular such that the
-    reduced Gram equals U^T G U exactly.
+    reduced Gram equals U^T G U exactly.  The columns p, q of U are the
+    reduced basis in the original coordinates: a shear is q <- q - k*p and a
+    swap is (p, q) <- (q, -p).
     """
     c1, c2, c3 = f.c1, f.c2, f.c3
-    u = _IDENT2
+    p0, p1, q0, q1 = 1, 0, 0, 1
     while True:
         # shear with k nearest to c2/(2*c1); afterwards c2 lies in [-c1, c1)
         k = (c2 + c1) // (2 * c1)
         if k:
             c2, c3 = c2 - 2 * k * c1, c1 * k * k - c2 * k + c3
-            u = _mul2(u, ((1, -k), (0, 1)))
+            q0, q1 = q0 - k * p0, q1 - k * p1
         if c1 > c3:
             c1, c2, c3 = c3, -c2, c1
-            u = _mul2(u, _SWAP)
+            p0, p1, q0, q1 = q0, q1, -p0, -p1
             continue
         break
     if c2 < 0 and -c2 == c1:
         c2 = c1
-        u = _mul2(u, ((1, 1), (0, 1)))
+        q0, q1 = q0 + p0, q1 + p1
     elif c2 < 0 and c1 == c3:
         c2 = -c2
-        u = _mul2(u, _SWAP)
-    return BinaryForm(c1, c2, c3), u
+        p0, p1, q0, q1 = q0, q1, -p0, -p1
+    return BinaryForm(c1, c2, c3), ((p0, q0), (p1, q1))
 
 
 def minimal_vectors(f: BinaryForm) -> MinimalSet:
     """All vectors attaining the minimum, in the original basis coordinates.
 
-    After reduction the minimum is the leading coefficient and every minimal
-    vector has window coordinates |m|, |n| <= 2; candidates are mapped back
-    through the reduction transform.
+    With p, q the reduced basis, the minimum is c1 and the minimal vectors are
+    +-p, also +-q when c1 = c3, and also +-(p - q) when c1 = c2 = c3.
     """
-    red, u = gauss_reduce(f)
-    m0 = red.c1
-    vecs = []
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            if (m or n) and red(m, n) == m0:
-                vecs.append((u[0][0] * m + u[0][1] * n, u[1][0] * m + u[1][1] * n))
+    red, ((p0, q0), (p1, q1)) = gauss_reduce(f)
+    vecs = [(p0, p1), (-p0, -p1)]
+    if red.c1 == red.c3:
+        vecs += [(q0, q1), (-q0, -q1)]
+        if red.c2 == red.c1:
+            vecs += [(p0 - q0, p1 - q1), (q0 - p0, q1 - p1)]
     vecs.sort()
-    return MinimalSet(m0, tuple(vecs))
+    return MinimalSet(red.c1, tuple(vecs))
 
 
 def is_similar(f: BinaryForm, h: BinaryForm) -> bool:

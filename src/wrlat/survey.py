@@ -97,6 +97,12 @@ _CHUNK = 8  # radicands per task sent to a survey worker
 
 
 def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
+    """Classify every ideal of norm <= norm_bound for each radicand in the window.
+
+    The records come out in (D, norm, a, b, g) order without a sort: the jobs
+    ascend in D, pool.map returns results in submission order, and
+    enumerate_ideals sorts the ideals of each radicand.
+    """
     cfg.validate()
     radicands = [
         D for D in range(cfg.d_min, cfg.d_max + 1)
@@ -114,7 +120,6 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     else:
         chunks = [_survey_radicand(job) for job in jobs]
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.D, r.norm, r.a, r.b, r.g))
     summary = {
         "records": len(records),
         "wr": sum(r.wr for r in records),

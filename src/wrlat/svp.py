@@ -191,22 +191,15 @@ def _walk(mu, d, bound):
             if x[i]:
                 c += mu[i][j] * x[i]
         start = math.floor(_HALF - c)  # nearest integer to -c
-        k = start
-        while True:
-            step = d[j] * (k + c) ** 2
-            if partial + step > bound:
-                break
-            x[j] = k
-            descend(j - 1, partial + step)
-            k += 1
-        k = start - 1
-        while True:
-            step = d[j] * (k + c) ** 2
-            if partial + step > bound:
-                break
-            x[j] = k
-            descend(j - 1, partial + step)
-            k -= 1
+        # upwards from the nearest integer, then downwards from the one below it
+        for k, dk in ((start, 1), (start - 1, -1)):
+            while True:
+                step = d[j] * (k + c) ** 2
+                if partial + step > bound:
+                    break
+                x[j] = k
+                descend(j - 1, partial + step)
+                k += dk
         x[j] = 0
 
     descend(n - 1, Fraction(0))

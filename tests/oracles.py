@@ -113,6 +113,48 @@ def box_form_minimum(c1, c2, c3, radius: int):
     return best, sorted(vecs)
 
 
+def window_minimal_vectors(c1, c2, c3):
+    """Minimum and sorted minimal vectors of a positive definite binary form,
+    by Gauss-Lagrange reduction with the transform kept as a 2x2 matrix product,
+    then a search of the window |m|, |n| <= 2 of the reduced form mapped back.
+
+    Rational coefficients are scaled to integers first; scaling a form by a
+    positive constant changes neither the reduction steps nor the vectors."""
+    den = math.lcm(*(Fraction(c).denominator for c in (c1, c2, c3)))
+    c1, c2, c3 = (int(c * den) for c in (c1, c2, c3))
+
+    def mul(p, q):
+        return tuple(
+            tuple(sum(p[i][r] * q[r][j] for r in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    swap = ((0, -1), (1, 0))
+    u = ((1, 0), (0, 1))
+    while True:
+        k = (c2 + c1) // (2 * c1)
+        if k:
+            c2, c3 = c2 - 2 * k * c1, c1 * k * k - c2 * k + c3
+            u = mul(u, ((1, -k), (0, 1)))
+        if c1 > c3:
+            c1, c2, c3 = c3, -c2, c1
+            u = mul(u, swap)
+            continue
+        break
+    if c2 < 0 and -c2 == c1:
+        c2 = c1
+        u = mul(u, ((1, 1), (0, 1)))
+    elif c2 < 0 and c1 == c3:
+        c2 = -c2
+        u = mul(u, swap)
+    vecs = []
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            if (m or n) and c1 * m * m + c2 * m * n + c3 * n * n == c1:
+                vecs.append((u[0][0] * m + u[0][1] * n, u[1][0] * m + u[1][1] * n))
+    return Fraction(c1, den), sorted(vecs)
+
+
 def box_form_minimum_np(c1: int, c2: int, c3: int, radius: int = 25):
     """Same search vectorized for integer coefficients (exact in int64)."""
     r = np.arange(-radius, radius + 1, dtype=np.int64)
@@ -356,6 +398,37 @@ def newton_trace_table(k: int) -> tuple[int, ...]:
         return (1,)
     sums = newton_power_sums(poly, k - 1)
     return (phi, *sums)
+
+
+def gram_by_products(F, x):
+    """Gram entries of the ideal lattice of x, basis x*zeta^i, with one element
+    product per entry: (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2.
+
+    Uses only the plain data of the field (k, phi, poly, trace table) and the
+    coefficients of x; products are reduced mod the polynomial here.
+    """
+    k, phi, poly, table = F.k, F.phi, list(F.poly), F.trace_table
+
+    def reduce(coeffs):
+        _, rem = poly_divmod_int(coeffs, poly)
+        return rem + [0] * (phi - len(rem))
+
+    def conj(c):
+        acc = [0] * k
+        for i, v in enumerate(c):
+            acc[(k - i) % k] += v
+        return reduce(acc)
+
+    us = [reduce(list(x.coeffs))]
+    for _ in range(phi - 1):
+        us.append(reduce([0] + us[-1]))
+    vs = [conj(u) for u in us]
+    rows = [[Fraction(0)] * phi for _ in range(phi)]
+    for i in range(phi):
+        for j in range(i + 1):
+            prod = reduce(poly_mul_int(us[i], vs[j]))
+            rows[i][j] = rows[j][i] = Fraction(sum(c * t for c, t in zip(prod, table)), 2)
+    return tuple(map(tuple, rows))
 
 
 def numeric_trace(k: int, coeffs) -> float:

@@ -21,6 +21,7 @@ from wrlat.errors import InvariantViolation
 from wrlat.svp import GramMatrix
 from wrlat.planar import BinaryForm, is_similar
 from oracles import (
+    gram_by_products,
     moebius_cyclo_poly,
     newton_trace_table,
     numeric_cyclo_poly,
@@ -209,6 +210,38 @@ def test_gram_matches_numeric_embeddings():
             for i in range(F.phi):
                 for j in range(F.phi):
                     assert abs(float(G.entries[i][j]) - N[i, j]) < 1e-6
+
+
+def _gram_generators():
+    """Full rings with phi(k) <= 24, the seeded principal ideals the benchmark
+    uses, and seeded random generators for small k."""
+    for k in range(3, 91):
+        if euler_phi(k) <= 24:
+            F = cyclo_field(k)
+            yield F, [1]
+    rng = random.Random(0)
+    for k in (13, 17, 19, 21, 25, 27, 28, 32, 36, 40, 44, 48, 60):
+        F = cyclo_field(k)
+        coeffs = [0]
+        while not any(coeffs):
+            coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
+        yield F, coeffs
+    rng = random.Random(31)
+    for k in range(3, 31):
+        F = cyclo_field(k)
+        for _ in range(3):
+            coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 2 * F.phi))]
+            if any(element(F, coeffs).coeffs):
+                yield F, coeffs
+
+
+def test_gram_matches_product_oracle():
+    count = 0
+    for F, coeffs in _gram_generators():
+        x = element(F, coeffs)
+        assert gram_principal(F, x).entries == gram_by_products(F, x), (F.k, coeffs)
+        count += 1
+    assert count > 140
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ COMMANDS = {
     "classify_invalid": ["classify", "--", "-15", "4", "1", "1"],
     # includes the non-maximal orders D = -12, -8, 8, 12
     "survey": ["survey", "--d-min", "-12", "--d-max", "12", "--norm-bound", "6"],
+    # non-maximal orders with D = 1 (mod 4) and g up to 4; D = -27 has hexagonal ideals
+    "survey_d_minus27": ["survey", "--d-min", "-27", "--d-max", "-27", "--norm-bound", "20"],
+    "survey_d_45": ["survey", "--d-min", "45", "--d-max", "45", "--norm-bound", "20"],
     "tables": ["tables"],
     "family_imaginary": ["family", "imaginary", "--t-max", "9"],
     "family_real": ["family", "real", "--t-max", "13"],

@@ -10,7 +10,7 @@ from oracles import coset_index
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
 
-SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
+SAMPLE_D = (-15, -55, -5, -3, -1, -20, -27, 2, 3, 5, 21, 165, 60, 45)
 
 
 def in_module(x, y, a, b, g):

@@ -16,7 +16,7 @@ from wrlat.planar import (
     minimal_vectors,
 )
 from wrlat.survey import classify_triple
-from oracles import box_form_minimum, min_bound_holds, numeric_quad_gram
+from oracles import box_form_minimum, min_bound_holds, numeric_quad_gram, window_minimal_vectors
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
@@ -195,6 +195,23 @@ def test_minimal_vectors_match_box_oracle():
         omin, ovecs = box_form_minimum(f.c1, f.c2, f.c3, 25)
         assert ms.minimum == omin
         assert sorted(ms.vectors) == ovecs
+
+
+def test_minimal_vectors_match_window_oracle():
+    """The minimal vectors read off the reduced form equal a search of the
+    reduced form's window, on every positive definite form of a grid."""
+    count = 0
+    for scale in (1, Fraction(1, 7), Fraction(3, 2)):
+        for c1 in range(1, 16):
+            for c3 in range(1, 16):
+                for c2 in range(-30, 31):
+                    if 4 * c1 * c3 <= c2 * c2:
+                        continue
+                    f = BinaryForm(c1 * scale, c2 * scale, c3 * scale)
+                    ms = minimal_vectors(f)
+                    assert (ms.minimum, list(ms.vectors)) == window_minimal_vectors(*f.coeffs())
+                    count += 1
+    assert count > 19_000
 
 
 # ---------------------------------------------------------------------------
