@@ -1,11 +1,10 @@
-"""Exact arithmetic layer: number-theoretic predicates plus the quadratic
-integers x + y*delta of a fixed quadratic order Z[delta]."""
+"""Exact arithmetic layer: number-theoretic predicates, the quadratic orders
+Z[delta], and the norm and trace of x + y*delta in them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 _U64_LIMIT = 2**64
 
@@ -86,100 +85,36 @@ def is_valid_radicand(d: int) -> bool:
     return d not in (0, 1) and (d < 0 or math.isqrt(d) ** 2 != d)
 
 
-class DeltaKind(Enum):
-    MINUS_SQRT_D = "minus_sqrt_d"
-    HALF_ONE_MINUS_SQRT_D = "half_one_minus_sqrt_d"
-
-
 @dataclass(frozen=True)
 class QuadOrder:
     """The ring Z[delta] attached to a non-square integer D.
 
     delta = -sqrt(D) when D != 1 (mod 4) and (1 - sqrt(D))/2 when
     D = 1 (mod 4), so Z[delta] is the maximal order exactly when D is
-    squarefree; the `maximal` flag records that.
+    squarefree; the `maximal` flag records that.  delta is a root of
+    X^2 - Tr(delta)*X + N(delta), with Tr(delta) = 0 and N(delta) = -D in the
+    first case and Tr(delta) = 1 and N(delta) = (1 - D)/4 in the second.
     """
 
     D: int
-    delta_kind: DeltaKind = field(init=False, repr=False, compare=False)
-    signature: tuple[int, int] = field(init=False, repr=False, compare=False)
+    delta_trace: int = field(init=False, repr=False, compare=False)
+    delta_norm: int = field(init=False, repr=False, compare=False)
     maximal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_valid_radicand(self.D):
             raise ValueError(f"invalid radicand {self.D}: need a non-square integer, not 0 or 1")
-        kind = DeltaKind.HALF_ONE_MINUS_SQRT_D if self.D % 4 == 1 else DeltaKind.MINUS_SQRT_D
-        object.__setattr__(self, "delta_kind", kind)
-        object.__setattr__(self, "signature", (2, 0) if self.D > 0 else (0, 1))
+        half = self.D % 4 == 1
+        object.__setattr__(self, "delta_trace", 1 if half else 0)
+        object.__setattr__(self, "delta_norm", (1 - self.D) // 4 if half else -self.D)
         object.__setattr__(self, "maximal", is_squarefree(abs(self.D)))
-
-    @property
-    def delta_sq(self) -> tuple[int, int]:
-        """(s, t) with delta**2 = s + t*delta."""
-        if self.delta_kind is DeltaKind.MINUS_SQRT_D:
-            return self.D, 0
-        return (self.D - 1) // 4, 1
-
-    @property
-    def delta_trace(self) -> int:
-        return 0 if self.delta_kind is DeltaKind.MINUS_SQRT_D else 1
 
 
 def norm_xy(order: QuadOrder, x: int, y: int) -> int:
-    """N(x + y*delta), always a rational integer."""
-    if order.delta_kind is DeltaKind.MINUS_SQRT_D:
-        return x * x - order.D * y * y
-    return x * x + x * y + y * y * (1 - order.D) // 4
+    """N(x + y*delta) = x^2 + Tr(delta)*x*y + N(delta)*y^2, a rational integer."""
+    return x * x + order.delta_trace * x * y + order.delta_norm * y * y
 
 
 def trace_xy(order: QuadOrder, x: int, y: int) -> int:
+    """Tr(x + y*delta) = 2x + Tr(delta)*y."""
     return 2 * x + y * order.delta_trace
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    """Element x + y*delta of a quadratic order."""
-
-    x: int
-    y: int
-    order: QuadOrder
-
-    def _require_same_order(self, other: "QuadInt"):
-        if self.order != other.order:
-            raise ValueError("mismatched orders")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._require_same_order(other)
-        return QuadInt(self.x + other.x, self.y + other.y, self.order)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._require_same_order(other)
-        return QuadInt(self.x - other.x, self.y - other.y, self.order)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.x, -self.y, self.order)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        self._require_same_order(other)
-        s, t = self.order.delta_sq
-        yy = self.y * other.y
-        return QuadInt(
-            self.x * other.x + s * yy,
-            self.x * other.y + other.x * self.y + t * yy,
-            self.order,
-        )
-
-    def conj(self) -> "QuadInt":
-        if self.order.delta_kind is DeltaKind.MINUS_SQRT_D:
-            return QuadInt(self.x, -self.y, self.order)
-        return QuadInt(self.x + self.y, -self.y, self.order)
-
-    def norm(self) -> int:
-        return norm_xy(self.order, self.x, self.y)
-
-    def trace(self) -> int:
-        return trace_xy(self.order, self.x, self.y)

@@ -118,9 +118,6 @@ class CycloElement:
     def times_zeta(self) -> "CycloElement":
         return element(self.fld, (0,) + self.coeffs)
 
-    def trace(self) -> int:
-        return sum(c * t for c, t in zip(self.coeffs, self.fld.trace_table))
-
 
 def element(F: CycloField, coeffs) -> CycloElement:
     """Element from a coefficient list of any length, reduced mod the polynomial."""
@@ -190,7 +187,10 @@ def _form_value(g2, c) -> int:
     return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, g2) if ci)
 
 
-def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None, trials: int = 100) -> bool:
+_ROTATION_TRIALS = 100  # random vectors w checked for |zeta*w| = |w|
+
+
+def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
     """Well-roundedness of the lattice of the principal ideal (x).
 
     Also spot-checks rotation invariance: multiplying the ring coordinate
@@ -207,7 +207,7 @@ def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None, trials: 
         )
     g2 = [[int(v) for v in row] for row in doubled]
     rng = rng if rng is not None else random.Random(20210)
-    for _ in range(trials):
+    for _ in range(_ROTATION_TRIALS):
         w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
         rotated = w.times_zeta()
         if _form_value(g2, rotated.coeffs) != _form_value(g2, w.coeffs):

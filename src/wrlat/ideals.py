@@ -10,10 +10,9 @@ and scales each by g.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .arith import QuadInt, QuadOrder, norm_xy
+from .arith import QuadOrder, norm_xy
 
 
 @dataclass(frozen=True)
@@ -44,62 +43,6 @@ class IdealTriple:
             return
         raise ValueError(f"invalid ideal triple: {reason}")
 
-    @property
-    def second_generator(self) -> QuadInt:
-        return QuadInt(self.b, self.g, self.order)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(d, r, s) with r*a + s*b = d = gcd(a, b)."""
-    r0, s0, r1, s1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if a < 0:
-        return -a, -r0, -s0
-    return a, r0, s0
-
-
-def hnf_from_generators(u: QuadInt, v: QuadInt | None = None) -> IdealTriple:
-    """Canonical triple of the ideal generated by u (and v if given).
-
-    The ideal is the Z-span of u, v, delta*u, delta*v; column reduction of
-    those four vectors yields the unique basis (a, b + g*delta).
-    """
-    order = u.order
-    if v is None:
-        v = QuadInt(0, 0, order)
-    u._require_same_order(v)
-    if u.is_zero and v.is_zero:
-        raise ValueError("zero ideal has no canonical triple")
-    delta = QuadInt(0, 1, order)
-    cols = []
-    for w in (u, v, u * delta, v * delta):
-        if not w.is_zero:
-            cols.append((w.x, w.y))
-    # fold every column into the pivot (b_x over g_y); leftovers have y = 0
-    b_x, g_y = 0, 0
-    xs = []
-    for x, y in cols:
-        if y == 0:
-            xs.append(x)
-        elif g_y == 0:
-            b_x, g_y = x, y
-        else:
-            d, r, s = _egcd(g_y, y)
-            xs.append((y // d) * b_x - (g_y // d) * x)
-            b_x, g_y = r * b_x + s * x, d
-    if g_y < 0:
-        b_x, g_y = -b_x, -g_y
-    a = 0
-    for x in xs:
-        a = math.gcd(a, x)
-    if a == 0 or g_y == 0:
-        raise ValueError("generators do not span a rank-2 module")
-    # closure under delta makes the triple valid, so the constructor's check passes
-    return IdealTriple(a, b_x % a, g_y, order)
-
 
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:
     """Every valid triple with a*g <= norm_bound, sorted by (norm, a, b, g).
@@ -110,7 +53,7 @@ def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:
     """
     if norm_bound < 1:
         raise ValueError("norm bound must be at least 1")
-    tr, nm = order.delta_trace, norm_xy(order, 0, 1)
+    tr, nm = order.delta_trace, order.delta_norm
     out = []
     for a in range(1, norm_bound + 1):
         for b in range(a):

@@ -40,15 +40,6 @@ class BinaryForm:
     def coeffs(self):
         return (self.c1, self.c2, self.c3)
 
-    @property
-    def is_reduced(self) -> bool:
-        return abs(self.c2) <= self.c1 <= self.c3
-
-    def gram(self):
-        """Gram matrix rows ((c1, c2/2), (c2/2, c3))."""
-        h = Fraction(self.c2, 2)
-        return ((self.c1, h), (h, self.c3))
-
 
 @dataclass(frozen=True)
 class MinimalSet:
@@ -132,17 +123,3 @@ def minimal_vectors(f: BinaryForm) -> MinimalSet:
             vecs += [(p0 - q0, p1 - q1), (q0 - p0, q1 - p1)]
     vecs.sort()
     return MinimalSet(red.c1, tuple(vecs))
-
-
-def is_similar(f: BinaryForm, h: BinaryForm) -> bool:
-    """Lattice similarity: reduced forms proportional up to the sign of c2.
-
-    Rotations and reflections are both allowed, so only |c2| matters.
-    """
-    a, _ = gauss_reduce(f)
-    b, _ = gauss_reduce(h)
-    return (
-        abs(a.c2) * b.c1 == abs(b.c2) * a.c1
-        and a.c3 * b.c1 == b.c3 * a.c1
-    )
-

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DeltaKind, QuadOrder, is_squarefree, is_valid_radicand
+from .arith import QuadOrder, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
 from .ideals import IdealTriple, enumerate_ideals
@@ -31,15 +31,17 @@ class SurveyRecord:
     order_maximal: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurveyConfig:
+    """A survey window; the constructor raises ValueError for an invalid one."""
+
     d_min: int
     d_max: int
     norm_bound: int = 10
     require_squarefree: bool = False
     workers: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.d_min > self.d_max:
             raise ValueError("d_min must not exceed d_max")
         if self.norm_bound < 1:
@@ -103,7 +105,6 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     ascend in D, pool.map returns results in submission order, and
     enumerate_ideals sorts the ideals of each radicand.
     """
-    cfg.validate()
     radicands = [
         D for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
@@ -136,7 +137,7 @@ def element_str(order: QuadOrder, x: int, y: int) -> str:
     """Exact algebraic rendering of x + y*delta, e.g. (1-√-15)/2 or 1-√3."""
     if y == 0:
         return str(x)
-    if order.delta_kind is DeltaKind.HALF_ONE_MINUS_SQRT_D:
+    if order.delta_trace:
         return f"({_radical_combo(2 * x + y, -y, order.D)})/2"
     return _radical_combo(x, -y, order.D)
 

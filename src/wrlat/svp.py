@@ -248,8 +248,3 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     minimum, vecs = _walk(mu, d, bound)
     mapped = sorted(_apply(u, w) for w in vecs)
     return ShortVectorReport(minimum, tuple(mapped), _span_rank(mapped))
-
-
-def is_wr_nd(G: GramMatrix) -> bool:
-    """Well-rounded: minimal vectors span the full dimension."""
-    return enumerate_shortest(G).span_rank == G.n

@@ -3,7 +3,11 @@
 Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
-beyond plain data.
+beyond plain data.  Some are the package's own former algorithms, kept as
+references after a faster one replaced them (lll_rebuild, span_rank_fraction,
+window_minimal_vectors, gram_by_products) or after the package stopped needing
+them (hnf_triple, the canonical triple of an ideal from its generators, and
+is_similar, lattice similarity of two binary forms).
 """
 
 import math
@@ -87,6 +91,61 @@ def qd_trace(u):
 
 
 # ---------------------------------------------------------------------------
+# canonical triple of the ideal spanned by generators
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, r, s) with r*a + s*b = d = gcd(a, b)."""
+    r0, s0, r1, s1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if a < 0:
+        return -a, -r0, -s0
+    return a, r0, s0
+
+
+def hnf_triple(D: int, *gens) -> tuple[int, int, int]:
+    """Canonical (a, b, g) of the ideal of Z[delta] generated by the elements
+    x + y*delta given as (x, y) pairs.
+
+    The ideal is the Z-span of every generator and delta times it; with
+    delta^2 = Tr(delta)*delta - N(delta), delta*(x + y*delta) is
+    -N(delta)*y + (x + Tr(delta)*y)*delta.  Column reduction of those vectors
+    yields the unique basis (a, b + g*delta) with 0 <= b < a.
+    """
+    half = D % 4 == 1
+    tr, nm = (1, (1 - D) // 4) if half else (0, -D)
+    cols = []
+    for x, y in gens:
+        for w in ((x, y), (-nm * y, x + tr * y)):
+            if w != (0, 0):
+                cols.append(w)
+    if not cols:
+        raise ValueError("zero ideal has no canonical triple")
+    # fold every column into the pivot (b_x over g_y); leftovers have y = 0
+    b_x, g_y = 0, 0
+    xs = []
+    for x, y in cols:
+        if y == 0:
+            xs.append(x)
+        elif g_y == 0:
+            b_x, g_y = x, y
+        else:
+            d, r, s = _egcd(g_y, y)
+            xs.append((y // d) * b_x - (g_y // d) * x)
+            b_x, g_y = r * b_x + s * x, d
+    if g_y < 0:
+        b_x, g_y = -b_x, -g_y
+    a = 0
+    for x in xs:
+        a = math.gcd(a, x)
+    if a == 0 or g_y == 0:
+        raise ValueError("generators do not span a rank-2 module")
+    return a, b_x % a, g_y
+
+
+# ---------------------------------------------------------------------------
 # brute-force minima
 
 def min_bound_holds(rec) -> bool:
@@ -95,6 +154,24 @@ def min_bound_holds(rec) -> bool:
     if rec.D < 0:
         return rec.minimum >= rec.norm
     return rec.minimum * rec.minimum >= 4 * rec.norm
+
+
+def is_similar(f, h) -> bool:
+    """Lattice similarity of two positive definite forms given as (c1, c2, c3):
+    their reduced forms are proportional up to the sign of c2.
+
+    Rotations and reflections are both allowed, so only |c2| matters.
+    """
+    def reduced(c1, c2, c3):
+        while True:
+            k = (c2 + c1) // (2 * c1)  # nearest integer to c2/(2*c1)
+            c2, c3 = c2 - 2 * k * c1, c1 * k * k - c2 * k + c3
+            if c1 <= c3:
+                return c1, abs(c2), c3
+            c1, c2, c3 = c3, -c2, c1
+
+    a, b = reduced(*f), reduced(*h)
+    return a[1] * b[0] == b[1] * a[0] and a[2] * b[0] == b[2] * a[0]
 
 
 def box_form_minimum(c1, c2, c3, radius: int):

@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import (
-    DeltaKind,
-    QuadInt,
     QuadOrder,
     euler_phi,
     is_prime,
     is_squarefree,
     is_valid_radicand,
     mobius,
+    norm_xy,
+    trace_xy,
 )
 from oracles import (
     mobius_by_factorization,
@@ -23,21 +21,13 @@ from oracles import (
     qd_from_xy,
     qd_mul,
     qd_norm,
+    qd_scale,
     qd_trace,
     squarefree_by_factorization,
     trial_division_prime,
 )
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
-
-
-def make_quad(order, x, y):
-    return QuadInt(x, y, order)
-
-
-def oracle_pair(u: QuadInt):
-    half = u.order.delta_kind is DeltaKind.HALF_ONE_MINUS_SQRT_D
-    return qd_from_xy(u.order.D, half, u.x, u.y)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +99,12 @@ def test_is_valid_radicand():
 # orders
 
 @given(radicands)
-def test_order_delta_kind_and_signature(D):
+def test_order_delta_trace_norm_and_maximal(D):
+    # Tr(delta) and N(delta) from the exact sqrt(D) representation of delta
     o = QuadOrder(D)
-    if D % 4 == 1:
-        assert o.delta_kind is DeltaKind.HALF_ONE_MINUS_SQRT_D
-        assert o.delta_trace == 1
-    else:
-        assert o.delta_kind is DeltaKind.MINUS_SQRT_D
-        assert o.delta_trace == 0
-    assert o.signature == ((2, 0) if D > 0 else (0, 1))
+    delta = qd_from_xy(D, D % 4 == 1, 0, 1)
+    assert o.delta_trace == qd_trace(delta)
+    assert o.delta_norm == qd_norm(delta, D)
     assert o.maximal == squarefree_by_factorization(abs(D))
 
 
@@ -129,81 +116,45 @@ def test_order_rejects_bad_radicand():
 
 @given(radicands)
 def test_delta_square_identity(D):
-    # delta^2 = s + t*delta must hold in the exact sqrt(D) representation
+    # delta^2 = Tr(delta)*delta - N(delta) must hold in the exact sqrt(D)
+    # representation
     o = QuadOrder(D)
-    s, t = o.delta_sq
-    half = o.delta_kind is DeltaKind.HALF_ONE_MINUS_SQRT_D
-    delta = qd_from_xy(D, half, 0, 1)
+    delta = qd_from_xy(D, D % 4 == 1, 0, 1)
     lhs = qd_mul(delta, delta, D)
-    rhs = qd_add((Fraction(s), Fraction(0)), qd_mul((Fraction(t), Fraction(0)), delta, D))
+    rhs = qd_add(qd_scale(o.delta_trace, delta), (Fraction(-o.delta_norm), Fraction(0)))
     assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
-# quadratic integers
+# norm and trace on coordinates
 
 coords = st.integers(-50, 50)
-
-
-@given(radicands, coords, coords, coords, coords)
-def test_mul_matches_sqrt_representation(D, x1, y1, x2, y2):
-    o = QuadOrder(D)
-    u, v = make_quad(o, x1, y1), make_quad(o, x2, y2)
-    w = u * v
-    assert oracle_pair(w) == qd_mul(oracle_pair(u), oracle_pair(v), D)
 
 
 @given(radicands, coords, coords)
 def test_norm_trace_conj_match_sqrt_representation(D, x, y):
     o = QuadOrder(D)
-    u = make_quad(o, x, y)
-    pair = oracle_pair(u)
-    assert u.norm() == qd_norm(pair, D)
-    assert u.trace() == qd_trace(pair)
-    # conjugation flips the sqrt(D) component
-    assert oracle_pair(u.conj()) == (pair[0], -pair[1])
-
-
-@given(radicands, coords, coords)
-def test_conj_involution_and_product(D, x, y):
-    u = make_quad(QuadOrder(D), x, y)
-    assert u.conj().conj() == u
-    prod = u * u.conj()
-    assert (prod.x, prod.y) == (u.norm(), 0)
-    assert u.trace() == (u + u.conj()).x
-
-
-def test_norm_multiplicativity_bulk():
-    rng = random.Random(1211)
-    for D in (-15, -5, -1, -3, 2, 3, 5, 21, -60, 57):
-        o = QuadOrder(D)
-        for _ in range(1000):
-            u = make_quad(o, rng.randint(-99, 99), rng.randint(-99, 99))
-            v = make_quad(o, rng.randint(-99, 99), rng.randint(-99, 99))
-            assert (u * v).norm() == u.norm() * v.norm()
+    half = D % 4 == 1
+    pair = qd_from_xy(D, half, x, y)
+    assert norm_xy(o, x, y) == qd_norm(pair, D)
+    assert trace_xy(o, x, y) == qd_trace(pair)
+    # the conjugate x + y*(Tr(delta) - delta) flips the sqrt(D) component and
+    # keeps norm and trace
+    cx, cy = x + o.delta_trace * y, -y
+    assert qd_from_xy(D, half, cx, cy) == (pair[0], -pair[1])
+    assert (norm_xy(o, cx, cy), trace_xy(o, cx, cy)) == (norm_xy(o, x, y), trace_xy(o, x, y))
 
 
 def test_quad_examples():
-    # delta * delta = D for the plain square root kind
+    # N(sqrt(3)) = -3 and N(1) = 1
     o = QuadOrder(3)
-    d = make_quad(o, 0, 1)
-    assert d * d == make_quad(o, 3, 0)
-    # identity element
-    o = QuadOrder(5)
-    u = make_quad(o, 7, -2)
-    assert make_quad(o, 1, 0) * u == u
+    assert norm_xy(o, 0, 1) == -3 and norm_xy(o, 1, 0) == 1
     # N((1 - sqrt(-15))/2) = 4 and N((5 - sqrt(5))/2) = 5
-    assert make_quad(QuadOrder(-15), 0, 1).norm() == 4
-    assert make_quad(QuadOrder(5), 2, 1).norm() == 5
-
-
-def test_mismatched_orders_rejected():
-    u = make_quad(QuadOrder(-15), 1, 0)
-    v = make_quad(QuadOrder(-7), 1, 0)
-    with pytest.raises(ValueError, match="mismatched"):
-        u * v
-    with pytest.raises(ValueError, match="mismatched"):
-        u + v
+    assert norm_xy(QuadOrder(-15), 0, 1) == 4
+    assert norm_xy(QuadOrder(5), 2, 1) == 5
+    # Tr((1 - sqrt(-15))/2) = 1 and Tr(7 + 2*sqrt(3)) = 14
+    assert trace_xy(QuadOrder(-15), 0, 1) == 1
+    assert trace_xy(QuadOrder(3), 7, -2) == 14
 
 
 big = st.integers(-(2**128), 2**128)

@@ -119,6 +119,12 @@ def test_survey_invalid_range(capsys):
     assert "d_min" in capsys.readouterr().err
 
 
+def test_survey_rejects_nonpositive_workers(tmp_path, capsys):
+    assert main(["survey", "--d-min", "1", "--d-max", "5", "--workers", "0"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
+    assert _config_error(tmp_path, capsys, {"workers": -1}) == "error: workers must be at least 1\n"
+
+
 def test_survey_out_file(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code = main([
@@ -478,13 +484,26 @@ def test_module_entry_point_not_wr():
     assert proc.returncode == EXIT_NOT_WR
 
 
+def test_import_loads_every_module():
+    # a tracer patches the bindings of every loaded wrlat module, so importing
+    # the package must load them all
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wrlat; print(' '.join(sorted(m for m in sys.modules if m.startswith('wrlat.'))))"],
+        capture_output=True, text=True, env=_ENV,
+    )
+    modules = ("arith", "cyclo", "errors", "families", "ideals", "planar", "survey", "svp")
+    assert proc.stdout.split() == [f"wrlat.{m}" for m in modules], proc.stderr
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, wrlat.cli; print('concurrent.futures.process' in sys.modules)"],
+         "import sys, wrlat.cli; "
+         "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"],
         capture_output=True, text=True, env=_ENV,
     )
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout == "False False\n", proc.stderr
     import concurrent.futures
     import wrlat.survey
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat.arith import QuadInt, QuadOrder, is_valid_radicand
-from wrlat.ideals import IdealTriple, enumerate_ideals, hnf_from_generators
-from oracles import coset_index
+from wrlat.arith import QuadOrder, is_valid_radicand, norm_xy
+from wrlat.ideals import IdealTriple, enumerate_ideals
+from oracles import coset_index, hnf_triple
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
 
@@ -81,32 +81,26 @@ def test_ideal_norm_equals_coset_count():
 
 
 # ---------------------------------------------------------------------------
-# canonical form from generators
+# canonical form from generators, against the oracles' HNF
 
 def test_hnf_examples():
     # <1 - sqrt(3)> in Z[-sqrt(3)]: 1 - sqrt(3) = 1 + delta
-    t = hnf_from_generators(QuadInt(1, 1, QuadOrder(3)))
-    assert (t.a, t.b, t.g) == (2, 1, 1)
+    assert hnf_triple(3, (1, 1)) == (2, 1, 1)
     # <4, (3 - sqrt(-55))/2> with delta = (1 - sqrt(-55))/2
-    o = QuadOrder(-55)
-    t = hnf_from_generators(QuadInt(4, 0, o), QuadInt(1, 1, o))
-    assert (t.a, t.b, t.g) == (4, 1, 1)
-    t = hnf_from_generators(QuadInt(1, 0, o))
-    assert (t.a, t.b, t.g) == (1, 0, 1)
+    assert hnf_triple(-55, (4, 0), (1, 1)) == (4, 1, 1)
+    assert hnf_triple(-55, (1, 0)) == (1, 0, 1)
 
 
 def test_hnf_zero_ideal_rejected():
-    o = QuadOrder(-15)
     with pytest.raises(ValueError, match="zero ideal"):
-        hnf_from_generators(QuadInt(0, 0, o), QuadInt(0, 0, o))
+        hnf_triple(-15, (0, 0), (0, 0))
 
 
 def test_hnf_idempotent_on_canonical_generators():
+    # every enumerated triple is already the canonical basis of its ideal
     for D in SAMPLE_D:
-        o = QuadOrder(D)
-        for t in enumerate_ideals(o, 30):
-            back = hnf_from_generators(QuadInt(t.a, 0, o), t.second_generator)
-            assert (back.a, back.b, back.g) == (t.a, t.b, t.g)
+        for t in enumerate_ideals(QuadOrder(D), 30):
+            assert hnf_triple(D, (t.a, 0), (t.b, t.g)) == (t.a, t.b, t.g)
 
 
 def test_hnf_output_spans_input_generators():
@@ -114,23 +108,25 @@ def test_hnf_output_spans_input_generators():
     for _ in range(300):
         D = rng.choice(SAMPLE_D)
         o = QuadOrder(D)
-        u = QuadInt(rng.randint(-20, 20), rng.randint(-20, 20), o)
-        v = QuadInt(rng.randint(-20, 20), rng.randint(-20, 20), o)
-        if u.is_zero and v.is_zero:
+        u = (rng.randint(-20, 20), rng.randint(-20, 20))
+        v = (rng.randint(-20, 20), rng.randint(-20, 20))
+        if u == v == (0, 0):
             continue
-        t = hnf_from_generators(u, v)
-        delta = QuadInt(0, 1, o)
-        for w in (u, v, u * delta, v * delta):
-            assert in_module(w.x, w.y, t.a, t.b, t.g)
+        a, b, g = hnf_triple(D, u, v)
+        IdealTriple(a, b, g, o)  # an ideal, so the constructor accepts it
+        # delta*(x + y*delta) = -N(delta)*y + (x + Tr(delta)*y)*delta
+        for x, y in (u, v):
+            for w in ((x, y), (-o.delta_norm * y, x + o.delta_trace * y)):
+                assert in_module(*w, a, b, g)
 
 
 @given(radicands, st.integers(-30, 30), st.integers(-30, 30))
 def test_principal_ideal_norm_is_absolute_norm(D, x, y):
     if x == 0 and y == 0:
         return
-    gen = QuadInt(x, y, QuadOrder(D))
-    t = hnf_from_generators(gen)
-    assert t.a * t.g == abs(gen.norm())
+    a, b, g = hnf_triple(D, (x, y))
+    t = IdealTriple(a, b, g, QuadOrder(D))
+    assert t.a * t.g == abs(norm_xy(t.order, x, y))
 
 
 # ---------------------------------------------------------------------------

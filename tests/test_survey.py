@@ -79,12 +79,17 @@ def test_classify_consistency(trip):
 # survey runs
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="d_min"):
-        SurveyConfig(d_min=5, d_max=4).validate()
-    with pytest.raises(ValueError, match="norm bound"):
-        SurveyConfig(d_min=2, d_max=3, norm_bound=0).validate()
-    with pytest.raises(ValueError, match="workers"):
-        SurveyConfig(d_min=2, d_max=3, workers=0).validate()
+    # an invalid window cannot be built, so run_survey never sees one
+    with pytest.raises(ValueError, match="^d_min must not exceed d_max$"):
+        SurveyConfig(d_min=5, d_max=4)
+    with pytest.raises(ValueError, match="^norm bound must be at least 1$"):
+        SurveyConfig(d_min=2, d_max=3, norm_bound=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="^workers must be at least 1$"):
+            SurveyConfig(d_min=2, d_max=3, workers=workers)
+    cfg = SurveyConfig(d_min=2, d_max=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.workers = 0
 
 
 def test_survey_skips_invalid_radicands():
