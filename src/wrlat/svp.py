@@ -3,10 +3,15 @@
 LLL (delta = 3/4) runs directly on the Gram matrix in exact rational
 arithmetic, then a depth-first Fincke-Pohst walk enumerates every vector
 attaining the minimum: its bound starts at the smallest diagonal entry of the
-reduced matrix and tightens to the best value seen.  Whether the minimal
-vectors span the space is decided by an integer echelon built one vector at a
-time, which stops as soon as the rank is full.  Dimensions are capped at
-MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
+reduced matrix and tightens to the best value seen.  The walk itself runs on
+integers: once per enumeration, column j of mu is scaled by the lcm M_j of its
+denominators, and the bound and each d_j/M_j^2 by one common denominator Q,
+giving integer level weights E_j = Q*d_j/M_j^2 and bound B = Q*bound.  Every
+comparison is then Q times the rational one, so the visiting order, the
+minimum and the vectors are exactly those of the walk in fractions.  Whether
+the minimal vectors span the space is decided by an integer echelon built one
+vector at a time, which stops as soon as the rank is full.  Dimensions are
+capped at MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
 
 The LDL factorization G = L diag(d) L^T, whose L is the Gram-Schmidt
 coefficient matrix mu and whose d holds the squared Gram-Schmidt lengths, is
@@ -46,6 +51,8 @@ class GramMatrix:
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         n = len(rows)
+        if not n:
+            raise ValueError("matrix must be non-empty")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         for i in range(n):
@@ -171,39 +178,56 @@ def _walk(mu, d, bound):
     Some vector must attain the starting bound; the bound then tightens to the
     best value seen, so the vectors kept are exactly those attaining the
     minimum.  Returns (minimum, vectors) in the coordinates of mu and d.
+
+    The walk runs on integers, scaled once before it starts.  M_j is the lcm
+    of the denominators of column j of mu below the diagonal, so that
+    mu'_ij = M_j*mu_ij is an integer; Q is the lcm of the denominators of the
+    bound and of every d_j/M_j^2, so that E_j = Q*d_j/M_j^2 and B = Q*bound
+    are integers.  At level j the centre is -C/M_j with C = sum mu'_ij*x_i,
+    and x_j = k adds Q*d_j*(k + C/M_j)^2 = E_j*(M_j*k + C)^2 to the scaled
+    partial sum.  Every value is Q times the rational one, so the visiting
+    order, the minimum and the vector list are those of the same walk done
+    in fractions.
     """
     n = len(d)
+    scale = [math.lcm(*(mu[i][j].denominator for i in range(j + 1, n))) for j in range(n)]
+    cols = [
+        [mu[i][j].numerator * (m // mu[i][j].denominator) for i in range(j + 1, n)]
+        for j, m in enumerate(scale)
+    ]
+    ratios = [Fraction(dj) / (m * m) for dj, m in zip(d, scale)]
+    bound = Fraction(bound)
+    q = math.lcm(bound.denominator, *(r.denominator for r in ratios))
+    weight = [r.numerator * (q // r.denominator) for r in ratios]
+    best = bound.numerator * (q // bound.denominator)
     x = [0] * n
     found: list[tuple[int, ...]] = []
-    bound = Fraction(bound)
 
     def descend(j, partial):
-        nonlocal bound
+        nonlocal best
         if j < 0:
             if any(x):
-                if partial < bound:
-                    bound = partial
+                if partial < best:
+                    best = partial
                     found.clear()
                 found.append(tuple(x))
             return
-        c = Fraction(0)
-        for i in range(j + 1, n):
-            if x[i]:
-                c += mu[i][j] * x[i]
-        start = math.floor(_HALF - c)  # nearest integer to -c
+        m, e = scale[j], weight[j]
+        c = sum(map(operator.mul, cols[j], x[j + 1:]))
+        start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
         # upwards from the nearest integer, then downwards from the one below it
         for k, dk in ((start, 1), (start - 1, -1)):
             while True:
-                step = d[j] * (k + c) ** 2
-                if partial + step > bound:
+                total = partial + e * (m * k + c) ** 2
+                if total > best:
                     break
                 x[j] = k
-                descend(j - 1, partial + step)
+                descend(j - 1, total)
                 k += dk
         x[j] = 0
 
-    descend(n - 1, Fraction(0))
-    return bound, found
+    descend(n - 1, 0)
+    return Fraction(best, q), found
 
 
 def _apply(u, w):

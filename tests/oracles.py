@@ -5,9 +5,9 @@ division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data.  Some are the package's own former algorithms, kept as
 references after a faster one replaced them (lll_rebuild, span_rank_fraction,
-window_minimal_vectors, gram_by_products) or after the package stopped needing
-them (hnf_triple, the canonical triple of an ideal from its generators, and
-is_similar, lattice similarity of two binary forms).
+walk_fraction, window_minimal_vectors, gram_by_products) or after the package
+stopped needing them (hnf_triple, the canonical triple of an ideal from its
+generators, and is_similar, lattice similarity of two binary forms).
 """
 
 import math
@@ -361,6 +361,53 @@ def lll_rebuild(entries):
                 k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))
     return tuple(tuple(row) for row in g), u
+
+
+# ---------------------------------------------------------------------------
+# Fincke-Pohst walk in fractions
+
+_HALF = Fraction(1, 2)
+
+
+def walk_fraction(mu, d, bound):
+    """Depth-first enumeration of the nonzero vectors of least form value.
+
+    Some vector must attain the starting bound; the bound then tightens to the
+    best value seen, so the vectors kept are exactly those attaining the
+    minimum.  Returns (minimum, vectors) in the coordinates of mu and d.
+    """
+    n = len(d)
+    x = [0] * n
+    found: list[tuple[int, ...]] = []
+    bound = Fraction(bound)
+
+    def descend(j, partial):
+        nonlocal bound
+        if j < 0:
+            if any(x):
+                if partial < bound:
+                    bound = partial
+                    found.clear()
+                found.append(tuple(x))
+            return
+        c = Fraction(0)
+        for i in range(j + 1, n):
+            if x[i]:
+                c += mu[i][j] * x[i]
+        start = math.floor(_HALF - c)  # nearest integer to -c
+        # upwards from the nearest integer, then downwards from the one below it
+        for k, dk in ((start, 1), (start - 1, -1)):
+            while True:
+                step = d[j] * (k + c) ** 2
+                if partial + step > bound:
+                    break
+                x[j] = k
+                descend(j - 1, partial + step)
+                k += dk
+        x[j] = 0
+
+    descend(n - 1, Fraction(0))
+    return bound, found
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from wrlat.arith import QuadOrder, euler_phi, is_squarefree, is_valid_radicand
-from wrlat.cyclo import cyclo_field, element, verify_cyclotomic_theorem, verify_principal_ideal_wr
+from wrlat.cyclo import (
+    cyclo_field,
+    element,
+    gram_principal,
+    verify_cyclotomic_theorem,
+    verify_principal_ideal_wr,
+)
 from wrlat.families import family_stream
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 from wrlat.survey import SurveyConfig, classify_triple, reference_tables, run_survey
-from wrlat.svp import GramMatrix, enumerate_shortest
-from oracles import box_form_minimum, box_form_minimum_np, min_bound_holds, newton_trace_table
+from wrlat.svp import GramMatrix, enumerate_shortest, lll_reduce
+from oracles import (
+    box_form_minimum,
+    box_form_minimum_np,
+    min_bound_holds,
+    newton_trace_table,
+    walk_fraction,
+)
 
 THEOREM_K = (3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 20)
 
@@ -158,6 +170,30 @@ def test_principal_cyclotomic_ideals():
                 while not any(coeffs):
                     coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
                 assert verify_principal_ideal_wr(F, element(F, coeffs), rng=rng)
+
+
+def test_hard_principal_ideals_of_zeta_35():
+    # for these generators the LLL bound lies far above the minimum (1134
+    # against 935 for seed 2), so the walk visits many nodes
+    with criterion(10, "hard principal ideals of Z[zeta_35]"):
+        F = cyclo_field(35)
+        for seed, minimum in ((1, 859), (2, 935), (3, 856)):
+            rng = random.Random(seed)
+            x = element(F, [rng.randint(-3, 3) for _ in range(F.phi)])
+            G = gram_principal(F, x)
+            rep = enumerate_shortest(G)
+            assert (rep.minimum, len(rep.vectors), rep.span_rank) == (minimum, 70, 24), seed
+            assert verify_principal_ideal_wr(F, x, rng=rng), seed
+            if seed == 3:
+                red, u = lll_reduce(G)
+                mu, d = red.ldl
+                omin, ovecs = walk_fraction(mu, d, min(red.entries[i][i] for i in range(red.n)))
+                assert omin == rep.minimum
+                mapped = sorted(
+                    tuple(sum(u[r][c] * w[c] for c in range(F.phi)) for r in range(F.phi))
+                    for w in ovecs
+                )
+                assert tuple(mapped) == rep.vectors
 
 
 def test_oracle_equivalence():

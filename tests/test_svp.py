@@ -16,7 +16,14 @@ from wrlat.svp import (
     enumerate_shortest,
     lll_reduce,
 )
-from oracles import box_gram_minimum, box_gram_within, ldl_factor, lll_rebuild, span_rank_fraction
+from oracles import (
+    box_gram_minimum,
+    box_gram_within,
+    ldl_factor,
+    lll_rebuild,
+    span_rank_fraction,
+    walk_fraction,
+)
 
 
 def identity_gram(n):
@@ -51,6 +58,8 @@ def transform_gram(G, u):
 # construction
 
 def test_gram_guards():
+    with pytest.raises(ValueError, match="non-empty"):
+        GramMatrix(())
     with pytest.raises(ValueError, match="square"):
         GramMatrix(((1, 0),))
     with pytest.raises(ValueError, match="symmetric"):
@@ -165,6 +174,39 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+def _walk_inputs():
+    """The rings and principal ideals of _lll_inputs, and seeded random Gram
+    matrices for n = 1..8 scaled by 1, 1/7 and 3/2, so that mu, d and the
+    bound have denominators beyond those of the Gram matrix itself."""
+    for label, G in _lll_inputs():
+        if not label.startswith("random"):
+            yield label, G
+    rng = random.Random(7007)
+    for n in range(1, 9):
+        for i in range(3):
+            G = random_gram(rng, n)
+            for s in (1, Fraction(1, 7), Fraction(3, 2)):
+                rows = tuple(tuple(s * e for e in row) for row in G.entries)
+                yield f"random n={n} #{i} x{s}", GramMatrix(rows)
+
+
+def test_walk_matches_fraction_oracle():
+    """The integer walk visits the same vectors in the same order as the walk
+    in fractions, on the reduced mu, d and starting bound of enumeration."""
+    fractional_bounds = 0
+    for label, G in _walk_inputs():
+        red, _ = lll_reduce(G)
+        mu, d = red.ldl
+        bound = min(red.entries[i][i] for i in range(red.n))
+        fractional_bounds += Fraction(bound).denominator > 1
+        minimum, vectors = svp._walk(mu, d, bound)
+        want_minimum, want_vectors = walk_fraction(mu, d, bound)
+        assert minimum == want_minimum, label
+        assert type(minimum) is type(want_minimum) is Fraction, label
+        assert vectors == want_vectors, label
+    assert fractional_bounds
+
 
 def test_enumerate_identity():
     rep = enumerate_shortest(identity_gram(4))
