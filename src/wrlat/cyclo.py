@@ -138,6 +138,8 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     with y = x*conj(x), which is real, so one product gives every entry:
     Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).  Exact in half-integers.
     """
+    if x.fld.k != F.k:
+        raise ValueError("mismatched cyclotomic fields")
     if x.is_zero:
         raise ValueError("zero element generates no lattice")
     y = (x * x.conj()).coeffs
@@ -197,8 +199,6 @@ def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
     vector by zeta leaves the quadratic form value unchanged, exactly, on
     the integer matrix 2G.
     """
-    if x.is_zero:
-        raise ValueError("zero element generates no lattice")
     G = gram_principal(F, x)
     doubled = [[2 * Fraction(v) for v in row] for row in G.entries]
     if any(v.denominator != 1 for row in doubled for v in row):

@@ -18,8 +18,8 @@ coefficient matrix mu and whose d holds the squared Gram-Schmidt lengths, is
 computed once per matrix: GramMatrix computes it as its positive-definiteness
 check and keeps it.  LLL starts from it and updates mu and d in place after
 each size reduction and swap (Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 2.6.3), and hands the final mu and d to the reduced
-matrix, which enumeration reads.
+Number Theory, Alg. 2.6.3) and returns them with the basis change U; it never
+forms U^T G U, as enumeration reads its walk and starting bound off mu and d.
 """
 
 from __future__ import annotations
@@ -97,33 +97,8 @@ def _ldl(g):
     return tuple(map(tuple, L)), tuple(d)
 
 
-def _reduced_gram(rows, mu, d) -> GramMatrix:
-    """GramMatrix of a basis change of a GramMatrix, with its LDL already known.
-
-    Skips the checks of the constructor, so it is only for matrices that LLL
-    derives from one that passed them.
-    """
-    G = object.__new__(GramMatrix)
-    object.__setattr__(G, "entries", rows)
-    object.__setattr__(G, "ldl", (tuple(map(tuple, mu)), tuple(d)))
-    return G
-
-
-def _row_op(g, t, k, j, q):
-    """Basis change b_k <- b_k - q*b_j applied to the Gram matrix and tracker."""
-    n = len(g)
-    for col in range(n):
-        g[k][col] -= q * g[j][col]
-    for row in range(n):
-        g[row][k] -= q * g[row][j]
-    t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
-
-
-def _swap(g, t, mu, d, k):
+def _swap(t, mu, d, k):
     """Exchange b_(k-1) and b_k, updating mu and d in place (Cohen, Alg. 2.6.3, SWAP)."""
-    g[k - 1], g[k] = g[k], g[k - 1]
-    for row in g:
-        row[k - 1], row[k] = row[k], row[k - 1]
     t[k - 1], t[k] = t[k], t[k - 1]
     mk, mp = mu[k], mu[k - 1]
     for j in range(k - 1):
@@ -140,15 +115,14 @@ def _swap(g, t, mu, d, k):
         mi[k - 1] = x + mk[k - 1] * mi[k]
 
 
-def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
+def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
     """LLL reduction of the Gram matrix.
 
-    Returns (reduced, U) with U unimodular and reduced = U^T G U; a vector
-    with coordinates w in the reduced basis has coordinates U @ w in the
-    original one.
+    Returns (mu, d, U): U is unimodular, mu and d are the LDL factors of the
+    reduced matrix U^T G U, and a vector with coordinates w in the reduced
+    basis has coordinates U @ w in the original one.
     """
     n = G.n
-    g = [list(row) for row in G.entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]
     mu = [list(row) for row in G.ldl[0]]
     d = list(G.ldl[1])
@@ -158,7 +132,7 @@ def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
         for j in range(k - 1, -1, -1):
             q = math.floor(mk[j] + _HALF)
             if q:
-                _row_op(g, t, k, j, q)
+                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
                 mj = mu[j]
                 for i in range(j):
                     mk[i] -= q * mj[i]
@@ -166,10 +140,10 @@ def lll_reduce(G: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
         if d[k] >= (_LOVASZ - mk[k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
-            _swap(g, t, mu, d, k)
+            _swap(t, mu, d, k)
             k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))  # transpose
-    return _reduced_gram(tuple(tuple(row) for row in g), mu, d), u
+    return mu, d, u
 
 
 def _walk(mu, d, bound):
@@ -262,13 +236,13 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     """Minimum of the lattice and every vector attaining it.
 
     The initial enumeration bound is the smallest diagonal entry after LLL,
-    which a basis vector always attains.
+    which a basis vector always attains; entry i of U^T G U is
+    sum_j mu_ij^2 d_j, as mu_ii = 1 and mu_ij = 0 for j > i.
     """
     if G.n > MAX_ENUM_DIM:
         raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
-    red, u = lll_reduce(G)
-    mu, d = red.ldl
-    bound = min(red.entries[i][i] for i in range(red.n))
+    mu, d, u = lll_reduce(G)
+    bound = min(sum(m * m * dj for m, dj in zip(row, d) if m) for row in mu)
     minimum, vecs = _walk(mu, d, bound)
     mapped = sorted(_apply(u, w) for w in vecs)
     return ShortVectorReport(minimum, tuple(mapped), _span_rank(mapped))

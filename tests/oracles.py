@@ -327,6 +327,23 @@ def ldl_factor(g):
     return L, d
 
 
+def transform_gram(entries, u):
+    """U^T G U, for the Gram matrix G of a basis and a basis change U.
+
+    Computed on the integer matrix qG, q the lcm of the denominators of G;
+    the entries are ints when G's are integers and Fractions otherwise.
+    """
+    n = len(u)
+    q = math.lcm(*(Fraction(x).denominator for row in entries for x in row))
+    g = [[int(x * q) for x in row] for row in entries]
+    gu = [[sum(g[r][s] * u[s][j] for s in range(n)) for j in range(n)] for r in range(n)]
+    scale = int if q == 1 else (lambda x: Fraction(x, q))
+    return tuple(
+        tuple(scale(sum(u[r][i] * gu[r][j] for r in range(n))) for j in range(n))
+        for i in range(n)
+    )
+
+
 def lll_rebuild(entries):
     """LLL (delta = 3/4) on a Gram matrix, recomputing mu and d by a full LDL
     after every size reduction and swap.

@@ -31,6 +31,7 @@ from oracles import (
     box_form_minimum_np,
     min_bound_holds,
     newton_trace_table,
+    transform_gram,
     walk_fraction,
 )
 
@@ -185,9 +186,9 @@ def test_hard_principal_ideals_of_zeta_35():
             assert (rep.minimum, len(rep.vectors), rep.span_rank) == (minimum, 70, 24), seed
             assert verify_principal_ideal_wr(F, x, rng=rng), seed
             if seed == 3:
-                red, u = lll_reduce(G)
-                mu, d = red.ldl
-                omin, ovecs = walk_fraction(mu, d, min(red.entries[i][i] for i in range(red.n)))
+                mu, d, u = lll_reduce(G)
+                red = transform_gram(G.entries, u)
+                omin, ovecs = walk_fraction(mu, d, min(red[i][i] for i in range(F.phi)))
                 assert omin == rep.minimum
                 mapped = sorted(
                     tuple(sum(u[r][c] * w[c] for c in range(F.phi)) for r in range(F.phi))

@@ -178,6 +178,14 @@ def test_mismatched_fields_rejected():
     v = element(cyclo_field(7), [1])
     with pytest.raises(ValueError, match="mismatched"):
         u * v
+    # a generator from another field is refused before any work, also when
+    # the two fields have the same degree
+    for k, other in ((5, 8), (5, 10), (3, 4)):
+        F, x = cyclo_field(k), element(cyclo_field(other), [1, 1])
+        with pytest.raises(ValueError, match="mismatched cyclotomic fields"):
+            gram_principal(F, x)
+        with pytest.raises(ValueError, match="mismatched cyclotomic fields"):
+            verify_principal_ideal_wr(F, x)
 
 
 # ---------------------------------------------------------------------------

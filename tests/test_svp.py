@@ -22,6 +22,7 @@ from oracles import (
     ldl_factor,
     lll_rebuild,
     span_rank_fraction,
+    transform_gram,
     walk_fraction,
 )
 
@@ -41,17 +42,6 @@ def random_gram(rng, n, spread=4):
             return GramMatrix(tuple(tuple(row) for row in G))
         except ValueError:
             continue
-
-
-def transform_gram(G, u):
-    n = len(u)
-    return [
-        [
-            sum(u[r][i] * Fraction(G[r][s]) * u[s][j] for r in range(n) for s in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +76,20 @@ def test_dimension_guard():
 
 def test_lll_identity_fixed_point():
     G = identity_gram(5)
-    red, u = lll_reduce(G)
-    assert red.entries == G.entries
+    _, _, u = lll_reduce(G)
+    assert transform_gram(G.entries, u) == G.entries
     assert u == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def test_lll_examples():
-    red, _ = lll_reduce(GramMatrix(((15, 10), (10, 15))))
-    assert red.entries[0][0] < 15
+    G = GramMatrix(((15, 10), (10, 15)))
+    red = transform_gram(G.entries, lll_reduce(G)[2])
+    assert red[0][0] < 15
     # power-basis Gram of the fifth cyclotomic field: diagonal cannot drop
     # below the lattice minimum 2
     G = gram_principal(cyclo_field(5), element(cyclo_field(5), [1]))
-    red, _ = lll_reduce(G)
-    assert all(red.entries[i][i] >= 2 for i in range(red.n))
+    red = transform_gram(G.entries, lll_reduce(G)[2])
+    assert all(red[i][i] >= 2 for i in range(G.n))
 
 
 def test_lll_transform_soundness():
@@ -106,8 +97,8 @@ def test_lll_transform_soundness():
     for n in (2, 3, 4, 5):
         for _ in range(20):
             G = random_gram(rng, n)
-            red, u = lll_reduce(G)
-            assert transform_gram(G.entries, u) == [list(r) for r in red.entries]
+            mu, d, u = lll_reduce(G)
+            assert (mu, d) == ldl_factor(transform_gram(G.entries, u))
             # integer unimodular: check det via row reduction over fractions
             m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
             det = Fraction(1)
@@ -145,13 +136,26 @@ def _lll_inputs():
 
 def test_lll_matches_rebuilding_oracle():
     """In-place Gram-Schmidt updates give exactly the reduction that a full
-    LDL after every step gives, and the reduced matrix carries its own LDL."""
+    LDL after every step gives, and the mu and d returned are the LDL of the
+    reduced matrix."""
     for label, G in _lll_inputs():
         L, d = ldl_factor(G.entries)
         assert G.ldl == (tuple(map(tuple, L)), tuple(d)), label
-        red, u = lll_reduce(G)
-        assert (red.entries, u) == lll_rebuild(G.entries), label
-        assert red.ldl == svp._ldl(red.entries), label
+        mu, d, u = lll_reduce(G)
+        red = transform_gram(G.entries, u)
+        assert (red, u) == lll_rebuild(G.entries), label
+        assert (mu, d) == ldl_factor(red), label
+
+
+def test_lll_conditions():
+    """The returned mu and d are size reduced and satisfy the Lovasz condition
+    with delta = 3/4, checked directly rather than against an oracle."""
+    for label, G in _lll_inputs():
+        mu, d, _ = lll_reduce(G)
+        for i in range(G.n):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), label
+        for k in range(1, G.n):
+            assert d[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * d[k - 1], label
 
 
 def test_enumeration_reuses_stored_ldl(monkeypatch):
@@ -191,16 +195,27 @@ def _walk_inputs():
                 yield f"random n={n} #{i} x{s}", GramMatrix(rows)
 
 
-def test_walk_matches_fraction_oracle():
+def test_walk_matches_fraction_oracle(monkeypatch):
     """The integer walk visits the same vectors in the same order as the walk
-    in fractions, on the reduced mu, d and starting bound of enumeration."""
+    in fractions, on the mu, d and starting bound that enumeration gives it:
+    the LDL factors and the smallest diagonal entry of the reduced matrix."""
+    walks = []
+    real_walk = svp._walk
+
+    def recording_walk(mu, d, bound):
+        walks.append((mu, d, bound, real_walk(mu, d, bound)))
+        return walks[-1][-1]
+
+    monkeypatch.setattr(svp, "_walk", recording_walk)
     fractional_bounds = 0
     for label, G in _walk_inputs():
-        red, _ = lll_reduce(G)
-        mu, d = red.ldl
-        bound = min(red.entries[i][i] for i in range(red.n))
+        enumerate_shortest(G)
+        [(mu, d, bound, (minimum, vectors))] = walks
+        walks.clear()
+        red = transform_gram(G.entries, lll_reduce(G)[2])
+        assert (mu, d) == ldl_factor(red), label
+        assert bound == min(red[i][i] for i in range(G.n)), label
         fractional_bounds += Fraction(bound).denominator > 1
-        minimum, vectors = svp._walk(mu, d, bound)
         want_minimum, want_vectors = walk_fraction(mu, d, bound)
         assert minimum == want_minimum, label
         assert type(minimum) is type(want_minimum) is Fraction, label
@@ -254,8 +269,8 @@ def test_enumerate_matches_box_oracle():
             G = random_gram(rng, n, spread=3)
             rep = enumerate_shortest(G)
             # oracle works in the reduced basis where a small box suffices
-            red, u = lll_reduce(G)
-            omin, ovecs = box_gram_minimum(red.entries, 6)
+            u = lll_reduce(G)[2]
+            omin, ovecs = box_gram_minimum(transform_gram(G.entries, u), 6)
             assert rep.minimum == omin
             mapped = sorted(
                 tuple(sum(u[r][c] * w[c] for c in range(n)) for r in range(n)) for w in ovecs
