@@ -13,7 +13,7 @@ from fractions import Fraction
 from .arith import QuadOrder, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
-from .ideals import IdealTriple, enumerate_ideals
+from .ideals import IdealTriple, check_norm_bound, enumerate_ideals
 from .planar import form_from_ideal, minimal_vectors
 
 
@@ -44,8 +44,7 @@ class SurveyConfig:
     def __post_init__(self):
         if self.d_min > self.d_max:
             raise ValueError("d_min must not exceed d_max")
-        if self.norm_bound < 1:
-            raise ValueError("norm bound must be at least 1")
+        check_norm_bound(self.norm_bound)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -5,9 +5,10 @@ division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data.  Some are the package's own former algorithms, kept as
 references after a faster one replaced them (lll_rebuild, span_rank_fraction,
-walk_fraction, window_minimal_vectors, gram_by_products) or after the package
-stopped needing them (hnf_triple, the canonical triple of an ideal from its
-generators, and is_similar, lattice similarity of two binary forms).
+walk_fraction, window_minimal_vectors, gram_by_products, enumerate_ideals_scan)
+or after the package stopped needing them (hnf_triple, the canonical triple of
+an ideal from its generators, and is_similar, lattice similarity of two binary
+forms).
 """
 
 import math
@@ -425,6 +426,31 @@ def walk_fraction(mu, d, bound):
 
     descend(n - 1, Fraction(0))
     return bound, found
+
+
+# ---------------------------------------------------------------------------
+# quadratic ideals by scanning every b
+
+def enumerate_ideals_scan(order, norm_bound: int) -> list[tuple[int, int, int]]:
+    """Every ideal triple (a, b, g) with a*g <= norm_bound, sorted by
+    (norm, a, b, g), from a scan of every b in [0, a) for every a.
+
+    The package's former enumeration, returning plain triples: (a, b) is a
+    primitive pair when a | N(b + delta) = b*(b + Tr(delta)) + N(delta), and
+    each gives the ideals (g*a, g*b, g) of norm g^2*a for every g with
+    g^2*a <= norm_bound.
+    """
+    tr, nm = order.delta_trace, order.delta_norm
+    out = []
+    for a in range(1, norm_bound + 1):
+        for b in range(a):
+            if (b * (b + tr) + nm) % a == 0:
+                g = 1
+                while g * g * a <= norm_bound:
+                    out.append((g * a, g * b, g))
+                    g += 1
+    out.sort(key=lambda t: (t[0] * t[2], t[0], t[1], t[2]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
 from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
+from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.planar import MinimalSet
 from wrlat.svp import MAX_ENUM_DIM
 
@@ -123,6 +124,14 @@ def test_survey_rejects_nonpositive_workers(tmp_path, capsys):
     assert main(["survey", "--d-min", "1", "--d-max", "5", "--workers", "0"]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == "error: workers must be at least 1\n"
     assert _config_error(tmp_path, capsys, {"workers": -1}) == "error: workers must be at least 1\n"
+
+
+def test_survey_refuses_norm_bound_above_cap(tmp_path, capsys):
+    line = f"error: norm bound must be at most MAX_NORM_BOUND = {MAX_NORM_BOUND}\n"
+    argv = ["survey", "--d-min", "-3", "--d-max", "-3", "--norm-bound", str(10**30)]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == line
+    assert _config_error(tmp_path, capsys, {"norm_bound": MAX_NORM_BOUND + 1}) == line
 
 
 def test_survey_out_file(tmp_path, capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder, is_valid_radicand, norm_xy
-from wrlat.ideals import IdealTriple, enumerate_ideals
-from oracles import coset_index, hnf_triple
+from wrlat.ideals import MAX_NORM_BOUND, IdealTriple, _sqrt_mod_prime, enumerate_ideals
+from oracles import coset_index, enumerate_ideals_scan, hnf_triple
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
 
@@ -172,3 +172,60 @@ def test_enumerate_examples():
 def test_enumerate_rejects_bad_bound():
     with pytest.raises(ValueError, match="at least 1"):
         enumerate_ideals(QuadOrder(-15), 0)
+
+
+def test_enumerate_rejects_bound_above_cap():
+    with pytest.raises(ValueError, match=f"at most MAX_NORM_BOUND = {MAX_NORM_BOUND}$"):
+        enumerate_ideals(QuadOrder(-3), MAX_NORM_BOUND + 1)
+    with pytest.raises(ValueError, match="MAX_NORM_BOUND"):
+        enumerate_ideals(QuadOrder(-3), 10**30)
+
+
+# ---------------------------------------------------------------------------
+# roots modulo a against the scan of every b
+
+def triples(order, bound):
+    return [(t.a, t.b, t.g) for t in enumerate_ideals(order, bound)]
+
+
+def test_enumerate_matches_scan_over_window():
+    # every valid radicand, squares excluded by is_valid_radicand and
+    # non-maximal orders included
+    for D in range(-300, 301):
+        if not is_valid_radicand(D):
+            continue
+        o = QuadOrder(D)
+        for bound in (1, 2, 7, 64, 200):
+            assert triples(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
+
+
+# high prime-power square factors, where roots modulo p^e branch on lifting
+PRIME_POWER_D = (-2**9 * 3, 5**4 * 3, -1728 * 7, 8 * 27 * 5, -4 * 9 * 25, -2**11, 3**7, -2**6 * 3**4)
+
+
+def test_enumerate_matches_scan_on_prime_power_radicands():
+    for D in PRIME_POWER_D:
+        o = QuadOrder(D)
+        assert not o.maximal
+        for bound in (64, 250, 1000):
+            assert triples(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
+
+
+def test_sqrt_mod_prime_with_deep_two_power_in_p_minus_1():
+    # 2^s | p - 1 with s up to 16, so Tonelli-Shanks runs its inner loop
+    for p in (17, 97, 193, 257, 7681, 12289, 65537):
+        for n in range(1, min(p, 400)):
+            if pow(n, (p - 1) // 2, p) == 1:
+                r = _sqrt_mod_prime(n, p)
+                assert 0 <= r < p and r * r % p == n
+
+
+def test_enumerated_ideals_closed_under_conjugation():
+    # conjugation maps b + g*delta to b + g*Tr(delta) - g*delta, so the ideal
+    # (a, b, g) to (a, (-b - g*Tr(delta)) mod a, g); the roots of
+    # b^2 + Tr(delta)*b + N(delta) come in pairs r, -Tr(delta) - r
+    window = [D for D in range(-60, 61) if is_valid_radicand(D)]
+    for D in sorted(set(SAMPLE_D + PRIME_POWER_D + tuple(window))):
+        o = QuadOrder(D)
+        got = set(triples(o, 150))
+        assert {(a, (-b - g * o.delta_trace) % a, g) for a, b, g in got} == got, D
