@@ -8,6 +8,10 @@ from dataclasses import dataclass, field
 
 _U64_LIMIT = 2**64
 
+# Largest |D| a quadratic order or a survey window accepts: is_squarefree
+# factors |D| by trial division, which takes 0.06 s for a prime near 10**12.
+MAX_RADICAND = 10**12
+
 # deterministic Miller-Rabin witness set, valid for every n < 3.3e24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -80,6 +84,12 @@ def is_squarefree(n: int) -> bool:
     return mobius(n) != 0
 
 
+def check_radicand_bound(d: int) -> None:
+    """Raise ValueError unless |d| <= MAX_RADICAND."""
+    if abs(d) > MAX_RADICAND:
+        raise ValueError(f"radicand {d} exceeds MAX_RADICAND = {MAX_RADICAND} in absolute value")
+
+
 def is_valid_radicand(d: int) -> bool:
     """True for integers defining a quadratic field: not 0 or 1, not a square."""
     return d not in (0, 1) and (d < 0 or math.isqrt(d) ** 2 != d)
@@ -104,6 +114,7 @@ class QuadOrder:
     def __post_init__(self):
         if not is_valid_radicand(self.D):
             raise ValueError(f"invalid radicand {self.D}: need a non-square integer, not 0 or 1")
+        check_radicand_bound(self.D)
         half = self.D % 4 == 1
         object.__setattr__(self, "delta_trace", 1 if half else 0)
         object.__setattr__(self, "delta_norm", (1 - self.D) // 4 if half else -self.D)

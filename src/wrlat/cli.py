@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import QuadOrder, euler_phi
@@ -21,7 +20,7 @@ from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
 from .errors import InvariantViolation
 from .families import family_stream
 from .ideals import IdealTriple
-from .survey import SurveyConfig, classify_triple, reference_tables, run_survey
+from .survey import SurveyConfig, TableRow, classify_triple, reference_tables, run_survey
 from .svp import MAX_ENUM_DIM
 
 EXIT_OK = 0
@@ -31,21 +30,18 @@ EXIT_INVARIANT = 3
 
 FORMATS = ("json", "csv", "text")
 RECORD_COLUMNS = (
-    "D", "a", "b", "g", "norm",
-    "minimum_num", "minimum_den",
+    "D", "a", "b", "g", "norm", "minimum_num", "minimum_den",
     "n_minimal", "wr", "hexagonal", "order_maximal",
 )
 FAMILY_COLUMNS = ("t", "D", "a", "b", "g", "c1", "c2", "c3", "p_prime", "squarefree")
+CYCLO_COLUMNS = (
+    "k", "phi", "minimum_num", "minimum_den", "expected_num", "expected_den",
+    "n_minimal", "expected_count", "wr", "pass",
+)
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
-
-
-def _csv_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
 
 
 def _summary_line(summary: dict) -> str:
@@ -56,18 +52,20 @@ def _summary_line(summary: dict) -> str:
 
 
 def render(args, rows, columns, text_lines, key=None, summary=None):
-    """Write `rows`, flat dicts with the keys `columns`, to --out or stdout in
-    the requested format; only that format is built.
+    """Write `rows`, tuples of the values of `columns` in that order, to --out
+    or stdout in the requested format; only that format is built.
 
-    JSON is the one row itself when `key` is None, else {key: [rows]}.  CSV is
-    a header plus one line per row, booleans as true/false.  Text is the lines
-    of `text_lines(rows)`.  A survey `summary` goes under "summary" in JSON, on
-    the last text line, and to stderr with CSV.  `rows` may be a generator, so
-    a large survey streams into the CSV writer without a list of all rows.
+    JSON maps `columns` to each row's values: the one row itself when `key`
+    is None, else {key: [rows]}.  CSV is a header plus one line per row,
+    booleans as true/false.  Text is the lines of `text_lines(rows)`.  A
+    survey `summary` goes under "summary" in JSON, on the last text line, and
+    to stderr with CSV.  The whole output is built in memory before it is
+    written.
     """
     fmt = args.format or "text"
     if fmt == "json":
-        obj = next(iter(rows)) if key is None else {key: list(rows)}
+        dicts = [dict(zip(columns, row)) for row in rows]
+        obj = dicts[0] if key is None else {key: dicts}
         if summary is not None:
             obj["summary"] = summary
         text = json.dumps(obj, indent=2) + "\n"
@@ -75,7 +73,9 @@ def render(args, rows, columns, text_lines, key=None, summary=None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+        writer.writerows(
+            [("true" if v else "false") if v.__class__ is bool else v for v in row] for row in rows
+        )
         text = buf.getvalue()
     else:
         lines = list(text_lines(rows))
@@ -96,29 +96,16 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _record_row(r) -> dict:
-    return {
-        "D": r.D,
-        "a": r.a,
-        "b": r.b,
-        "g": r.g,
-        "norm": r.norm,
-        "minimum_num": r.minimum.numerator,
-        "minimum_den": r.minimum.denominator,
-        "n_minimal": r.n_minimal,
-        "wr": r.wr,
-        "hexagonal": r.hexagonal,
-        "order_maximal": r.order_maximal,
-    }
+def _record_row(r) -> tuple:
+    """A SurveyRecord in RECORD_COLUMNS order: the minimum splits into two cells."""
+    return (*r[:5], r.minimum.numerator, r.minimum.denominator, *r[6:])
 
 
 def _record_lines(rows):
-    for r in rows:
-        minimum = Fraction(r["minimum_num"], r["minimum_den"])
+    for D, a, b, g, norm, num, den, n_minimal, wr, hexagonal, maximal in rows:
         yield (
-            f"D={r['D']} (a,b,g)=({r['a']},{r['b']},{r['g']}) norm={r['norm']} min={minimum} "
-            f"nmin={r['n_minimal']} wr={_yn(r['wr'])} hex={_yn(r['hexagonal'])} "
-            f"maximal={_yn(r['order_maximal'])}"
+            f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={Fraction(num, den)} "
+            f"nmin={n_minimal} wr={_yn(wr)} hex={_yn(hexagonal)} maximal={_yn(maximal)}"
         )
 
 
@@ -192,9 +179,7 @@ def load_config(path: str) -> dict:
 
 
 def _cmd_survey(args) -> int:
-    settings = {}
-    if args.config:
-        settings = load_config(args.config)
+    settings = load_config(args.config) if args.config else {}
     # flags override the config file
     config_format = settings.pop("output_format", None)
     args.format = args.format or config_format
@@ -207,83 +192,65 @@ def _cmd_survey(args) -> int:
         print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
         return EXIT_BAD_INPUT
     records, summary = run_survey(SurveyConfig(**settings))
-    rows = (_record_row(r) for r in records)
-    render(args, rows, RECORD_COLUMNS, _record_lines, key="records", summary=summary)
+    render(args, map(_record_row, records), RECORD_COLUMNS, _record_lines, key="records",
+           summary=summary)
     return EXIT_OK
 
 
 def _table_lines(rows):
     for family in ("imaginary", "real"):
         yield f"{family} family:"
-        for row in rows:
-            if row["family"] != family:
+        for fam, t, D, _, _, _, ideal, minimal, maximal, match in rows:
+            if fam != family:
                 continue
-            flag = "MATCH" if row["match"] else "MISMATCH"
-            note = "" if row["order_maximal"] else " [non-maximal order]"
-            yield (
-                f"  t={row['t']} D={row['D']} I={row['ideal']} "
-                f"minimal: {row['minimal_elements']}{note} {flag}"
-            )
-    yield "all rows match" if all(row["match"] for row in rows) else "MISMATCH detected"
+            note = "" if maximal else " [non-maximal order]"
+            flag = "MATCH" if match else "MISMATCH"
+            yield f"  t={t} D={D} I={ideal} minimal: {minimal}{note} {flag}"
+    yield "all rows match" if all(row.match for row in rows) else "MISMATCH detected"
 
 
 def _cmd_tables(args) -> int:
-    rows = [asdict(row) for row in reference_tables()]
-    render(args, rows, tuple(rows[0]), _table_lines, key="rows")
-    if not all(row["match"] for row in rows):
+    rows = reference_tables()
+    render(args, rows, TableRow._fields, _table_lines, key="rows")
+    if not all(row.match for row in rows):
         print("error: reference table row failed to reproduce", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _family_row(inst) -> dict:
+def _family_row(inst) -> tuple:
     trip = inst.triple
-    c1, c2, c3 = inst.closed_form.coeffs()
-    return {
-        "t": inst.t, "D": inst.D, "a": trip.a, "b": trip.b, "g": trip.g,
-        "c1": int(c1), "c2": int(c2), "c3": int(c3),
-        "p_prime": inst.p_prime, "squarefree": inst.squarefree,
-    }
+    return (inst.t, inst.D, trip.a, trip.b, trip.g, *inst.closed_form.coeffs(),
+            inst.p_prime, inst.squarefree)
 
 
 def _family_lines(rows):
-    for r in rows:
+    for t, D, a, b, g, c1, c2, c3, p_prime, squarefree in rows:
         yield (
-            f"t={r['t']} D={r['D']} (a,b,g)=({r['a']},{r['b']},{r['g']}) "
-            f"form=({r['c1']},{r['c2']},{r['c3']}) p_prime={_yn(r['p_prime'])} "
-            f"squarefree={_yn(r['squarefree'])}"
+            f"t={t} D={D} (a,b,g)=({a},{b},{g}) form=({c1},{c2},{c3}) "
+            f"p_prime={_yn(p_prime)} squarefree={_yn(squarefree)}"
         )
 
 
 def _cmd_family(args) -> int:
     instances = family_stream(args.kind, args.t_max, require_squarefree=args.squarefree)
-    rows = [_family_row(inst) for inst in instances]
-    render(args, rows, FAMILY_COLUMNS, _family_lines, key="instances")
+    render(args, map(_family_row, instances), FAMILY_COLUMNS, _family_lines, key="instances")
     return EXIT_OK
 
 
-def _cyclo_row(rep: CycloTheoremReport) -> dict:
-    mn = Fraction(rep.minimum)
-    ex = Fraction(rep.expected)
-    return {
-        "k": rep.k, "phi": rep.phi,
-        "minimum_num": mn.numerator, "minimum_den": mn.denominator,
-        "expected_num": ex.numerator, "expected_den": ex.denominator,
-        "n_minimal": rep.n_minimal, "expected_count": rep.expected_count,
-        "wr": rep.wr, "pass": rep.passed,
-    }
+def _cyclo_row(rep: CycloTheoremReport) -> tuple:
+    return (rep.k, rep.phi, rep.minimum.numerator, rep.minimum.denominator,
+            rep.expected.numerator, rep.expected.denominator,
+            rep.n_minimal, rep.expected_count, rep.wr, rep.passed)
 
 
 def _cyclo_lines(rows):
-    for r in rows:
-        minimum = Fraction(r["minimum_num"], r["minimum_den"])
-        expected = Fraction(r["expected_num"], r["expected_den"])
+    for k, phi, mn, md, en, ed, n_minimal, expected_count, wr, passed in rows:
         yield (
-            f"k={r['k']} phi={r['phi']}: minimum={minimum} expected={expected} "
-            f"minimal_vectors={r['n_minimal']} expected_count={r['expected_count']} "
-            f"wr={_yn(r['wr'])}"
+            f"k={k} phi={phi}: minimum={Fraction(mn, md)} expected={Fraction(en, ed)} "
+            f"minimal_vectors={n_minimal} expected_count={expected_count} wr={_yn(wr)}"
         )
-        yield "PASS" if r["pass"] else "FAIL"
+        yield "PASS" if passed else "FAIL"
 
 
 def _cmd_cyclo(args) -> int:
@@ -295,8 +262,7 @@ def _cmd_cyclo(args) -> int:
         print(f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})", file=sys.stderr)
         return EXIT_BAD_INPUT
     rep = verify_cyclotomic_theorem(cyclo_field(args.k))
-    row = _cyclo_row(rep)
-    render(args, [row], tuple(row), _cyclo_lines)
+    render(args, [_cyclo_row(rep)], CYCLO_COLUMNS, _cyclo_lines)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 

@@ -8,23 +8,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import QuadOrder, is_squarefree, is_valid_radicand
+from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
 from .ideals import IdealTriple, check_norm_bound, enumerate_ideals
 from .planar import form_from_ideal, minimal_vectors
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
+    """One classified ideal; the norm form has integer coefficients, so the minimum is an int."""
+
     D: int
     a: int
     b: int
     g: int
     norm: int
-    minimum: Fraction
+    minimum: int
     n_minimal: int
     wr: bool
     hexagonal: bool
@@ -44,6 +45,8 @@ class SurveyConfig:
     def __post_init__(self):
         if self.d_min > self.d_max:
             raise ValueError("d_min must not exceed d_max")
+        check_radicand_bound(self.d_min)
+        check_radicand_bound(self.d_max)
         check_norm_bound(self.norm_bound)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -66,16 +69,7 @@ def classify_triple(t: IdealTriple) -> SurveyRecord:
             f"min={ms.minimum}, norm={nrm}; replay: wrlat classify -- {D} {t.a} {t.b} {t.g}"
         )
     return SurveyRecord(
-        D=D,
-        a=t.a,
-        b=t.b,
-        g=t.g,
-        norm=nrm,
-        minimum=Fraction(ms.minimum),
-        n_minimal=len(ms.vectors),
-        wr=ms.wr,
-        hexagonal=ms.hexagonal,
-        order_maximal=t.order.maximal,
+        D, t.a, t.b, t.g, nrm, ms.minimum, len(ms.vectors), ms.wr, ms.hexagonal, t.order.maximal
     )
 
 
@@ -104,11 +98,10 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     ascend in D, pool.map returns results in submission order, and
     enumerate_ideals sorts the ideals of each radicand.
     """
-    radicands = [
-        D for D in range(cfg.d_min, cfg.d_max + 1)
+    jobs = [
+        (D, cfg.norm_bound) for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
-    jobs = [(D, cfg.norm_bound) for D in radicands]
     # the pool starts all its processes at once, so start no more than there
     # are chunks of jobs or CPUs
     workers = min(cfg.workers, -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
@@ -150,8 +143,7 @@ def _radical_combo(r: int, s: int, D: int) -> str:
     return f"{r}+{rad}" if s > 0 else f"{r}-{rad}"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     family: str
     t: int
     D: int
@@ -183,10 +175,7 @@ def _minimal_elements_str(t: IdealTriple) -> str:
     ms = minimal_vectors(form_from_ideal(t))
     reps = [v for v in ms.vectors if v > (-v[0], -v[1])]
     reps.sort(key=lambda v: (abs(v[1]), abs(v[0]), v[1], v[0]))
-    parts = []
-    for m, n in reps:
-        parts.append("±" + element_str(t.order, t.a * m + t.b * n, t.g * n))
-    return ", ".join(parts)
+    return ", ".join("±" + element_str(t.order, t.a * m + t.b * n, t.g * n) for m, n in reps)
 
 
 def reference_tables() -> list[TableRow]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import (
+    MAX_RADICAND,
     QuadOrder,
     euler_phi,
     is_prime,
@@ -111,6 +112,15 @@ def test_order_delta_trace_norm_and_maximal(D):
 def test_order_rejects_bad_radicand():
     for d in (0, 1, 4, 49):
         with pytest.raises(ValueError, match="radicand"):
+            QuadOrder(d)
+
+
+def test_order_radicand_cap():
+    # both ends of the cap are accepted; one past it is refused without factoring
+    assert QuadOrder(-MAX_RADICAND).maximal is False
+    assert QuadOrder(MAX_RADICAND - 1).D == MAX_RADICAND - 1
+    for d in (MAX_RADICAND + 2, -MAX_RADICAND - 1, -(10**30) - 57):
+        with pytest.raises(ValueError, match="MAX_RADICAND"):
             QuadOrder(d)
 
 

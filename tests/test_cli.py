@@ -12,7 +12,7 @@ import pytest
 import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
-from wrlat.arith import euler_phi
+from wrlat.arith import MAX_RADICAND, euler_phi
 from wrlat.errors import InvariantViolation
 from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.planar import MinimalSet
@@ -44,6 +44,14 @@ def test_classify_double_dash_form():
 def test_classify_square_radicand_rejected(capsys):
     assert main(["classify", "4", "1", "0", "1"]) == EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_refuses_radicand_above_cap(capsys):
+    D = -(10**30) - 57
+    assert main(["classify", "--", str(D), "1", "0", "1"]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: radicand {D} exceeds MAX_RADICAND = {MAX_RADICAND} in absolute value\n"
 
 
 def test_classify_invalid_triple_rejected(capsys):
@@ -132,6 +140,22 @@ def test_survey_refuses_norm_bound_above_cap(tmp_path, capsys):
     assert main(argv) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == line
     assert _config_error(tmp_path, capsys, {"norm_bound": MAX_NORM_BOUND + 1}) == line
+
+
+def test_survey_refuses_radicand_above_cap(tmp_path, capsys):
+    big = 10**30 + 57
+    line = f"error: radicand {big} exceeds MAX_RADICAND = {MAX_RADICAND} in absolute value\n"
+    argv = ["survey", "--d-min", str(big), "--d-max", str(big), "--norm-bound", "2"]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", line)
+    # either end of the window is checked
+    low = -MAX_RADICAND - 1
+    assert main(["survey", "--d-min", str(low), "--d-max", "-3"]) == EXIT_BAD_INPUT
+    assert str(low) in capsys.readouterr().err
+    assert _config_error(tmp_path, capsys, {"d_max": MAX_RADICAND + 1}) == (
+        f"error: radicand {MAX_RADICAND + 1} exceeds MAX_RADICAND = {MAX_RADICAND} "
+        "in absolute value\n"
+    )
 
 
 def test_survey_out_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat.arith import QuadOrder, is_squarefree
+from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree
 from wrlat.cli import RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.survey import (
@@ -66,6 +66,7 @@ def test_classify_real_hexagonal():
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
     rec = classify_triple(trip)
+    assert isinstance(rec, tuple) and type(rec.minimum) is int
     assert rec.norm == trip.a * trip.g
     assert rec.minimum > 0
     assert rec.n_minimal in (2, 4, 6)
@@ -84,6 +85,11 @@ def test_config_validation():
         SurveyConfig(d_min=5, d_max=4)
     with pytest.raises(ValueError, match="^norm bound must be at least 1$"):
         SurveyConfig(d_min=2, d_max=3, norm_bound=0)
+    # a window end beyond the cap is refused before any radicand is factored
+    for d_min, d_max in ((-MAX_RADICAND - 1, -3), (2, MAX_RADICAND + 1)):
+        with pytest.raises(ValueError, match="exceeds MAX_RADICAND"):
+            SurveyConfig(d_min=d_min, d_max=d_max)
+    SurveyConfig(d_min=-MAX_RADICAND, d_max=MAX_RADICAND)
     for workers in (0, -1):
         with pytest.raises(ValueError, match="^workers must be at least 1$"):
             SurveyConfig(d_min=2, d_max=3, workers=workers)
@@ -304,7 +310,7 @@ def test_tables_csv_quotes_commas(capsys):
 def test_tables_json_round_trip(capsys):
     rows = reference_tables()
     obj = json.loads(tables_output(capsys, "json")[1])
-    assert obj["rows"] == [dataclasses.asdict(r) for r in rows]
+    assert obj["rows"] == [r._asdict() for r in rows]
 
 
 def test_tables_disagree_when_expectation_is_wrong(monkeypatch, capsys):
