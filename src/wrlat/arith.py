@@ -6,42 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-_U64_LIMIT = 2**64
-
 # Largest |D| a quadratic order or a survey window accepts: is_squarefree
 # factors |D| by trial division, which takes 0.06 s for a prime near 10**12.
 MAX_RADICAND = 10**12
-
-# deterministic Miller-Rabin witness set, valid for every n < 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for 1 <= n < 2**64."""
-    if n < 1:
-        raise ValueError("nonpositive input")
-    if n >= _U64_LIMIT:
-        raise ValueError("primality test only supports inputs below 2**64")
-    if n < 4:
-        return n > 1
-    if n % 2 == 0:
-        return False
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -112,7 +112,8 @@ def _record_lines(rows):
 def _cmd_classify(args) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
-    rec = classify_triple(IdealTriple(args.a, args.b, args.g, QuadOrder(args.D)))
+    t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
+    rec = classify_triple(t.order, t.a, t.b, t.g)
     render(args, [_record_row(rec)], RECORD_COLUMNS, _record_lines)
     return EXIT_OK if rec.wr else EXIT_NOT_WR
 

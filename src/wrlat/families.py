@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import QuadOrder, is_prime, is_squarefree
+from .arith import QuadOrder, check_radicand_bound, factorize, is_squarefree
 from .errors import InvariantViolation
 from .ideals import IdealTriple
 from .planar import BinaryForm, form_from_ideal, gauss_reduce
@@ -33,50 +33,63 @@ class FamilyInstance:
     squarefree: bool    # is |D| squarefree
 
 
+def _radicand(imaginary: bool, t: int) -> int:
+    return -(3 * t * t + 8 * t + 4) if imaginary else t * t - 4
+
+
+def _flags(t: int, D: int) -> tuple[bool, bool]:
+    """(t + 2 is prime, |D| is squarefree); t + 2 stays below about 1.2*10**6
+    under MAX_RADICAND, so trial division decides primality."""
+    return factorize(t + 2) == {t + 2: 1}, is_squarefree(abs(D))
+
+
 def imaginary_instance(t: int) -> FamilyInstance:
     """Family member for odd t >= 1; the ideal has norm a = t + 1."""
     if t < 1 or t % 2 == 0:
         raise ValueError("t must be odd and >= 1")
-    disc = 3 * t * t + 8 * t + 4
+    D = _radicand(True, t)
     a = t + 1
-    order = QuadOrder(-disc)
-    triple = IdealTriple(a, (t - 1) // 2, 1, order)
+    triple = IdealTriple(a, (t - 1) // 2, 1, QuadOrder(D))
     form = BinaryForm(a * a, a * (a - 1), a * a)
-    return FamilyInstance(t, -disc, triple, form, is_prime(t + 2), is_squarefree(disc))
+    return FamilyInstance(t, D, triple, form, *_flags(t, D))
 
 
 def real_instance(t: int) -> FamilyInstance:
     """Family member for odd t >= 5; the ideal has norm a = t + 2."""
     if t < 5 or t % 2 == 0:
         raise ValueError("t must be odd and >= 5")
-    disc = t * t - 4
+    D = _radicand(False, t)
     a = t + 2
-    order = QuadOrder(disc)
-    triple = IdealTriple(a, (t + 1) // 2, 1, order)
+    triple = IdealTriple(a, (t + 1) // 2, 1, QuadOrder(D))
     form = BinaryForm(t * a, 4 * a, t * a)
-    return FamilyInstance(t, disc, triple, form, is_prime(t + 2), is_squarefree(disc))
+    return FamilyInstance(t, D, triple, form, *_flags(t, D))
 
 
 def family_stream(kind, t_max: int, require_squarefree: bool = False) -> list[FamilyInstance]:
     """Instances for every valid odd t <= t_max, cross-checked on the way out.
 
     Each closed form must agree with the form computed from the ideal triple:
-    directly in the imaginary case, after reduction in the real case.
+    directly in the imaginary case, after reduction in the real case.  Raises
+    ValueError before any work if the last t has |D| above MAX_RADICAND.
     """
     kind = FamilyKind(kind)
-    build = imaginary_instance if kind is FamilyKind.IMAGINARY else real_instance
-    start = 1 if kind is FamilyKind.IMAGINARY else 5
+    imaginary = kind is FamilyKind.IMAGINARY
+    build = imaginary_instance if imaginary else real_instance
+    start = 1 if imaginary else 5
+    last = t_max if t_max % 2 else t_max - 1  # |D| grows with t
+    if last >= start:
+        check_radicand_bound(_radicand(imaginary, last))
     out = []
     for t in range(start, t_max + 1, 2):
         inst = build(t)
         if require_squarefree and not inst.squarefree:
             continue
-        canon = form_from_ideal(inst.triple)
-        if kind is FamilyKind.REAL:
-            canon = gauss_reduce(canon)[0]
-        if canon.coeffs() != inst.closed_form.coeffs():
+        canon = form_from_ideal(inst.triple).coeffs()
+        if not imaginary:
+            canon = gauss_reduce(*canon)[0]
+        if canon != inst.closed_form.coeffs():
             raise InvariantViolation(
-                f"closed form mismatch at t={t}: {canon.coeffs()} != {inst.closed_form.coeffs()}"
+                f"closed form mismatch at t={t}: {canon} != {inst.closed_form.coeffs()}"
             )
         out.append(inst)
     return out

@@ -10,6 +10,11 @@ a, so enumeration roots f modulo each prime (Tonelli-Shanks), lifts the roots
 to prime powers, combines them by the Chinese remainder theorem (Cohen, A
 Course in Computational Algebraic Number Theory, 1.5-1.6) and scales each
 primitive triple by g.  Norm bounds are capped at MAX_NORM_BOUND.
+
+IdealTriple is the gate for user input (wrlat classify, the families and the
+tables): its constructor checks the conditions above.  enumerate_ideals
+builds only valid triples, so it returns them as plain (a, b, g) tuples and
+a survey runs on ints without checking them again.
 """
 
 from __future__ import annotations
@@ -122,8 +127,9 @@ def _roots_mod_prime(p: int, tr: int, nm: int, disc: int) -> list[int]:
     return [(s - tr) * half % p, (-s - tr) * half % p]
 
 
-def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:
-    """Every valid triple with a*g <= norm_bound, sorted by (norm, a, b, g).
+def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, int]]:
+    """Every valid triple (a, b, g) with a*g <= norm_bound, sorted by
+    (norm, a, b, g).
 
     The primitive pairs (a, b) are the roots b of
     f(b) = b*(b + Tr(delta)) + N(delta) modulo a, found for a = 1..norm_bound
@@ -160,4 +166,4 @@ def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[IdealTriple]:
                 keys.append((g * g * a, g * a, g * b, g))
                 g += 1
     keys.sort()
-    return [IdealTriple(a, b, g, order) for _, a, b, g in keys]
+    return [(a, b, g) for _, a, b, g in keys]

@@ -14,7 +14,7 @@ from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radi
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
 from .ideals import IdealTriple, check_norm_bound, enumerate_ideals
-from .planar import form_from_ideal, minimal_vectors
+from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
 
 class SurveyRecord(NamedTuple):
@@ -52,30 +52,36 @@ class SurveyConfig:
             raise ValueError("workers must be at least 1")
 
 
-def classify_triple(t: IdealTriple) -> SurveyRecord:
-    """Full classification of one ideal: minimum, minimal vector count, and the
-    well-rounded and hexagonal flags.
+def classify_triple(order: QuadOrder, a: int, b: int, g: int) -> SurveyRecord:
+    """Full classification of the ideal (a, b + g*delta) of `order`: minimum,
+    minimal vector count, and the well-rounded and hexagonal flags, all read
+    off the reduced norm form (c1, c2, c3).  The triple must be valid: it
+    comes from enumerate_ideals or has passed IdealTriple.
 
     Raises InvariantViolation, naming the replay command, if the minimum breaks
     its lower bound: min >= N(I) for D < 0, min^2 >= 4*N(I) for D > 0.  Both
     sides are integers, so the comparison is exact.
     """
-    ms = minimal_vectors(form_from_ideal(t))
-    D = t.order.D
-    nrm = t.a * t.g
-    if not (ms.minimum >= nrm if D < 0 else ms.minimum * ms.minimum >= 4 * nrm):
+    (c1, c2, c3), _ = gauss_reduce(*norm_form(order, a, b, g))
+    D = order.D
+    nrm = a * g
+    if not (c1 >= nrm if D < 0 else c1 * c1 >= 4 * nrm):
         raise InvariantViolation(
-            f"minimum bound violated for D={D}, triple=({t.a},{t.b},{t.g}), "
-            f"min={ms.minimum}, norm={nrm}; replay: wrlat classify -- {D} {t.a} {t.b} {t.g}"
+            f"minimum bound violated for D={D}, triple=({a},{b},{g}), "
+            f"min={c1}, norm={nrm}; replay: wrlat classify -- {D} {a} {b} {g}"
         )
+    # the minimal vectors are +-p, also +-q when c1 = c3, also +-(p - q) when c1 = c2 = c3
+    wr = c1 == c3
+    hexagonal = wr and c1 == c2
     return SurveyRecord(
-        D, t.a, t.b, t.g, nrm, ms.minimum, len(ms.vectors), ms.wr, ms.hexagonal, t.order.maximal
+        D, a, b, g, nrm, c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal, order.maximal
     )
 
 
 def _survey_radicand(args) -> list[SurveyRecord]:
     D, norm_bound = args
-    return [classify_triple(t) for t in enumerate_ideals(QuadOrder(D), norm_bound)]
+    order = QuadOrder(D)
+    return [classify_triple(order, a, b, g) for a, b, g in enumerate_ideals(order, norm_bound)]
 
 
 def __getattr__(name):

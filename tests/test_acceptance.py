@@ -84,7 +84,7 @@ def test_full_rings_classified():
         for D in range(-10_000, 10_001):
             if not is_valid_radicand(D) or not is_squarefree(abs(D)):
                 continue
-            rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(D)))
+            rec = classify_triple(QuadOrder(D), 1, 0, 1)
             assert rec.minimum == (1 if D < 0 else 2)
             if rec.wr:
                 wr_set.add(D)
@@ -109,12 +109,12 @@ def test_family_prefixes_exact():
             assert inst.D == t * t - 4
             assert (trip.a, trip.b, trip.g) == (t + 2, (t + 1) // 2, 1)
             assert inst.closed_form.coeffs() == (t * (t + 2), 4 * (t + 2), t * (t + 2))
-            reduced, _ = gauss_reduce(form_from_ideal(trip))
-            assert reduced.coeffs() == inst.closed_form.coeffs()
+            reduced, _ = gauss_reduce(*form_from_ideal(trip).coeffs())
+            assert reduced == inst.closed_form.coeffs()
         for inst in imag + real:
             c1, c2, c3 = inst.closed_form.coeffs()
             assert abs(c2) <= c1 == c3
-            assert minimal_vectors(inst.closed_form).wr
+            assert len(minimal_vectors(inst.closed_form).vectors) == 4
             assert len(minimal_vectors(form_from_ideal(inst.triple)).vectors) == 4
         _CACHE["families"] = (imag, real)
 
@@ -203,7 +203,8 @@ def test_oracle_equivalence():
         pool = []
         for D in range(-60, 61):
             if is_valid_radicand(D):
-                pool.extend(enumerate_ideals(QuadOrder(D), 100))
+                o = QuadOrder(D)
+                pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, 100))
         sample = rng.sample(pool, 1000)
         for trip in sample:
             f = form_from_ideal(trip)

@@ -8,7 +8,6 @@ from wrlat.arith import (
     MAX_RADICAND,
     QuadOrder,
     euler_phi,
-    is_prime,
     is_squarefree,
     is_valid_radicand,
     mobius,
@@ -25,7 +24,6 @@ from oracles import (
     qd_scale,
     qd_trace,
     squarefree_by_factorization,
-    trial_division_prime,
 )
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
@@ -33,32 +31,6 @@ radicands = st.integers(-60, 60).filter(is_valid_radicand)
 
 # ---------------------------------------------------------------------------
 # predicates
-
-def test_is_prime_matches_trial_division_small():
-    for n in range(1, 2000):
-        assert is_prime(n) == trial_division_prime(n), n
-
-
-@given(st.integers(1, 10**6))
-def test_is_prime_matches_trial_division_random(n):
-    assert is_prime(n) == trial_division_prime(n)
-
-
-def test_is_prime_examples():
-    assert is_prime(3)
-    assert not is_prime(1)
-    assert not is_prime(15)
-
-
-def test_is_prime_rejects_bad_input():
-    with pytest.raises(ValueError):
-        is_prime(0)
-    with pytest.raises(ValueError):
-        is_prime(-7)
-    with pytest.raises(ValueError):
-        is_prime(2**64)
-    assert is_prime(2**61 - 1)  # largest inputs below the cap still work
-
 
 def test_is_squarefree_examples():
     assert is_squarefree(15)

@@ -15,7 +15,6 @@ from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load
 from wrlat.arith import MAX_RADICAND, euler_phi
 from wrlat.errors import InvariantViolation
 from wrlat.ideals import MAX_NORM_BOUND
-from wrlat.planar import MinimalSet
 from wrlat.svp import MAX_ENUM_DIM
 
 
@@ -172,19 +171,30 @@ def test_survey_out_file(tmp_path, capsys):
 
 
 def test_survey_invariant_violation_exit_three(monkeypatch, capsys):
-    def boom(cfg):
-        raise InvariantViolation("minimum bound violated for D=-15, triple=(2,0,1)")
+    # the survey's own bound check: the reduction of one norm form, that of
+    # (3, 1, 1) in D = -5, is made to report the minimum 2 < N(I) = 3
+    reduce = wrlat.survey.gauss_reduce
 
-    monkeypatch.setattr(cli, "run_survey", boom)
-    code = main(["survey", "--d-min", "-20", "--d-max", "-1"])
+    def one_bad_reduction(c1, c2, c3):
+        red, u = reduce(c1, c2, c3)
+        return ((2, *red[1:]), u) if (c1, c2, c3) == (9, 6, 6) else (red, u)
+
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+    code = main(["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10",
+                 "--workers", "1"])
     assert code == EXIT_INVARIANT
-    assert "invariant violation" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "invariant violation: minimum bound violated for D=-5, triple=(3,1,1), "
+        "min=2, norm=3; replay: wrlat classify -- -5 3 1 1\n"
+    )
 
 
 def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
     # a minimum of 1/2 breaks min >= N(I) for every ideal
     monkeypatch.setattr(
-        wrlat.survey, "minimal_vectors", lambda f: MinimalSet(Fraction(1, 2), ((-1, 0), (1, 0)))
+        wrlat.survey, "gauss_reduce", lambda c1, c2, c3: ((Fraction(1, 2), 0, 1), ((1, 0), (0, 1)))
     )
     assert main(["classify", "--", "-15", "2", "0", "1"]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
@@ -391,6 +401,37 @@ def test_family_csv(capsys):
 def test_family_empty_stream(capsys):
     assert main(["family", "real", "--t-max", "3"]) == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_family_huge_t_max_refused_at_once():
+    # the bound is checked before any instance is built, so this takes well
+    # under a second instead of hours
+    for kind in ("imaginary", "real"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wrlat", "family", kind, "--t-max", "1000000000"],
+            capture_output=True, text=True, env=_ENV, timeout=30,
+        )
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: radicand ") and proc.stderr.count("\n") == 1
+        assert f"exceeds MAX_RADICAND = {MAX_RADICAND}" in proc.stderr
+
+
+def test_family_t_max_bound_is_the_radicand_cap(capsys, monkeypatch):
+    def accepted(t):
+        raise _Accepted(t)
+
+    monkeypatch.setattr(wrlat.families, "imaginary_instance", accepted)
+    monkeypatch.setattr(wrlat.families, "real_instance", accepted)
+    # the last t whose |D| fits, and the first that does not
+    for kind, last_ok in (("imaginary", 577347), ("real", 999999)):
+        for t_max in (last_ok, last_ok + 1):
+            with pytest.raises(_Accepted):
+                main(["family", kind, "--t-max", str(t_max)])
+        start = time.perf_counter()
+        assert main(["family", kind, "--t-max", str(last_ok + 2)]) == EXIT_BAD_INPUT
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds MAX_RADICAND" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

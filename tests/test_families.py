@@ -1,6 +1,6 @@
 import pytest
 
-from wrlat.arith import is_prime, is_squarefree, norm_xy
+from wrlat.arith import is_squarefree, norm_xy
 from wrlat.families import (
     FamilyKind,
     family_stream,
@@ -9,6 +9,7 @@ from wrlat.families import (
 )
 from wrlat.ideals import IdealTriple
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
+from oracles import trial_division_prime
 
 
 def test_imaginary_examples():
@@ -54,7 +55,7 @@ def test_family_invariants_long_prefix():
         assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a**2
         assert inst.closed_form.coeffs() == form_from_ideal(trip).coeffs()
-        assert inst.p_prime == is_prime(t + 2)
+        assert inst.p_prime == trial_division_prime(t + 2)
         assert inst.squarefree == is_squarefree(-inst.D)
     for inst in family_stream(FamilyKind.REAL, 201):
         t = inst.t
@@ -62,9 +63,9 @@ def test_family_invariants_long_prefix():
         assert inst.D == (t - 2) * (t + 2)
         assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a
-        reduced, _ = gauss_reduce(form_from_ideal(trip))
-        assert inst.closed_form.coeffs() == reduced.coeffs()
-        assert inst.p_prime == is_prime(t + 2)
+        reduced, _ = gauss_reduce(*form_from_ideal(trip).coeffs())
+        assert inst.closed_form.coeffs() == reduced
+        assert inst.p_prime == trial_division_prime(t + 2)
         assert inst.squarefree == is_squarefree(inst.D)
 
 
@@ -74,7 +75,7 @@ def test_every_instance_is_wr_with_four_minimal_vectors():
             f = inst.closed_form
             assert abs(f.c2) <= f.c1 == f.c3  # reduced and symmetric
             ms = minimal_vectors(f)
-            assert ms.wr
+            assert ms.minimum == f.c1
             assert len(ms.vectors) == 4
 
 

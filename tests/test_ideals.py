@@ -76,8 +76,8 @@ def test_ideal_norm_rejects_invalid():
 
 def test_ideal_norm_equals_coset_count():
     for D in SAMPLE_D:
-        for t in enumerate_ideals(QuadOrder(D), 50):
-            assert t.a * t.g == coset_index(t.a, t.b, t.g)
+        for a, b, g in enumerate_ideals(QuadOrder(D), 50):
+            assert a * g == coset_index(a, b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def test_hnf_zero_ideal_rejected():
 def test_hnf_idempotent_on_canonical_generators():
     # every enumerated triple is already the canonical basis of its ideal
     for D in SAMPLE_D:
-        for t in enumerate_ideals(QuadOrder(D), 30):
-            assert hnf_triple(D, (t.a, 0), (t.b, t.g)) == (t.a, t.b, t.g)
+        for a, b, g in enumerate_ideals(QuadOrder(D), 30):
+            assert hnf_triple(D, (a, 0), (b, g)) == (a, b, g)
 
 
 def test_hnf_output_spans_input_generators():
@@ -147,25 +147,29 @@ def brute_force_triples(order, bound):
 def test_enumerate_matches_brute_force():
     for D in SAMPLE_D:
         o = QuadOrder(D)
-        got = [(t.a * t.g, t.a, t.b, t.g) for t in enumerate_ideals(o, 25)]
+        got = [(a * g, a, b, g) for a, b, g in enumerate_ideals(o, 25)]
         assert got == brute_force_triples(o, 25)
 
 
 def test_enumerate_sorted_unique_valid():
     for D in SAMPLE_D:
-        ts = enumerate_ideals(QuadOrder(D), 40)
-        keys = [(t.a * t.g, t.a, t.b, t.g) for t in ts]
+        o = QuadOrder(D)
+        ts = enumerate_ideals(o, 40)
+        assert all(type(t) is tuple and len(t) == 3 for t in ts)
+        keys = [(a * g, a, b, g) for a, b, g in ts]
         assert keys == sorted(set(keys))
-        assert all(is_ideal(t.a, t.b, t.g, t.order) for t in ts)
-        assert all(t.a * t.g <= 40 for t in ts)
+        assert all(is_ideal(a, b, g, o) for a, b, g in ts)
+        assert all(a * g <= 40 for a, b, g in ts)
+        # the user-input gate accepts every enumerated triple
+        assert all(IdealTriple(a, b, g, o) for a, b, g in ts)
 
 
 def test_enumerate_examples():
-    got = {(t.a, t.b, t.g) for t in enumerate_ideals(QuadOrder(-15), 2)}
+    got = set(enumerate_ideals(QuadOrder(-15), 2))
     assert {(1, 0, 1), (2, 0, 1)} <= got
     for D in SAMPLE_D:
-        assert [(t.a, t.b, t.g) for t in enumerate_ideals(QuadOrder(D), 1)] == [(1, 0, 1)]
-    got = {(t.a, t.b, t.g) for t in enumerate_ideals(QuadOrder(-3), 3)}
+        assert enumerate_ideals(QuadOrder(D), 1) == [(1, 0, 1)]
+    got = set(enumerate_ideals(QuadOrder(-3), 3))
     assert (3, 1, 1) in got  # N(1 + delta) = 3
 
 
@@ -184,10 +188,6 @@ def test_enumerate_rejects_bound_above_cap():
 # ---------------------------------------------------------------------------
 # roots modulo a against the scan of every b
 
-def triples(order, bound):
-    return [(t.a, t.b, t.g) for t in enumerate_ideals(order, bound)]
-
-
 def test_enumerate_matches_scan_over_window():
     # every valid radicand, squares excluded by is_valid_radicand and
     # non-maximal orders included
@@ -196,7 +196,7 @@ def test_enumerate_matches_scan_over_window():
             continue
         o = QuadOrder(D)
         for bound in (1, 2, 7, 64, 200):
-            assert triples(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
+            assert enumerate_ideals(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
 
 
 # high prime-power square factors, where roots modulo p^e branch on lifting
@@ -208,7 +208,7 @@ def test_enumerate_matches_scan_on_prime_power_radicands():
         o = QuadOrder(D)
         assert not o.maximal
         for bound in (64, 250, 1000):
-            assert triples(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
+            assert enumerate_ideals(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
 
 
 def test_sqrt_mod_prime_with_deep_two_power_in_p_minus_1():
@@ -227,5 +227,5 @@ def test_enumerated_ideals_closed_under_conjugation():
     window = [D for D in range(-60, 61) if is_valid_radicand(D)]
     for D in sorted(set(SAMPLE_D + PRIME_POWER_D + tuple(window))):
         o = QuadOrder(D)
-        got = set(triples(o, 150))
+        got = set(enumerate_ideals(o, 150))
         assert {(a, (-b - g * o.delta_trace) % a, g) for a, b, g in got} == got, D

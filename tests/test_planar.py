@@ -33,7 +33,8 @@ SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 def random_ideals(rng, count, norm_bound=60):
     pool = []
     for D in SAMPLE_D:
-        pool.extend(enumerate_ideals(QuadOrder(D), norm_bound))
+        o = QuadOrder(D)
+        pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, norm_bound))
     return rng.sample(pool, count)
 
 
@@ -64,7 +65,7 @@ def test_form_from_ideal_examples():
     f = form_from_ideal(IdealTriple(1, 0, 1, QuadOrder(-1)))
     assert f.coeffs() == (1, 0, 1)
     f = form_from_ideal(IdealTriple(7, 3, 1, QuadOrder(21)))
-    assert gauss_reduce(f)[0].coeffs() == (35, 28, 35)
+    assert gauss_reduce(*f.coeffs())[0] == (35, 28, 35)
 
 
 def test_form_from_ideal_rejects_invalid():
@@ -104,21 +105,24 @@ def test_form_matches_float_embedding():
 # reduction
 
 def test_gauss_reduce_examples():
-    f, u = gauss_reduce(BinaryForm(4, 2, 4))
-    assert f.coeffs() == (4, 2, 4) and u == ((1, 0), (0, 1))
-    f, _ = gauss_reduce(BinaryForm(15, 20, 15))
-    assert abs(f.c2) <= f.c1 <= f.c3 and f.c1 < 15
-    f, _ = gauss_reduce(BinaryForm(1, 1, 1))
-    assert f.coeffs() == (1, 1, 1)
+    red, u = gauss_reduce(4, 2, 4)
+    assert red == (4, 2, 4) and u == ((1, 0), (0, 1))
+    (c1, c2, c3), _ = gauss_reduce(15, 20, 15)
+    assert abs(c2) <= c1 <= c3 and c1 < 15
+    red, _ = gauss_reduce(1, 1, 1)
+    assert red == (1, 1, 1)
 
 
 @given(pd_forms)
 def test_gauss_reduce_properties(c):
     f = BinaryForm(*c)
-    red, u = gauss_reduce(f)
-    assert abs(red.c2) <= red.c1 <= red.c3
-    if abs(red.c2) == red.c1 or red.c1 == red.c3:
-        assert red.c2 >= 0
+    red, u = gauss_reduce(*c)
+    assert all(type(x) is int for x in red)
+    c1, c2, c3 = red
+    assert abs(c2) <= c1 <= c3
+    if abs(c2) == c1 or c1 == c3:
+        assert c2 >= 0
+    red = BinaryForm(*red)
     det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
     assert det in (1, -1)
     # the change of basis carries the input form to the reduced one exactly
@@ -131,20 +135,20 @@ def test_gauss_reduce_properties(c):
 
 @given(pd_forms)
 def test_gauss_reduce_idempotent_on_forms(c):
-    red, _ = gauss_reduce(BinaryForm(*c))
-    again, _ = gauss_reduce(red)
-    assert again.coeffs() == red.coeffs()
+    red, _ = gauss_reduce(*c)
+    again, _ = gauss_reduce(*red)
+    assert again == red
 
 
 @given(pd_forms)
 def test_gauss_reduce_gram_transform(c):
     def gram(f):
-        h = Fraction(f.c2, 2)
-        return ((f.c1, h), (h, f.c3))
+        c1, c2, c3 = f
+        h = Fraction(c2, 2)
+        return ((c1, h), (h, c3))
 
-    f = BinaryForm(*c)
-    red, u = gauss_reduce(f)
-    g = gram(f)
+    red, u = gauss_reduce(*c)
+    g = gram(c)
     # U^T G U entry by entry
     def entry(i, j):
         return sum(u[r][i] * g[r][s] * u[s][j] for r in range(2) for s in range(2))
@@ -177,9 +181,10 @@ def test_minimal_vectors_properties(c):
         assert f(*v) == ms.minimum
         assert (-v[0], -v[1]) in got
     # well-roundedness is equivalent to a symmetric reduced form
-    red, _ = gauss_reduce(f)
-    assert ms.wr == (red.c1 == red.c3)
-    assert ms.hexagonal == (len(ms.vectors) == 6)
+    (c1, c2, c3), _ = gauss_reduce(*c)
+    assert ms.minimum == c1
+    assert (len(ms.vectors) >= 4) == (c1 == c3)
+    assert (len(ms.vectors) == 6) == (c1 == c2 == c3)
 
 
 def test_minimal_vector_count_bulk():
@@ -228,21 +233,23 @@ def test_minimal_vectors_match_window_oracle():
 # ---------------------------------------------------------------------------
 # predicates
 
-def ideal_minimal_set(a, b, g, D) -> MinimalSet:
-    return minimal_vectors(form_from_ideal(IdealTriple(a, b, g, QuadOrder(D))))
+def ideal_record(a, b, g, D):
+    t = IdealTriple(a, b, g, QuadOrder(D))
+    return classify_triple(t.order, t.a, t.b, t.g)
 
 
 def test_is_wr_examples():
-    assert ideal_minimal_set(2, 0, 1, -15).wr
-    assert not ideal_minimal_set(1, 0, 1, 2).wr
-    ms = ideal_minimal_set(1, 0, 1, -3)
-    assert ms.wr and ms.hexagonal
+    assert ideal_record(2, 0, 1, -15).wr
+    assert not ideal_record(1, 0, 1, 2).wr
+    rec = ideal_record(1, 0, 1, -3)
+    assert rec.wr and rec.hexagonal
 
 
 def test_is_hexagonal_examples():
-    assert minimal_vectors(BinaryForm(1, 1, 1)).hexagonal
-    assert not minimal_vectors(BinaryForm(1, 0, 1)).hexagonal
-    assert ideal_minimal_set(2, 1, 1, 3).hexagonal
+    assert len(minimal_vectors(BinaryForm(1, 1, 1)).vectors) == 6
+    assert len(minimal_vectors(BinaryForm(1, 0, 1)).vectors) == 4
+    assert ideal_record(2, 1, 1, 3).hexagonal
+    assert not ideal_record(1, 0, 1, -1).hexagonal
 
 
 def test_is_similar():
@@ -261,13 +268,14 @@ def test_is_similar():
 
 def test_check_min_bound_examples():
     # classify_triple raises InvariantViolation on a violation
-    assert min_bound_holds(classify_triple(IdealTriple(2, 0, 1, QuadOrder(-15))))
-    rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(-1)))
+    assert min_bound_holds(ideal_record(2, 0, 1, -15))
+    rec = ideal_record(1, 0, 1, -1)
     assert min_bound_holds(rec) and rec.minimum == rec.norm  # equality case
-    assert min_bound_holds(classify_triple(IdealTriple(7, 3, 1, QuadOrder(21))))
+    assert min_bound_holds(ideal_record(7, 3, 1, 21))
 
 
 def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
-        for t in enumerate_ideals(QuadOrder(D), 40):
-            assert min_bound_holds(classify_triple(t)), (D, t.a, t.b, t.g)
+        o = QuadOrder(D)
+        for a, b, g in enumerate_ideals(o, 40):
+            assert min_bound_holds(classify_triple(o, a, b, g)), (D, a, b, g)

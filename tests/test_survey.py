@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree
+from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.survey import (
@@ -17,20 +17,36 @@ from wrlat.survey import (
     reference_tables,
     run_survey,
 )
-from oracles import min_bound_holds
+from oracles import (
+    enumerate_ideals_scan,
+    min_bound_holds,
+    qd_from_xy,
+    qd_mul,
+    qd_norm,
+    qd_trace,
+    squarefree_by_factorization,
+    window_minimal_vectors,
+)
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
 _POOL = []
 for _D in SAMPLE_D:
-    _POOL.extend(enumerate_ideals(QuadOrder(_D), 40))
+    _O = QuadOrder(_D)
+    _POOL.extend((_O, a, b, g) for a, b, g in enumerate_ideals(_O, 40))
+
+
+def classify(a, b, g, D):
+    """classify_triple behind the IdealTriple gate, as `wrlat classify` runs it."""
+    t = IdealTriple(a, b, g, QuadOrder(D))
+    return classify_triple(t.order, t.a, t.b, t.g)
 
 
 # ---------------------------------------------------------------------------
 # single-triple classification
 
 def test_classify_square_lattice():
-    rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(-1)))
+    rec = classify(1, 0, 1, -1)
     assert (rec.D, rec.a, rec.b, rec.g, rec.norm) == (-1, 1, 0, 1, 1)
     assert rec.minimum == 1
     assert rec.n_minimal == 4
@@ -39,41 +55,43 @@ def test_classify_square_lattice():
 
 
 def test_classify_hexagonal_lattice():
-    rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(-3)))
+    rec = classify(1, 0, 1, -3)
     assert rec.minimum == 1 and rec.n_minimal == 6
     assert rec.wr and rec.hexagonal
 
 
 def test_classify_family_seed():
-    rec = classify_triple(IdealTriple(2, 0, 1, QuadOrder(-15)))
+    rec = classify(2, 0, 1, -15)
     assert rec.norm == 2 and rec.minimum == 4
     assert rec.n_minimal == 4 and rec.wr and not rec.hexagonal
 
 
 def test_classify_real_principal_not_wr():
-    rec = classify_triple(IdealTriple(1, 0, 1, QuadOrder(5)))
+    rec = classify(1, 0, 1, 5)
     assert rec.minimum == 2
     assert rec.n_minimal == 2 and not rec.wr
 
 
 def test_classify_real_hexagonal():
     # the one real hexagonal case: D = 3, triple (2, 1, 1)
-    rec = classify_triple(IdealTriple(2, 1, 1, QuadOrder(3)))
+    rec = classify(2, 1, 1, 3)
     assert rec.n_minimal == 6 and rec.hexagonal
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
-    rec = classify_triple(trip)
+    order, a, b, g = trip
+    rec = classify_triple(order, a, b, g)
     assert isinstance(rec, tuple) and type(rec.minimum) is int
-    assert rec.norm == trip.a * trip.g
+    assert (rec.D, rec.a, rec.b, rec.g) == (order.D, a, b, g)
+    assert rec.norm == a * g
     assert rec.minimum > 0
     assert rec.n_minimal in (2, 4, 6)
     assert rec.wr == (rec.n_minimal >= 4)
     assert rec.hexagonal == (rec.n_minimal == 6)
     assert min_bound_holds(rec)
-    assert rec.order_maximal == trip.order.maximal
+    assert rec.order_maximal == order.maximal
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +147,51 @@ def test_survey_sorted_deterministically():
     keys = [(r.D, r.norm, r.a, r.b, r.g) for r in records]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def oracle_norm_form(D, a, b, g):
+    """(c1, c2, c3) of the embedded ideal from exact arithmetic in Q(sqrt(D)):
+    Q(m, n) is N(z) for D < 0 and Tr(z^2) for D > 0, z = m*a + n*(b + g*delta)."""
+    def q(m, n):
+        z = qd_from_xy(D, D % 4 == 1, m * a + n * b, n * g)
+        return qd_norm(z, D) if D < 0 else qd_trace(qd_mul(z, z, D))
+
+    c1, c3 = q(1, 0), q(0, 1)
+    return c1, q(1, 1) - c1 - c3, c3
+
+
+def assert_records_match_oracles(records, d_min, d_max, norm_bound):
+    """Each radicand's triples are the scan's, in order, and each record's
+    minimum and minimal vector count are the window search's on the norm form."""
+    ds = [D for D in range(d_min, d_max + 1) if is_valid_radicand(D)]
+    assert sorted({r.D for r in records}) == ds
+    for D in ds:
+        recs = [r for r in records if r.D == D]
+        assert [(r.a, r.b, r.g) for r in recs] == enumerate_ideals_scan(QuadOrder(D), norm_bound)
+        for r in recs:
+            minimum, vecs = window_minimal_vectors(*oracle_norm_form(D, r.a, r.b, r.g))
+            assert (r.minimum, r.n_minimal) == (minimum, len(vecs)), r
+            assert (r.wr, r.hexagonal) == (len(vecs) >= 4, len(vecs) == 6), r
+            assert r.norm == r.a * r.g and min_bound_holds(r)
+            assert r.order_maximal == squarefree_by_factorization(abs(D))
+
+
+def test_survey_records_match_oracles():
+    # both signs, D = +-3, and non-maximal orders such as D = -12, whose
+    # ideal (4, 2, 1) has a hexagonal lattice
+    records, _ = run_survey(SurveyConfig(d_min=-45, d_max=45, norm_bound=30))
+    assert_records_match_oracles(records, -45, 45, 30)
+    key = {(r.D, r.a, r.b, r.g): r for r in records}
+    assert key[(-12, 4, 2, 1)].hexagonal and not key[(-12, 4, 2, 1)].order_maximal
+    assert key[(-3, 1, 0, 1)].hexagonal and key[(3, 2, 1, 1)].hexagonal
+    assert not any(r.order_maximal for r in records if r.D in (-12, 8, 12, 45))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-3000, 3000), st.integers(0, 6), st.integers(1, 60))
+def test_survey_records_match_oracles_random(d_min, width, norm_bound):
+    records, _ = run_survey(SurveyConfig(d_min=d_min, d_max=d_min + width, norm_bound=norm_bound))
+    assert_records_match_oracles(records, d_min, d_min + width, norm_bound)
 
 
 def test_survey_worker_count_is_invisible():

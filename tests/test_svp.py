@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wrlat import svp
 from wrlat.arith import QuadOrder, euler_phi
 from wrlat.cyclo import cyclo_field, element, gram_principal
-from wrlat.ideals import enumerate_ideals
+from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal, minimal_vectors
 from wrlat.svp import (
     MAX_ENUM_DIM,
@@ -252,7 +252,8 @@ def test_enumerate_planar_agreement():
     rng = random.Random(808)
     pool = []
     for D in (-15, -5, -3, 2, 3, 21, 165):
-        pool.extend(enumerate_ideals(QuadOrder(D), 40))
+        o = QuadOrder(D)
+        pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, 40))
     for t in rng.sample(pool, 60):
         f = form_from_ideal(t)
         ms = minimal_vectors(f)
