@@ -9,9 +9,9 @@ vectors p, q it ends on.  Every answer is read off the reduced coefficients:
 the minimum is c1, the lattice is well-rounded exactly when c1 = c3, and
 hexagonal exactly when also c1 = c2 (Buchmann & Vollmer, Binary Quadratic
 Forms).  A survey classifies each ideal from the reduced coefficients alone,
-in survey.classify_triple, which also checks the minimum bound; the
-BinaryForm and MinimalSet objects, and the expansion of the basis into
-vectors, serve only where vectors are printed.  Everything is exact.
+in survey.classify_triple, which also checks the minimum bound; BinaryForm
+serves the families, and minimal_vectors expands the basis into vectors only
+for the tables, which print them.  Everything is exact.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
 from wrlat.arith import MAX_RADICAND, euler_phi
-from wrlat.errors import InvariantViolation
 from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.svp import MAX_ENUM_DIM
 
