@@ -184,9 +184,9 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     )
 
 
-def _form_value(g2, c) -> int:
-    """c^T (2G) c for an integer vector c."""
-    return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, g2) if ci)
+def _form_value(a, c) -> int:
+    """c^T A c for an integer matrix A and an integer vector c."""
+    return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, a) if ci)
 
 
 _ROTATION_TRIALS = 100  # random vectors w checked for |zeta*w| = |w|
@@ -197,20 +197,19 @@ def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
 
     Also spot-checks rotation invariance: multiplying the ring coordinate
     vector by zeta leaves the quadratic form value unchanged, exactly, on
-    the integer matrix 2G.
+    the integer matrix sG that GramMatrix keeps (s divides 2, as the entries
+    of G are half-integers).
     """
     G = gram_principal(F, x)
-    doubled = [[2 * Fraction(v) for v in row] for row in G.entries]
-    if any(v.denominator != 1 for row in doubled for v in row):
+    if 2 % G.scale:
         raise InvariantViolation(
             f"Gram entry not a half-integer (k={F.k}, generator={list(x.coeffs)})"
         )
-    g2 = [[int(v) for v in row] for row in doubled]
     rng = rng if rng is not None else random.Random(20210)
     for _ in range(_ROTATION_TRIALS):
         w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
         rotated = w.times_zeta()
-        if _form_value(g2, rotated.coeffs) != _form_value(g2, w.coeffs):
+        if _form_value(G.scaled, rotated.coeffs) != _form_value(G.scaled, w.coeffs):
             raise InvariantViolation(
                 f"rotation by zeta changed a vector length "
                 f"(k={F.k}, generator={list(x.coeffs)}, w={list(w.coeffs)})"

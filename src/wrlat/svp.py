@@ -1,25 +1,29 @@
 """Exact shortest-vector computation for small rational Gram matrices.
 
-LLL (delta = 3/4) runs directly on the Gram matrix in exact rational
-arithmetic, then a depth-first Fincke-Pohst walk enumerates every vector
-attaining the minimum: its bound starts at the smallest diagonal entry of the
-reduced matrix and tightens to the best value seen.  The walk itself runs on
-integers: once per enumeration, column j of mu is scaled by the lcm M_j of its
-denominators, and the bound and each d_j/M_j^2 by one common denominator Q,
-giving integer level weights E_j = Q*d_j/M_j^2 and bound B = Q*bound.  Every
-comparison is then Q times the rational one, so the visiting order, the
-minimum and the vectors are exactly those of the walk in fractions.  Whether
-the minimal vectors span the space is decided by an integer echelon built one
-vector at a time, which stops as soon as the rank is full.  Dimensions are
-capped at MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
+Everything runs on integers.  GramMatrix clears the denominators of G once,
+into the integer matrix sG (s the lcm of the entry denominators), and
+factors it by integral Gram-Schmidt (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.6.7, after de Weger): d[i] is the leading
+principal minor of order i, d[0] = 1, and lam_ij = d[j+1]*mu_ij, for the
+Gram-Schmidt coefficients mu and the squared Gram-Schmidt lengths
+d[i+1]/d[i].  Every entry is an integer and every division is exact; the
+factorization is also the positive-definiteness check (every d[i] > 0).
 
-The LDL factorization G = L diag(d) L^T, whose L is the Gram-Schmidt
-coefficient matrix mu and whose d holds the squared Gram-Schmidt lengths, is
-computed once per matrix: GramMatrix computes it as its positive-definiteness
-check and keeps it.  LLL starts from it and updates mu and d in place after
-each size reduction and swap (Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 2.6.3) and returns them with the basis change U; it never
-forms U^T G U, as enumeration reads its walk and starting bound off mu and d.
+LLL (delta = 3/4) starts from (lam, d) and updates both in place after each
+size reduction and swap.  It rounds as floor(mu + 1/2) and runs the Lovasz
+test in integers, so it makes the decisions, and returns the basis change U,
+of the same LLL in fractions; it never forms U^T G U, as enumeration reads
+its walk and starting bound off lam and d.  A depth-first Fincke-Pohst walk
+then enumerates every vector attaining the minimum, with integer level
+weights E_j = Q/(d[j] d[j+1]), Q = lcm_j(d[j] d[j+1]): its bound starts at Q
+times the smallest diagonal entry of the reduced matrix and tightens to the
+best value seen.  Every comparison is Q times the rational one, so the
+visiting order, the minimum and the vectors are exactly those of the walk in
+fractions, and the minimum of G is best/(Q*s), the one Fraction built here.
+The vectors are mapped through U in one pass over its rows.  Whether they
+span the space is decided by an integer echelon built one vector at a time,
+which stops as soon as the rank is full.  Dimensions are capped at
+MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
 """
 
 from __future__ import annotations
@@ -32,19 +36,20 @@ from fractions import Fraction
 
 MAX_ENUM_DIM = 24
 
-_LOVASZ = Fraction(3, 4)
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric positive definite matrix with exact rational entries.
 
-    ``ldl`` is the pair (mu, d) of ``_ldl``, computed by the constructor as
-    its positive-definiteness check.
+    The constructor clears the denominators once: ``scale`` is the lcm s of
+    the entry denominators and ``scaled`` the integer matrix s*G.  ``ldl`` is
+    the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on s*G, computed as the
+    positive-definiteness check.
     """
 
     entries: tuple[tuple[Fraction | int, ...], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,11 +60,13 @@ class GramMatrix:
             raise ValueError("matrix must be non-empty")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "ldl", _ldl(rows))  # raises if not positive definite
+        s = math.lcm(*(v.denominator for row in rows for v in row))
+        scaled = tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row in rows)
+        if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
+        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "ldl", _ldl(scaled))  # raises if not positive definite
 
     @property
     def n(self) -> int:
@@ -73,107 +80,112 @@ class ShortVectorReport:
     span_rank: int
 
 
-def _ldl(g):
-    """Unit lower triangular L and positive diagonal d with G = L diag(d) L^T.
+def _ldl(a):
+    """Integral Gram-Schmidt (lam, d) of an integer matrix (Cohen, Alg. 2.6.7).
 
-    L doubles as the Gram-Schmidt coefficient matrix mu and d as the squared
-    lengths of the orthogonalized vectors.
+    d[i] is the leading principal minor of order i, d[0] = 1, and row i of lam
+    holds lam_ij = d[j+1]*mu_ij for j < i, where mu is the unit lower
+    triangular L of A = L diag(d[i+1]/d[i]) L^T.  Every entry is an integer
+    and every division is exact; the matrix is positive definite exactly
+    when every d[i] > 0.
     """
-    n = len(g)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        Li = L[i]
-        r = []  # r[j] = L[i][j] * d[j]
-        for j in range(i):
-            s = Fraction(g[i][j]) - sum(map(operator.mul, r, L[j]))
-            r.append(s)
-            Li[j] = s / d[j]
-        s = Fraction(g[i][i]) - sum(map(operator.mul, r, Li))
-        if s <= 0:
+    lam = []
+    d = [1]
+    for i, row in enumerate(a):
+        li = []
+        for j in range(i + 1):
+            lj = lam[j] if j < i else li
+            u = row[j]
+            for k in range(j):
+                u = (d[k + 1] * u - li[k] * lj[k]) // d[k]
+            li.append(u)
+        di = li.pop()
+        if di <= 0:
             raise ValueError("matrix is not positive definite")
-        d[i] = s
-        Li[i] = Fraction(1)
-    return tuple(map(tuple, L)), tuple(d)
+        lam.append(li)
+        d.append(di)
+    return tuple(map(tuple, lam)), tuple(d)
 
 
-def _swap(t, mu, d, k):
-    """Exchange b_(k-1) and b_k, updating mu and d in place (Cohen, Alg. 2.6.3, SWAP)."""
+def _swap(t, lam, d, k):
+    """Exchange b_(k-1) and b_k, updating lam and d in place (Cohen, Alg. 2.6.7, SWAPI)."""
     t[k - 1], t[k] = t[k], t[k - 1]
-    mk, mp = mu[k], mu[k - 1]
-    for j in range(k - 1):
-        mk[j], mp[j] = mp[j], mk[j]
-    m = mk[k - 1]
-    b = d[k] + m * m * d[k - 1]
-    mk[k - 1] = m * d[k - 1] / b
-    d[k] = d[k - 1] * d[k] / b
-    d[k - 1] = b
-    for i in range(k + 1, len(d)):
-        mi = mu[i]
-        x = mi[k]
-        mi[k] = mi[k - 1] - m * x
-        mi[k - 1] = x + mk[k - 1] * mi[k]
+    lk = lam[k]
+    m = lk[k - 1]
+    lam[k - 1], lam[k] = lk[:-1], lam[k - 1] + [m]
+    b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+    for i in range(k + 1, len(lam)):
+        li = lam[i]
+        x = li[k]
+        li[k] = (d[k + 1] * li[k - 1] - m * x) // d[k]
+        li[k - 1] = (b * x + m * li[k]) // d[k + 1]
+    d[k] = b
 
 
 def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
-    """LLL reduction of the Gram matrix.
+    """LLL reduction (delta = 3/4) of the Gram matrix, on integers.
 
-    Returns (mu, d, U): U is unimodular, mu and d are the LDL factors of the
-    reduced matrix U^T G U, and a vector with coordinates w in the reduced
-    basis has coordinates U @ w in the original one.
+    Returns (lam, d, U): U is unimodular, lam and d are the integral
+    Gram-Schmidt pair of the reduced matrix U^T (sG) U, and a vector with
+    coordinates w in the reduced basis has coordinates U @ w in the original
+    one.  Row k is size reduced against j = k-1, ..., 0 with
+    q = floor(mu_kj + 1/2) = (2 lam_kj + d[j+1]) // (2 d[j+1]), then the
+    Lovasz test d[k+1]/d[k] >= (3/4 - mu^2) d[k]/d[k-1], mu = lam_k,k-1/d[k],
+    is read as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_k,k-1^2: the decisions,
+    and so U, are those of the same LLL in fractions.
     """
     n = G.n
     t = [[int(i == j) for j in range(n)] for i in range(n)]
-    mu = [list(row) for row in G.ldl[0]]
+    lam = [list(row) for row in G.ldl[0]]
     d = list(G.ldl[1])
     k = 1
     while k < n:
-        mk = mu[k]
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = math.floor(mk[j] + _HALF)
+            dj = d[j + 1]
+            q = (2 * lk[j] + dj) // (2 * dj)
             if q:
                 t[k] = [a - q * b for a, b in zip(t[k], t[j])]
-                mj = mu[j]
+                lj = lam[j]
                 for i in range(j):
-                    mk[i] -= q * mj[i]
-                mk[j] -= q
-        if d[k] >= (_LOVASZ - mk[k - 1] ** 2) * d[k - 1]:
+                    lk[i] -= q * lj[i]
+                lk[j] -= q * dj
+        m = lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
         else:
-            _swap(t, mu, d, k)
+            _swap(t, lam, d, k)
             k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))  # transpose
-    return mu, d, u
+    return lam, d, u
 
 
-def _walk(mu, d, bound):
+def _walk(lam, d):
     """Depth-first enumeration of the nonzero vectors of least form value.
 
-    Some vector must attain the starting bound; the bound then tightens to the
-    best value seen, so the vectors kept are exactly those attaining the
-    minimum.  Returns (minimum, vectors) in the coordinates of mu and d.
+    Returns (best, Q, vectors): the minimum of the form of (lam, d) is best/Q,
+    and the vectors attaining it are in the coordinates of lam and d.
 
-    The walk runs on integers, scaled once before it starts.  M_j is the lcm
-    of the denominators of column j of mu below the diagonal, so that
-    mu'_ij = M_j*mu_ij is an integer; Q is the lcm of the denominators of the
-    bound and of every d_j/M_j^2, so that E_j = Q*d_j/M_j^2 and B = Q*bound
-    are integers.  At level j the centre is -C/M_j with C = sum mu'_ij*x_i,
-    and x_j = k adds Q*d_j*(k + C/M_j)^2 = E_j*(M_j*k + C)^2 to the scaled
-    partial sum.  Every value is Q times the rational one, so the visiting
-    order, the minimum and the vector list are those of the same walk done
-    in fractions.
+    The walk runs on integers read off (lam, d).  Column j of mu has the
+    common denominator M_j = d[j+1], with numerators lam_ij; the squared
+    Gram-Schmidt length d[j+1]/d[j] over M_j^2 is 1/(d[j] d[j+1]), so with
+    Q = lcm_j(d[j] d[j+1]) the level weights E_j = Q/(d[j] d[j+1]) are
+    integers.  At level j the centre is -C/M_j with C = sum lam_ij*x_i, and
+    x_j = k adds E_j*(M_j*k + C)^2, Q times the rational step.  The walk starts
+    from Q times the smallest diagonal entry, min_i sum_j lam_ij^2*E_j with
+    lam_ii = d[i+1], which a basis vector attains; the bound then tightens to
+    the best value seen, so the vectors kept are exactly those attaining the
+    minimum.  Every value is Q times the rational one, so the visiting order,
+    the minimum and the vector list are those of the same walk in fractions.
     """
-    n = len(d)
-    scale = [math.lcm(*(mu[i][j].denominator for i in range(j + 1, n))) for j in range(n)]
-    cols = [
-        [mu[i][j].numerator * (m // mu[i][j].denominator) for i in range(j + 1, n)]
-        for j, m in enumerate(scale)
-    ]
-    ratios = [Fraction(dj) / (m * m) for dj, m in zip(d, scale)]
-    bound = Fraction(bound)
-    q = math.lcm(bound.denominator, *(r.denominator for r in ratios))
-    weight = [r.numerator * (q // r.denominator) for r in ratios]
-    best = bound.numerator * (q // bound.denominator)
+    n = len(lam)
+    cols = [[lam[i][j] for i in range(j + 1, n)] for j in range(n)]
+    q = math.lcm(*(a * b for a, b in zip(d, d[1:])))
+    weight = [q // (a * b) for a, b in zip(d, d[1:])]
+    best = min(
+        sum(m * m * e for m, e in zip(row, weight) if m) + d[i + 1] ** 2 * weight[i]
+        for i, row in enumerate(lam)
+    )
     x = [0] * n
     found: list[tuple[int, ...]] = []
 
@@ -186,7 +198,7 @@ def _walk(mu, d, bound):
                     found.clear()
                 found.append(tuple(x))
             return
-        m, e = scale[j], weight[j]
+        m, e = d[j + 1], weight[j]
         c = sum(map(operator.mul, cols[j], x[j + 1:]))
         start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
         # upwards from the nearest integer, then downwards from the one below it
@@ -201,11 +213,12 @@ def _walk(mu, d, bound):
         x[j] = 0
 
     descend(n - 1, 0)
-    return Fraction(best, q), found
+    return best, q, found
 
 
-def _apply(u, w):
-    return tuple(sum(u[r][c] * w[c] for c in range(len(w))) for r in range(len(w)))
+def _apply(u, vecs):
+    """U @ w for every w in vecs, in one pass over the rows of U."""
+    return zip(*([sum(map(operator.mul, row, w)) for w in vecs] for row in u))
 
 
 def _span_rank(vectors) -> int:
@@ -235,14 +248,12 @@ def _span_rank(vectors) -> int:
 def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     """Minimum of the lattice and every vector attaining it.
 
-    The initial enumeration bound is the smallest diagonal entry after LLL,
-    which a basis vector always attains; entry i of U^T G U is
-    sum_j mu_ij^2 d_j, as mu_ii = 1 and mu_ij = 0 for j > i.
+    LLL and the walk run on the scaled matrix sG, whose minimum the walk
+    returns as best/Q; the minimum of G is best/(Q*s).
     """
     if G.n > MAX_ENUM_DIM:
         raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
-    mu, d, u = lll_reduce(G)
-    bound = min(sum(m * m * dj for m, dj in zip(row, d) if m) for row in mu)
-    minimum, vecs = _walk(mu, d, bound)
-    mapped = sorted(_apply(u, w) for w in vecs)
-    return ShortVectorReport(minimum, tuple(mapped), _span_rank(mapped))
+    lam, d, u = lll_reduce(G)
+    best, q, vecs = _walk(lam, d)
+    mapped = sorted(_apply(u, vecs))
+    return ShortVectorReport(Fraction(best, q * G.scale), tuple(mapped), _span_rank(mapped))

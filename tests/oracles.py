@@ -4,14 +4,15 @@ Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data.  Some are the package's own former algorithms, kept as
-references after a faster one replaced them (lll_rebuild, span_rank_fraction,
-walk_fraction, window_minimal_vectors, gram_by_products, enumerate_ideals_scan)
-or after the package stopped needing them (hnf_triple, the canonical triple of
-an ideal from its generators, and is_similar, lattice similarity of two binary
-forms).
+references after a faster one replaced them (lll_rebuild, lll_fraction,
+span_rank_fraction, walk_fraction, window_minimal_vectors, gram_by_products,
+enumerate_ideals_scan) or after the package stopped needing them (hnf_triple,
+the canonical triple of an ideal from its generators, and is_similar, lattice
+similarity of two binary forms).
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -379,6 +380,97 @@ def lll_rebuild(entries):
                 k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))
     return tuple(tuple(row) for row in g), u
+
+
+# ---------------------------------------------------------------------------
+# LLL in fractions, updating mu and d in place (Cohen, Alg. 2.6.3)
+
+def _fraction_ldl(g):
+    """Unit lower triangular L and positive diagonal d with G = L diag(d) L^T.
+
+    L doubles as the Gram-Schmidt coefficient matrix mu and d as the squared
+    lengths of the orthogonalized vectors.
+    """
+    n = len(g)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for i in range(n):
+        Li = L[i]
+        r = []  # r[j] = L[i][j] * d[j]
+        for j in range(i):
+            s = Fraction(g[i][j]) - sum(map(operator.mul, r, L[j]))
+            r.append(s)
+            Li[j] = s / d[j]
+        s = Fraction(g[i][i]) - sum(map(operator.mul, r, Li))
+        if s <= 0:
+            raise ValueError("matrix is not positive definite")
+        d[i] = s
+        Li[i] = Fraction(1)
+    return tuple(map(tuple, L)), tuple(d)
+
+
+def _fraction_swap(t, mu, d, k):
+    """Exchange b_(k-1) and b_k, updating mu and d in place (Cohen, Alg. 2.6.3, SWAP)."""
+    t[k - 1], t[k] = t[k], t[k - 1]
+    mk, mp = mu[k], mu[k - 1]
+    for j in range(k - 1):
+        mk[j], mp[j] = mp[j], mk[j]
+    m = mk[k - 1]
+    b = d[k] + m * m * d[k - 1]
+    mk[k - 1] = m * d[k - 1] / b
+    d[k] = d[k - 1] * d[k] / b
+    d[k - 1] = b
+    for i in range(k + 1, len(d)):
+        mi = mu[i]
+        x = mi[k]
+        mi[k] = mi[k - 1] - m * x
+        mi[k - 1] = x + mk[k - 1] * mi[k]
+
+
+def lll_fraction(entries):
+    """LLL (delta = 3/4) on a Gram matrix in fractions.
+
+    Returns (mu, d, U): U is unimodular, mu and d are the LDL factors of the
+    reduced matrix U^T G U (mu with ones on its diagonal), and a vector with
+    coordinates w in the reduced basis has coordinates U @ w in the original
+    one.
+    """
+    n = len(entries)
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    L, d = _fraction_ldl(entries)
+    mu = [list(row) for row in L]
+    d = list(d)
+    k = 1
+    while k < n:
+        mk = mu[k]
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mk[j] + Fraction(1, 2))
+            if q:
+                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        if d[k] >= (Fraction(3, 4) - mk[k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            _fraction_swap(t, mu, d, k)
+            k = max(k - 1, 1)
+    u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))  # transpose
+    return mu, d, u
+
+
+def fraction_gram_schmidt(lam, d, scale=1):
+    """(mu, lengths) in fractions from an integral Gram-Schmidt pair (lam, d)
+    of the matrix scale*G: mu_ij = lam_ij/d[j+1] below the diagonal, ones on
+    it, and lengths_j = d[j+1]/(d[j]*scale), the squared Gram-Schmidt lengths
+    of G.  Lists of lists, like ``ldl_factor`` and ``lll_fraction``."""
+    n = len(lam)
+    mu = [
+        [Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    return mu, [Fraction(d[j + 1], d[j] * scale) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from wrlat.svp import GramMatrix, enumerate_shortest, lll_reduce
 from oracles import (
     box_form_minimum,
     box_form_minimum_np,
+    fraction_gram_schmidt,
     min_bound_holds,
     newton_trace_table,
     transform_gram,
@@ -186,9 +187,10 @@ def test_hard_principal_ideals_of_zeta_35():
             assert (rep.minimum, len(rep.vectors), rep.span_rank) == (minimum, 70, 24), seed
             assert verify_principal_ideal_wr(F, x, rng=rng), seed
             if seed == 3:
-                mu, d, u = lll_reduce(G)
+                lam, d, u = lll_reduce(G)
                 red = transform_gram(G.entries, u)
-                omin, ovecs = walk_fraction(mu, d, min(red[i][i] for i in range(F.phi)))
+                mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
+                omin, ovecs = walk_fraction(mu, lengths, min(red[i][i] for i in range(F.phi)))
                 assert omin == rep.minimum
                 mapped = sorted(
                     tuple(sum(u[r][c] * w[c] for c in range(F.phi)) for r in range(F.phi))

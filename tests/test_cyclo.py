@@ -318,3 +318,8 @@ def test_rotation_check_requires_half_integral_gram(monkeypatch):
     monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: third)
     with pytest.raises(InvariantViolation, match="half-integer"):
         verify_principal_ideal_wr(F, element(F, [1]))
+    # the check is that the denominators clear with s | 2: quarters fail too
+    quarter = GramMatrix(((1, Fraction(1, 4)), (Fraction(1, 4), 1)))
+    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: quarter)
+    with pytest.raises(InvariantViolation, match="half-integer"):
+        verify_principal_ideal_wr(F, element(F, [1]))

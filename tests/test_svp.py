@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from wrlat.svp import (
 from oracles import (
     box_gram_minimum,
     box_gram_within,
+    fraction_gram_schmidt,
     ldl_factor,
+    lll_fraction,
     lll_rebuild,
     span_rank_fraction,
     transform_gram,
@@ -97,8 +100,8 @@ def test_lll_transform_soundness():
     for n in (2, 3, 4, 5):
         for _ in range(20):
             G = random_gram(rng, n)
-            mu, d, u = lll_reduce(G)
-            assert (mu, d) == ldl_factor(transform_gram(G.entries, u))
+            lam, d, u = lll_reduce(G)
+            assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(transform_gram(G.entries, u))
             # integer unimodular: check det via row reduction over fractions
             m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
             det = Fraction(1)
@@ -134,33 +137,85 @@ def _lll_inputs():
             yield f"random n={n} #{i}", random_gram(rng, n)
 
 
+def _is_integral_pair(lam, d, n):
+    """lam has rows of length 0..n-1, d has n+1 entries from d[0] = 1, all ints."""
+    return (
+        [len(row) for row in lam] == list(range(n))
+        and len(d) == n + 1
+        and d[0] == 1
+        and all(type(x) is int for x in chain(d, *lam))
+    )
+
+
 def test_lll_matches_rebuilding_oracle():
-    """In-place Gram-Schmidt updates give exactly the reduction that a full
-    LDL after every step gives, and the mu and d returned are the LDL of the
-    reduced matrix."""
+    """In-place integral Gram-Schmidt updates give exactly the reduction that
+    a full LDL after every step gives, and the lam and d stored and returned
+    are the LDL of the matrix and of the reduced matrix, as mu_ij =
+    lam_ij/d[j+1] and squared lengths d[j+1]/(d[j]*s)."""
     for label, G in _lll_inputs():
-        L, d = ldl_factor(G.entries)
-        assert G.ldl == (tuple(map(tuple, L)), tuple(d)), label
-        mu, d, u = lll_reduce(G)
+        assert _is_integral_pair(*G.ldl, G.n), label
+        assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(G.entries), label
+        lam, d, u = lll_reduce(G)
         red = transform_gram(G.entries, u)
         assert (red, u) == lll_rebuild(G.entries), label
-        assert (mu, d) == ldl_factor(red), label
+        assert _is_integral_pair(lam, d, G.n), label
+        assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(red), label
 
 
 def test_lll_conditions():
-    """The returned mu and d are size reduced and satisfy the Lovasz condition
-    with delta = 3/4, checked directly rather than against an oracle."""
+    """The returned lam and d are size reduced, |2 lam_kj| <= d[j+1], and
+    satisfy the Lovasz condition with delta = 3/4 in its integer form
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_k,k-1^2, checked directly rather than
+    against an oracle."""
     for label, G in _lll_inputs():
-        mu, d, _ = lll_reduce(G)
+        lam, d, _ = lll_reduce(G)
         for i in range(G.n):
-            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), label
+            assert all(abs(2 * lam[i][j]) <= d[j + 1] for j in range(i)), label
         for k in range(1, G.n):
-            assert d[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * d[k - 1], label
+            m = lam[k][k - 1]
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m, label
+
+
+def test_integer_lll_matches_fraction_lll():
+    """The integer LLL makes the decisions of the LLL in fractions: the same
+    U, mu_ij = lam_ij/d[j+1] and Gram-Schmidt lengths d[j+1]/d[j] of sG, on
+    the LLL inputs and on random Gram matrices scaled by 1, 1/7 and 3/2."""
+    for label, G in chain(_lll_inputs(), _scaled_random_inputs()):
+        lam, d, u = lll_reduce(G)
+        mu, lengths, want_u = lll_fraction(G.entries)
+        assert u == want_u, label
+        assert _is_integral_pair(lam, d, G.n), label
+        for i in range(G.n):
+            assert all(Fraction(lam[i][j], d[j + 1]) == mu[i][j] for j in range(i)), label
+        assert [Fraction(d[j + 1], d[j]) for j in range(G.n)] == [
+            G.scale * x for x in lengths
+        ], label
+
+
+def test_lll_rounds_exact_ties_upwards():
+    """mu = +1/2 and -1/2 exactly round as floor(mu + 1/2), to 1 and 0, in
+    the last column and at j < k-1, as in the rebuilding oracle; skipping
+    every |mu| <= 1/2 would leave the +1/2 ties unreduced and change U."""
+    half = Fraction(1, 2)
+    cases = (
+        (((2, 1), (1, 2)), {(1, 0): half}),
+        (((2, -1), (-1, 2)), {(1, 0): -half}),
+        (((1, half), (half, 1)), {(1, 0): half}),
+        (((2, 0, 1), (0, 2, 0), (1, 0, 2)), {(1, 0): 0, (2, 1): 0, (2, 0): half}),
+        (((2, 0, -1), (0, 2, 0), (-1, 0, 2)), {(1, 0): 0, (2, 1): 0, (2, 0): -half}),
+    )
+    for entries, ties in cases:
+        G = GramMatrix(entries)
+        mu = fraction_gram_schmidt(*G.ldl, G.scale)[0]
+        assert {ij: mu[ij[0]][ij[1]] for ij in ties} == ties, entries
+        u = lll_reduce(G)[2]
+        assert (transform_gram(G.entries, u), u) == lll_rebuild(entries), entries
 
 
 def test_enumeration_reuses_stored_ldl(monkeypatch):
     F = cyclo_field(12)
     G = gram_principal(F, element(F, [1, 2, 0, -1]))
+    assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(G.entries)
     calls = []
     real_ldl = svp._ldl
 
@@ -179,13 +234,10 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _walk_inputs():
-    """The rings and principal ideals of _lll_inputs, and seeded random Gram
-    matrices for n = 1..8 scaled by 1, 1/7 and 3/2, so that mu, d and the
-    bound have denominators beyond those of the Gram matrix itself."""
-    for label, G in _lll_inputs():
-        if not label.startswith("random"):
-            yield label, G
+def _scaled_random_inputs():
+    """Seeded random Gram matrices for n = 1..8 scaled by 1, 1/7 and 3/2, so
+    that mu, d and the bound have denominators beyond those of the Gram matrix
+    itself."""
     rng = random.Random(7007)
     for n in range(1, 9):
         for i in range(3):
@@ -195,30 +247,49 @@ def _walk_inputs():
                 yield f"random n={n} #{i} x{s}", GramMatrix(rows)
 
 
+def _walk_inputs():
+    """The rings and principal ideals of _lll_inputs, and the scaled random
+    Gram matrices."""
+    for label, G in _lll_inputs():
+        if not label.startswith("random"):
+            yield label, G
+    yield from _scaled_random_inputs()
+
+
 def test_walk_matches_fraction_oracle(monkeypatch):
     """The integer walk visits the same vectors in the same order as the walk
-    in fractions, on the mu, d and starting bound that enumeration gives it:
-    the LDL factors and the smallest diagonal entry of the reduced matrix."""
+    in fractions, on the LDL factors of the reduced matrix that enumeration
+    gives it as (lam, d) and from the smallest diagonal entry of the reduced
+    matrix, which its weights E_j = Q/(d[j] d[j+1]) reproduce as
+    sum_j lam_ij^2 E_j with lam_ii = d[i+1]."""
     walks = []
     real_walk = svp._walk
 
-    def recording_walk(mu, d, bound):
-        walks.append((mu, d, bound, real_walk(mu, d, bound)))
+    def recording_walk(lam, d):
+        walks.append((lam, d, real_walk(lam, d)))
         return walks[-1][-1]
 
     monkeypatch.setattr(svp, "_walk", recording_walk)
     fractional_bounds = 0
     for label, G in _walk_inputs():
-        enumerate_shortest(G)
-        [(mu, d, bound, (minimum, vectors))] = walks
+        rep = enumerate_shortest(G)
+        [(lam, d, (best, q, vectors))] = walks
         walks.clear()
         red = transform_gram(G.entries, lll_reduce(G)[2])
-        assert (mu, d) == ldl_factor(red), label
-        assert bound == min(red[i][i] for i in range(G.n)), label
+        mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
+        assert (mu, lengths) == ldl_factor(red), label
+        weight = [Fraction(q, a * b) for a, b in zip(d, d[1:])]
+        assert all(e.denominator == 1 for e in weight), label
+        diagonal = [
+            sum(m * m * e for m, e in zip(list(row) + [d[i + 1]], weight))
+            for i, row in enumerate(lam)
+        ]
+        assert diagonal == [q * G.scale * red[i][i] for i in range(G.n)], label
+        bound = min(red[i][i] for i in range(G.n))
         fractional_bounds += Fraction(bound).denominator > 1
-        want_minimum, want_vectors = walk_fraction(mu, d, bound)
-        assert minimum == want_minimum, label
-        assert type(minimum) is type(want_minimum) is Fraction, label
+        want_minimum, want_vectors = walk_fraction(mu, lengths, bound)
+        assert Fraction(best, q * G.scale) == rep.minimum == want_minimum, label
+        assert type(rep.minimum) is type(want_minimum) is Fraction, label
         assert vectors == want_vectors, label
     assert fractional_bounds
 
