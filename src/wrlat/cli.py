@@ -9,11 +9,10 @@ survey: a minimum below its bound).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
-from fractions import Fraction
 
 from .arith import QuadOrder, euler_phi
 from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
@@ -40,8 +39,8 @@ CYCLO_COLUMNS = (
 )
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+_YN = ("no", "yes")  # indexed by a bool
+_TF = ("false", "true")
 
 
 def _summary_line(summary: dict) -> str:
@@ -51,42 +50,43 @@ def _summary_line(summary: dict) -> str:
     )
 
 
-def render(args, rows, columns, text_lines, key=None, summary=None):
-    """Write `rows`, tuples of the values of `columns` in that order, to --out
-    or stdout in the requested format; only that format is built.
+def render(args, items, columns, text_lines, key=None, summary=None, *, row=None,
+           csv_lines=None):
+    """Write `items` to --out or stdout in the requested format, each line as
+    it is formatted.  `items` must be fully computed (a list, or a map over
+    one): an InvariantViolation then comes before this call, and a failed
+    command writes nothing and creates no --out.
 
-    JSON maps `columns` to each row's values: the one row itself when `key`
-    is None, else {key: [rows]}.  CSV is a header plus one line per row,
-    booleans as true/false.  Text is the lines of `text_lines(rows)`.  A
-    survey `summary` goes under "summary" in JSON, on the last text line, and
-    to stderr with CSV.  The whole output is built in memory before it is
-    written.
+    Each row, `row(item)` or else the item, holds the values of `columns`.
+    JSON maps `columns` to each row: the one row when `key` is None, else
+    {key: [rows]}.  CSV is a header plus the lines of `csv_lines(items)`, or
+    without it the csv module's line of each row (it quotes the tables' free
+    text), booleans as true/false.  Text is the lines of `text_lines(items)`.
+    Line formatters end each line with a newline.  A survey `summary` goes
+    under "summary" in JSON, on the last text line, and to stderr with CSV.
     """
     fmt = args.format or "text"
-    if fmt == "json":
-        dicts = [dict(zip(columns, row)) for row in rows]
-        obj = dicts[0] if key is None else {key: dicts}
-        if summary is not None:
-            obj["summary"] = summary
-        text = json.dumps(obj, indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(
-            [("true" if v else "false") if v.__class__ is bool else v for v in row] for row in rows
-        )
-        text = buf.getvalue()
-    else:
-        lines = list(text_lines(rows))
-        if summary is not None:
-            lines.append(_summary_line(summary))
-        text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = items if row is None else map(row, items)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if fmt == "json":
+            dicts = [dict(zip(columns, r)) for r in rows]
+            obj = dicts[0] if key is None else {key: dicts}
+            if summary is not None:
+                obj["summary"] = summary
+            fh.writelines((json.dumps(obj, indent=2), "\n"))
+        elif fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+            if csv_lines is not None:
+                fh.writelines(csv_lines(items))
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
+                )
+        else:
+            fh.writelines(text_lines(items))
+            if summary is not None:
+                fh.write(_summary_line(summary) + "\n")
     if summary is not None and fmt == "csv":
         print(_summary_line(summary), file=sys.stderr)
 
@@ -97,15 +97,22 @@ def _add_common(sub):
 
 
 def _record_row(r) -> tuple:
-    """A SurveyRecord in RECORD_COLUMNS order: the minimum splits into two cells."""
+    """A SurveyRecord in RECORD_COLUMNS order, for JSON: the minimum fills two cells."""
     return (*r[:5], r.minimum.numerator, r.minimum.denominator, *r[6:])
 
 
-def _record_lines(rows):
-    for D, a, b, g, norm, num, den, n_minimal, wr, hexagonal, maximal in rows:
+def _record_csv_lines(records):
+    # the minimum is an int, so minimum_den is 1
+    for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
+        yield (f"{D},{a},{b},{g},{norm},{minimum},1,{n_minimal},"
+               f"{_TF[wr]},{_TF[hexagonal]},{_TF[maximal]}\n")
+
+
+def _record_lines(records):
+    for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
         yield (
-            f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={Fraction(num, den)} "
-            f"nmin={n_minimal} wr={_yn(wr)} hex={_yn(hexagonal)} maximal={_yn(maximal)}"
+            f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={minimum} "
+            f"nmin={n_minimal} wr={_YN[wr]} hex={_YN[hexagonal]} maximal={_YN[maximal]}\n"
         )
 
 
@@ -114,7 +121,7 @@ def _cmd_classify(args) -> int:
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
     rec = classify_triple(t.order, t.a, t.b, t.g)
-    render(args, [_record_row(rec)], RECORD_COLUMNS, _record_lines)
+    render(args, [rec], RECORD_COLUMNS, _record_lines, row=_record_row, csv_lines=_record_csv_lines)
     return EXIT_OK if rec.wr else EXIT_NOT_WR
 
 
@@ -193,21 +200,21 @@ def _cmd_survey(args) -> int:
         print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
         return EXIT_BAD_INPUT
     records, summary = run_survey(SurveyConfig(**settings))
-    render(args, map(_record_row, records), RECORD_COLUMNS, _record_lines, key="records",
-           summary=summary)
+    render(args, records, RECORD_COLUMNS, _record_lines, key="records", summary=summary,
+           row=_record_row, csv_lines=_record_csv_lines)
     return EXIT_OK
 
 
 def _table_lines(rows):
     for family in ("imaginary", "real"):
-        yield f"{family} family:"
+        yield f"{family} family:\n"
         for fam, t, D, _, _, _, ideal, minimal, maximal, match in rows:
             if fam != family:
                 continue
             note = "" if maximal else " [non-maximal order]"
             flag = "MATCH" if match else "MISMATCH"
-            yield f"  t={t} D={D} I={ideal} minimal: {minimal}{note} {flag}"
-    yield "all rows match" if all(row.match for row in rows) else "MISMATCH detected"
+            yield f"  t={t} D={D} I={ideal} minimal: {minimal}{note} {flag}\n"
+    yield "all rows match\n" if all(row.match for row in rows) else "MISMATCH detected\n"
 
 
 def _cmd_tables(args) -> int:
@@ -229,7 +236,7 @@ def _family_lines(rows):
     for t, D, a, b, g, c1, c2, c3, p_prime, squarefree in rows:
         yield (
             f"t={t} D={D} (a,b,g)=({a},{b},{g}) form=({c1},{c2},{c3}) "
-            f"p_prime={_yn(p_prime)} squarefree={_yn(squarefree)}"
+            f"p_prime={_YN[p_prime]} squarefree={_YN[squarefree]}\n"
         )
 
 
@@ -245,13 +252,14 @@ def _cyclo_row(rep: CycloTheoremReport) -> tuple:
             rep.n_minimal, rep.expected_count, rep.wr, rep.passed)
 
 
-def _cyclo_lines(rows):
-    for k, phi, mn, md, en, ed, n_minimal, expected_count, wr, passed in rows:
+def _cyclo_lines(reports):
+    for rep in reports:
         yield (
-            f"k={k} phi={phi}: minimum={Fraction(mn, md)} expected={Fraction(en, ed)} "
-            f"minimal_vectors={n_minimal} expected_count={expected_count} wr={_yn(wr)}"
+            f"k={rep.k} phi={rep.phi}: minimum={rep.minimum} expected={rep.expected} "
+            f"minimal_vectors={rep.n_minimal} expected_count={rep.expected_count} "
+            f"wr={_YN[rep.wr]}\n"
         )
-        yield "PASS" if passed else "FAIL"
+        yield "PASS\n" if rep.passed else "FAIL\n"
 
 
 def _cmd_cyclo(args) -> int:
@@ -263,7 +271,7 @@ def _cmd_cyclo(args) -> int:
         print(f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})", file=sys.stderr)
         return EXIT_BAD_INPUT
     rep = verify_cyclotomic_theorem(cyclo_field(args.k))
-    render(args, [_cyclo_row(rep)], CYCLO_COLUMNS, _cyclo_lines)
+    render(args, [rep], CYCLO_COLUMNS, _cyclo_lines, row=_cyclo_row)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 

@@ -102,7 +102,9 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
 
     The records come out in (D, norm, a, b, g) order without a sort: the jobs
     ascend in D, pool.map returns results in submission order, and
-    enumerate_ideals sorts the ideals of each radicand.
+    enumerate_ideals sorts the ideals of each radicand.  All of them are
+    classified before this returns, so a bound violation raises before the
+    command line writes a byte of output.
     """
     jobs = [
         (D, cfg.norm_bound) for D in range(cfg.d_min, cfg.d_max + 1)

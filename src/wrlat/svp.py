@@ -15,11 +15,12 @@ test in integers, so it makes the decisions, and returns the basis change U,
 of the same LLL in fractions; it never forms U^T G U, as enumeration reads
 its walk and starting bound off lam and d.  A depth-first Fincke-Pohst walk
 then enumerates every vector attaining the minimum, with integer level
-weights E_j = Q/(d[j] d[j+1]), Q = lcm_j(d[j] d[j+1]): its bound starts at Q
-times the smallest diagonal entry of the reduced matrix and tightens to the
-best value seen.  Every comparison is Q times the rational one, so the
-visiting order, the minimum and the vectors are exactly those of the walk in
-fractions, and the minimum of G is best/(Q*s), the one Fraction built here.
+weights E_j = Q g_j^2/(d[j] d[j+1]), g_j the common factor of column j, Q the
+least that makes them integers: its bound starts at Q times the smallest
+diagonal entry of the reduced matrix and tightens to the best value seen.
+Every comparison is Q times the rational one, so the visiting order, the
+minimum and the vectors are exactly those of the walk in fractions, and the
+minimum of G is best/(Q*s), the one Fraction built here.
 The vectors are mapped through U in one pass over its rows.  Whether they
 span the space is decided by an integer echelon built one vector at a time,
 which stops as soon as the rank is full.  Dimensions are capped at
@@ -166,24 +167,28 @@ def _walk(lam, d):
     Returns (best, Q, vectors): the minimum of the form of (lam, d) is best/Q,
     and the vectors attaining it are in the coordinates of lam and d.
 
-    The walk runs on integers read off (lam, d).  Column j of mu has the
-    common denominator M_j = d[j+1], with numerators lam_ij; the squared
-    Gram-Schmidt length d[j+1]/d[j] over M_j^2 is 1/(d[j] d[j+1]), so with
-    Q = lcm_j(d[j] d[j+1]) the level weights E_j = Q/(d[j] d[j+1]) are
-    integers.  At level j the centre is -C/M_j with C = sum lam_ij*x_i, and
-    x_j = k adds E_j*(M_j*k + C)^2, Q times the rational step.  The walk starts
-    from Q times the smallest diagonal entry, min_i sum_j lam_ij^2*E_j with
+    The walk runs on integers read off (lam, d).  Column j of mu is
+    lam_ij/d[j+1] (i > j); with g_j the gcd of d[j+1] and those lam_ij, its
+    common denominator is M_j = d[j+1]/g_j, with numerators lam_ij/g_j.  The
+    squared Gram-Schmidt length d[j+1]/d[j] over M_j^2 is g_j^2/(d[j] d[j+1]),
+    so with Q the common denominator of these fractions in lowest terms the
+    level weights E_j = Q g_j^2/(d[j] d[j+1]) are integers.  At level j the
+    centre is -C/M_j with C = sum (lam_ij/g_j)*x_i, and x_j = k adds
+    E_j*(M_j*k + C)^2, Q times the rational step.  The walk starts from Q
+    times the smallest diagonal entry, min_i sum_j (lam_ij/g_j)^2*E_j with
     lam_ii = d[i+1], which a basis vector attains; the bound then tightens to
     the best value seen, so the vectors kept are exactly those attaining the
     minimum.  Every value is Q times the rational one, so the visiting order,
     the minimum and the vector list are those of the same walk in fractions.
     """
     n = len(lam)
-    cols = [[lam[i][j] for i in range(j + 1, n)] for j in range(n)]
-    q = math.lcm(*(a * b for a, b in zip(d, d[1:])))
-    weight = [q // (a * b) for a, b in zip(d, d[1:])]
+    gcds = [math.gcd(d[j + 1], *(row[j] for row in lam[j + 1:])) for j in range(n)]
+    cols = [[lam[i][j] // g for i in range(j + 1, n)] for j, g in enumerate(gcds)]
+    den = [dj // g for dj, g in zip(d[1:], gcds)]
+    q = math.lcm(*(a * b // math.gcd(g * g, a * b) for g, a, b in zip(gcds, d, d[1:])))
+    weight = [q * g * g // (a * b) for g, a, b in zip(gcds, d, d[1:])]
     best = min(
-        sum(m * m * e for m, e in zip(row, weight) if m) + d[i + 1] ** 2 * weight[i]
+        sum((m // g) ** 2 * e for m, g, e in zip(row, gcds, weight) if m) + den[i] ** 2 * weight[i]
         for i, row in enumerate(lam)
     )
     x = [0] * n
@@ -198,7 +203,7 @@ def _walk(lam, d):
                     found.clear()
                 found.append(tuple(x))
             return
-        m, e = d[j + 1], weight[j]
+        m, e = den[j], weight[j]
         c = sum(map(operator.mul, cols[j], x[j + 1:]))
         start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
         # upwards from the nearest integer, then downwards from the one below it

@@ -6,11 +6,13 @@ with these on every tested input; nothing in here imports package internals
 beyond plain data.  Some are the package's own former algorithms, kept as
 references after a faster one replaced them (lll_rebuild, lll_fraction,
 span_rank_fraction, walk_fraction, window_minimal_vectors, gram_by_products,
-enumerate_ideals_scan) or after the package stopped needing them (hnf_triple,
-the canonical triple of an ideal from its generators, and is_similar, lattice
-similarity of two binary forms).
+enumerate_ideals_scan, render_records_reference) or after the package stopped
+needing them (hnf_triple, the canonical triple of an ideal from its
+generators, and is_similar, lattice similarity of two binary forms).
 """
 
+import csv
+import io
 import math
 import operator
 from fractions import Fraction
@@ -543,6 +545,41 @@ def enumerate_ideals_scan(order, norm_bound: int) -> list[tuple[int, int, int]]:
                     g += 1
     out.sort(key=lambda t: (t[0] * t[2], t[0], t[1], t[2]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# survey records rendered through the csv module and Fraction
+
+RECORD_COLUMNS = (
+    "D", "a", "b", "g", "norm", "minimum_num", "minimum_den",
+    "n_minimal", "wr", "hexagonal", "order_maximal",
+)
+
+
+def render_records_reference(records, fmt: str) -> str:
+    """The CSV ("csv": header and one line per record) or the record lines
+    ("text") of survey records, as the command line's one generic renderer
+    wrote them: each record becomes a row in RECORD_COLUMNS order, the csv
+    module writes the rows with booleans mapped cell by cell, and a text line
+    prints the minimum as Fraction(minimum_num, minimum_den)."""
+    rows = [(*r[:5], r.minimum.numerator, r.minimum.denominator, *r[6:]) for r in records]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(RECORD_COLUMNS)
+        writer.writerows(
+            [("true" if v else "false") if v.__class__ is bool else v for v in row] for row in rows
+        )
+        return buf.getvalue()
+
+    def yn(flag):
+        return "yes" if flag else "no"
+
+    return "".join(
+        f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={Fraction(num, den)} "
+        f"nmin={n_minimal} wr={yn(wr)} hex={yn(hexagonal)} maximal={yn(maximal)}\n"
+        for D, a, b, g, norm, num, den, n_minimal, wr, hexagonal, maximal in rows
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,11 @@ def test_survey_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0].startswith("D,a,b,g,norm")
 
 
-def test_survey_invariant_violation_exit_three(monkeypatch, capsys):
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout-text", "out-csv"])
+def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to_file):
     # the survey's own bound check: the reduction of one norm form, that of
-    # (3, 1, 1) in D = -5, is made to report the minimum 2 < N(I) = 3
+    # (3, 1, 1) in D = -5, is made to report the minimum 2 < N(I) = 3; the
+    # failed survey writes nothing, and with --out it creates no file
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
@@ -179,9 +181,11 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys):
         return ((2, *red[1:]), u) if (c1, c2, c3) == (9, 6, 6) else (red, u)
 
     monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+    target = tmp_path / "survey.csv"
     code = main(["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10",
-                 "--workers", "1"])
+                 "--workers", "1"] + (["--format", "csv", "--out", str(target)] if to_file else []))
     assert code == EXIT_INVARIANT
+    assert not target.exists()
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (

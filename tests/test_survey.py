@@ -24,6 +24,7 @@ from oracles import (
     qd_mul,
     qd_norm,
     qd_trace,
+    render_records_reference,
     squarefree_by_factorization,
     window_minimal_vectors,
 )
@@ -298,6 +299,37 @@ def test_record_line_format(capsys):
     assert capsys.readouterr().out == (
         "D=-15 (a,b,g)=(2,0,1) norm=2 min=4 nmin=4 wr=yes hex=no maximal=yes\n"
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_survey_output_matches_reference_renderer(capsys, tmp_path, fmt, workers):
+    """`wrlat survey` writes, to stdout and to --out, the bytes of the csv
+    module and Fraction renderer in the oracles, plus the summary line: on
+    real and imaginary fields, the non-maximal orders D = -27, -12, 12, 45
+    and the hexagonal ideals of D = -3, -12, -27."""
+    records, summary = run_survey(SurveyConfig(d_min=-30, d_max=50, norm_bound=20))
+    assert {r.D > 0 for r in records} == {True, False}
+    assert {-27, -12, 12, 45} <= {r.D for r in records if not r.order_maximal}
+    assert {-27, -12, -3} <= {r.D for r in records if r.hexagonal}
+    summary_line = (
+        f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
+        f"bound holds for {summary['bound_ok']}/{summary['records']}\n"
+    )
+    want = render_records_reference(records, fmt)
+    want_err = ""
+    if fmt == "text":
+        want += summary_line
+    else:
+        want_err = summary_line
+    argv = ["survey", "--d-min", "-30", "--d-max", "50", "--norm-bound", "20",
+            "--format", fmt, "--workers", str(workers)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, want_err)
+    target = tmp_path / f"survey.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", want_err)
+    assert target.read_bytes() == want.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -260,8 +261,10 @@ def test_walk_matches_fraction_oracle(monkeypatch):
     """The integer walk visits the same vectors in the same order as the walk
     in fractions, on the LDL factors of the reduced matrix that enumeration
     gives it as (lam, d) and from the smallest diagonal entry of the reduced
-    matrix, which its weights E_j = Q/(d[j] d[j+1]) reproduce as
-    sum_j lam_ij^2 E_j with lam_ii = d[i+1]."""
+    matrix.  With g_j the gcd of d[j+1] and column j of lam, its weights
+    E_j = Q g_j^2/(d[j] d[j+1]) are integers and reproduce that diagonal as
+    sum_j (lam_ij/g_j)^2 E_j with lam_ii = d[i+1]; Q divides the
+    lcm_j(d[j] d[j+1]) of the walk without the gcds."""
     walks = []
     real_walk = svp._walk
 
@@ -278,10 +281,12 @@ def test_walk_matches_fraction_oracle(monkeypatch):
         red = transform_gram(G.entries, lll_reduce(G)[2])
         mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
         assert (mu, lengths) == ldl_factor(red), label
-        weight = [Fraction(q, a * b) for a, b in zip(d, d[1:])]
+        gcds = [math.gcd(d[j + 1], *(row[j] for row in lam[j + 1:])) for j in range(G.n)]
+        weight = [Fraction(q * g * g, a * b) for g, a, b in zip(gcds, d, d[1:])]
         assert all(e.denominator == 1 for e in weight), label
+        assert math.lcm(*(a * b for a, b in zip(d, d[1:]))) % q == 0, label
         diagonal = [
-            sum(m * m * e for m, e in zip(list(row) + [d[i + 1]], weight))
+            sum(Fraction(m, g) ** 2 * e for m, g, e in zip(list(row) + [d[i + 1]], gcds, weight))
             for i, row in enumerate(lam)
         ]
         assert diagonal == [q * G.scale * red[i][i] for i in range(G.n)], label
