@@ -51,25 +51,29 @@ def _summary_line(summary: dict) -> str:
 
 
 def render(args, items, columns, text_lines, key=None, summary=None, *, row=None,
-           csv_lines=None):
+           csv_lines=None, json_lines=None):
     """Write `items` to --out or stdout in the requested format, each line as
     it is formatted.  `items` must be fully computed (a list, or a map over
     one): an InvariantViolation then comes before this call, and a failed
     command writes nothing and creates no --out.
 
     Each row, `row(item)` or else the item, holds the values of `columns`.
-    JSON maps `columns` to each row: the one row when `key` is None, else
-    {key: [rows]}.  CSV is a header plus the lines of `csv_lines(items)`, or
-    without it the csv module's line of each row (it quotes the tables' free
-    text), booleans as true/false.  Text is the lines of `text_lines(items)`.
-    Line formatters end each line with a newline.  A survey `summary` goes
-    under "summary" in JSON, on the last text line, and to stderr with CSV.
+    JSON is the lines of `json_lines(items, summary)`, or without it the json
+    module's indented text that maps `columns` to each row: the one row when
+    `key` is None, else {key: [rows]}.  CSV is a header plus the lines of
+    `csv_lines(items)`, or without it the csv module's line of each row (it
+    quotes the tables' free text), booleans as true/false.  Text is the lines
+    of `text_lines(items)`.  Line formatters end each line with a newline.  A
+    survey `summary` goes under "summary" in JSON, on the last text line, and
+    to stderr with CSV.
     """
     fmt = args.format or "text"
     rows = items if row is None else map(row, items)
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if fmt == "json":
+        if fmt == "json" and json_lines is not None:
+            fh.writelines(json_lines(items, summary))
+        elif fmt == "json":
             dicts = [dict(zip(columns, r)) for r in rows]
             obj = dicts[0] if key is None else {key: dicts}
             if summary is not None:
@@ -106,6 +110,28 @@ def _record_csv_lines(records):
     for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
         yield (f"{D},{a},{b},{g},{norm},{minimum},1,{n_minimal},"
                f"{_TF[wr]},{_TF[hexagonal]},{_TF[maximal]}\n")
+
+
+def _record_json_lines(records, summary):
+    # the bytes of json.dumps({"records": [...], "summary": summary}, indent=2)
+    # plus a newline, one f-string per record: the json module's indented
+    # encoder is pure Python
+    if not records:
+        yield '{\n  "records": [],\n'
+    else:
+        yield '{\n  "records": [\n'
+        sep = ""
+        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
+            yield (
+                f'{sep}    {{\n      "D": {D},\n      "a": {a},\n      "b": {b},\n'
+                f'      "g": {g},\n      "norm": {norm},\n      "minimum_num": {minimum},\n'
+                f'      "minimum_den": 1,\n      "n_minimal": {n_minimal},\n'
+                f'      "wr": {_TF[wr]},\n      "hexagonal": {_TF[hexagonal]},\n'
+                f'      "order_maximal": {_TF[maximal]}\n    }}'
+            )
+            sep = ",\n"
+        yield "\n  ],\n"
+    yield '  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n"
 
 
 def _record_lines(records):
@@ -200,8 +226,8 @@ def _cmd_survey(args) -> int:
         print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
         return EXIT_BAD_INPUT
     records, summary = run_survey(SurveyConfig(**settings))
-    render(args, records, RECORD_COLUMNS, _record_lines, key="records", summary=summary,
-           row=_record_row, csv_lines=_record_csv_lines)
+    render(args, records, RECORD_COLUMNS, _record_lines, summary=summary,
+           csv_lines=_record_csv_lines, json_lines=_record_json_lines)
     return EXIT_OK
 
 

@@ -84,6 +84,12 @@ def _survey_radicand(args) -> list[SurveyRecord]:
     return [classify_triple(order, a, b, g) for a, b, g in enumerate_ideals(order, norm_bound)]
 
 
+def _survey_rows(args) -> list[tuple]:
+    # a survey worker's task: plain tuples pickle and unpickle in C, while a
+    # SurveyRecord goes through Python-level __getnewargs__ and __new__
+    return list(map(tuple, _survey_radicand(args)))
+
+
 def __getattr__(name):
     # keeps wrlat.survey.ProcessPoolExecutor reachable without importing the pool
     # machinery for every command (PEP 562)
@@ -94,7 +100,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_CHUNK = 8  # radicands per task sent to a survey worker
+_MIN_RADICANDS = 8  # radicands per survey worker, at least
+# tasks sent to each survey worker: fewer, larger tasks pay less per task, and
+# smaller ones hold fewer records in a worker at a time
+_TASKS_PER_WORKER = 32
 
 
 def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
@@ -104,23 +113,27 @@ def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
     ascend in D, pool.map returns results in submission order, and
     enumerate_ideals sorts the ideals of each radicand.  All of them are
     classified before this returns, so a bound violation raises before the
-    command line writes a byte of output.
+    command line writes a byte of output.  Workers return plain tuples, which
+    become SurveyRecords again here, so any worker count gives the same list.
     """
     jobs = [
         (D, cfg.norm_bound) for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
     # the pool starts all its processes at once, so start no more than there
-    # are chunks of jobs or CPUs
-    workers = min(cfg.workers, -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
+    # are CPUs or groups of _MIN_RADICANDS jobs
+    workers = min(cfg.workers, -(-len(jobs) // _MIN_RADICANDS), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
+        chunksize = -(-len(jobs) // (_TASKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_survey_radicand, jobs, chunksize=_CHUNK))
+            records = [SurveyRecord._make(row)
+                       for rows in pool.map(_survey_rows, jobs, chunksize=chunksize)
+                       for row in rows]
     else:
         chunks = [_survey_radicand(job) for job in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
+        records = [rec for chunk in chunks for rec in chunk]
     summary = {
         "records": len(records),
         "wr": sum(r.wr for r in records),

@@ -13,6 +13,7 @@ generators, and is_similar, lattice similarity of two binary forms).
 
 import csv
 import io
+import json
 import math
 import operator
 from fractions import Fraction
@@ -556,13 +557,17 @@ RECORD_COLUMNS = (
 )
 
 
-def render_records_reference(records, fmt: str) -> str:
-    """The CSV ("csv": header and one line per record) or the record lines
-    ("text") of survey records, as the command line's one generic renderer
-    wrote them: each record becomes a row in RECORD_COLUMNS order, the csv
-    module writes the rows with booleans mapped cell by cell, and a text line
-    prints the minimum as Fraction(minimum_num, minimum_den)."""
+def render_records_reference(records, fmt: str, summary=None) -> str:
+    """The CSV ("csv": header and one line per record), the record lines
+    ("text") or the JSON document ("json", with `summary` last) of survey
+    records, as the command line's one generic renderer wrote them: each
+    record becomes a row in RECORD_COLUMNS order, the csv module writes the
+    rows with booleans mapped cell by cell, a text line prints the minimum as
+    Fraction(minimum_num, minimum_den), and json.dumps indents a dict per row."""
     rows = [(*r[:5], r.minimum.numerator, r.minimum.denominator, *r[6:]) for r in records]
+    if fmt == "json":
+        obj = {"records": [dict(zip(RECORD_COLUMNS, row)) for row in rows], "summary": summary}
+        return json.dumps(obj, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

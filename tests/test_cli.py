@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -169,11 +170,23 @@ def test_survey_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0].startswith("D,a,b,g,norm")
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout-text", "out-csv"])
-def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to_file):
+# a monkeypatch reaches the survey workers only when they are forked
+_NEEDS_FORK = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                 reason="needs the fork start method")
+
+
+@pytest.mark.parametrize("to_file, workers", [
+    pytest.param(False, 1, id="stdout-text"),
+    pytest.param(True, 1, id="out-csv"),
+    pytest.param(False, 2, id="stdout-text-pooled", marks=_NEEDS_FORK),
+    pytest.param(True, 2, id="out-csv-pooled", marks=_NEEDS_FORK),
+])
+def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to_file, workers):
     # the survey's own bound check: the reduction of one norm form, that of
     # (3, 1, 1) in D = -5, is made to report the minimum 2 < N(I) = 3; the
-    # failed survey writes nothing, and with --out it creates no file
+    # failed survey writes nothing, and with --out it creates no file.  With
+    # two workers the violation is raised in a worker and re-raised here.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
@@ -183,7 +196,8 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
     monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
     target = tmp_path / "survey.csv"
     code = main(["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10",
-                 "--workers", "1"] + (["--format", "csv", "--out", str(target)] if to_file else []))
+                 "--workers", str(workers)]
+                + (["--format", "csv", "--out", str(target)] if to_file else []))
     assert code == EXIT_INVARIANT
     assert not target.exists()
     out, err = capsys.readouterr()

@@ -12,6 +12,7 @@ from wrlat.cli import RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.survey import (
     SurveyConfig,
+    SurveyRecord,
     classify_triple,
     element_str,
     reference_tables,
@@ -195,11 +196,15 @@ def test_survey_records_match_oracles_random(d_min, width, norm_bound):
     assert_records_match_oracles(records, d_min, d_min + width, norm_bound)
 
 
-def test_survey_worker_count_is_invisible():
-    serial, sum1 = run_survey(SurveyConfig(d_min=-25, d_max=25, norm_bound=6))
-    pooled, sum2 = run_survey(SurveyConfig(d_min=-25, d_max=25, norm_bound=6, workers=2))
+def test_survey_worker_count_is_invisible(monkeypatch):
+    # a window of many tasks, and two CPUs so that the pool starts on any host;
+    # a plain tuple compares equal to a SurveyRecord, so the types are checked too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial, sum1 = run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6))
+    pooled, sum2 = run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6, workers=2))
     assert sum1 == sum2
     assert serial == pooled
+    assert all(type(r) is SurveyRecord for r in pooled)
 
 
 class RecordingPool:
@@ -210,6 +215,7 @@ class RecordingPool:
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.workers = max_workers
 
     def __enter__(self):
         return self
@@ -218,7 +224,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, jobs, chunksize):
-        assert chunksize == 8
+        # each worker gets about 32 tasks
+        assert chunksize == -(-len(jobs) // (32 * self.workers))
         return map(fn, jobs)
 
 
@@ -241,6 +248,7 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
     assert RecordingPool.sizes == ([] if expected is None else [expected])
     serial = run_survey(dataclasses.replace(cfg, workers=1))
     assert (records, summary) == serial
+    assert all(type(r) is SurveyRecord for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,15 @@ def test_json_round_trip(capsys):
     assert json.dumps(obj, indent=2) + "\n" == text
 
 
+def test_json_of_an_empty_window(capsys):
+    # 4 is a square, so the window has no radicand
+    text = survey_output(capsys, 4, 4, 5, "json").out
+    assert text == json.dumps(
+        {"records": [], "summary": {"records": 0, "wr": 0, "hexagonal": 0, "bound_ok": 0}},
+        indent=2,
+    ) + "\n"
+
+
 def test_text_rendering(capsys):
     records, summary = run_survey(SurveyConfig(d_min=-3, d_max=-3, norm_bound=2))
     text = survey_output(capsys, -3, -3, 2, "text").out
@@ -302,12 +319,12 @@ def test_record_line_format(capsys):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 def test_survey_output_matches_reference_renderer(capsys, tmp_path, fmt, workers):
     """`wrlat survey` writes, to stdout and to --out, the bytes of the csv
-    module and Fraction renderer in the oracles, plus the summary line: on
-    real and imaginary fields, the non-maximal orders D = -27, -12, 12, 45
-    and the hexagonal ideals of D = -3, -12, -27."""
+    module, Fraction and json.dumps renderer in the oracles, plus the summary
+    line for CSV and text: on real and imaginary fields, the non-maximal
+    orders D = -27, -12, 12, 45 and the hexagonal ideals of D = -3, -12, -27."""
     records, summary = run_survey(SurveyConfig(d_min=-30, d_max=50, norm_bound=20))
     assert {r.D > 0 for r in records} == {True, False}
     assert {-27, -12, 12, 45} <= {r.D for r in records if not r.order_maximal}
@@ -316,11 +333,11 @@ def test_survey_output_matches_reference_renderer(capsys, tmp_path, fmt, workers
         f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
         f"bound holds for {summary['bound_ok']}/{summary['records']}\n"
     )
-    want = render_records_reference(records, fmt)
+    want = render_records_reference(records, fmt, summary)
     want_err = ""
     if fmt == "text":
         want += summary_line
-    else:
+    elif fmt == "csv":
         want_err = summary_line
     argv = ["survey", "--d-min", "-30", "--d-max", "50", "--norm-bound", "20",
             "--format", fmt, "--workers", str(workers)]
