@@ -4,6 +4,10 @@ Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 (for classify: well-rounded), 1 classify on a valid but not well-rounded
 ideal, 2 invalid input, 3 internal invariant violation (for classify and
 survey: a minimum below its bound).
+
+Survey and classify records go through one formatter per output format
+(_RECORDS); survey workers run it on each radicand's rows, so this process
+only joins strings.  Every other output goes through render.
 """
 
 from __future__ import annotations
@@ -50,49 +54,36 @@ def _summary_line(summary: dict) -> str:
     )
 
 
-def render(args, items, columns, text_lines, key=None, summary=None, *, row=None,
-           csv_lines=None, json_lines=None):
+def _output(args):
+    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+
+
+def render(args, items, columns, text_lines, key=None, *, row=None):
     """Write `items` to --out or stdout in the requested format, each line as
     it is formatted.  `items` must be fully computed (a list, or a map over
     one): an InvariantViolation then comes before this call, and a failed
     command writes nothing and creates no --out.
 
     Each row, `row(item)` or else the item, holds the values of `columns`.
-    JSON is the lines of `json_lines(items, summary)`, or without it the json
-    module's indented text that maps `columns` to each row: the one row when
-    `key` is None, else {key: [rows]}.  CSV is a header plus the lines of
-    `csv_lines(items)`, or without it the csv module's line of each row (it
-    quotes the tables' free text), booleans as true/false.  Text is the lines
-    of `text_lines(items)`.  Line formatters end each line with a newline.  A
-    survey `summary` goes under "summary" in JSON, on the last text line, and
-    to stderr with CSV.
+    JSON is the json module's indented text that maps `columns` to each row:
+    the one row when `key` is None, else {key: [rows]}.  CSV is a header plus
+    the csv module's line of each row (it quotes the tables' free text),
+    booleans as true/false.  Text is the lines of `text_lines(items)`, each
+    ending in a newline.
     """
     fmt = args.format or "text"
     rows = items if row is None else map(row, items)
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        if fmt == "json" and json_lines is not None:
-            fh.writelines(json_lines(items, summary))
-        elif fmt == "json":
+    with _output(args) as fh:
+        if fmt == "json":
             dicts = [dict(zip(columns, r)) for r in rows]
-            obj = dicts[0] if key is None else {key: dicts}
-            if summary is not None:
-                obj["summary"] = summary
-            fh.writelines((json.dumps(obj, indent=2), "\n"))
+            fh.writelines((json.dumps(dicts[0] if key is None else {key: dicts}, indent=2), "\n"))
         elif fmt == "csv":
             fh.write(",".join(columns) + "\n")
-            if csv_lines is not None:
-                fh.writelines(csv_lines(items))
-            else:
-                csv.writer(fh, lineterminator="\n").writerows(
-                    [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
-                )
+            csv.writer(fh, lineterminator="\n").writerows(
+                [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
+            )
         else:
             fh.writelines(text_lines(items))
-            if summary is not None:
-                fh.write(_summary_line(summary) + "\n")
-    if summary is not None and fmt == "csv":
-        print(_summary_line(summary), file=sys.stderr)
 
 
 def _add_common(sub):
@@ -100,55 +91,72 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _record_row(r) -> tuple:
-    """A SurveyRecord in RECORD_COLUMNS order, for JSON: the minimum fills two cells."""
-    return (*r[:5], r.minimum.numerator, r.minimum.denominator, *r[6:])
+# one formatter per output format: a list of classify_triple rows to one
+# string, one f-string per record
 
-
-def _record_csv_lines(records):
+def _records_csv(rows) -> str:
     # the minimum is an int, so minimum_den is 1
-    for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
-        yield (f"{D},{a},{b},{g},{norm},{minimum},1,{n_minimal},"
-               f"{_TF[wr]},{_TF[hexagonal]},{_TF[maximal]}\n")
+    return "".join([
+        f"{D},{a},{b},{g},{norm},{minimum},1,{n_minimal},"
+        f"{_TF[wr]},{_TF[hexagonal]},{_TF[maximal]}\n"
+        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
+    ])
 
 
-def _record_json_lines(records, summary):
-    # the bytes of json.dumps({"records": [...], "summary": summary}, indent=2)
-    # plus a newline, one f-string per record: the json module's indented
-    # encoder is pure Python
-    if not records:
-        yield '{\n  "records": [],\n'
-    else:
-        yield '{\n  "records": [\n'
-        sep = ""
-        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
-            yield (
-                f'{sep}    {{\n      "D": {D},\n      "a": {a},\n      "b": {b},\n'
-                f'      "g": {g},\n      "norm": {norm},\n      "minimum_num": {minimum},\n'
-                f'      "minimum_den": 1,\n      "n_minimal": {n_minimal},\n'
-                f'      "wr": {_TF[wr]},\n      "hexagonal": {_TF[hexagonal]},\n'
-                f'      "order_maximal": {_TF[maximal]}\n    }}'
-            )
-            sep = ",\n"
-        yield "\n  ],\n"
-    yield '  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n"
+def _records_json(rows) -> str:
+    # the record objects of json.dumps({"records": [...]}, indent=2), joined
+    # by ",\n": the json module's indented encoder is pure Python
+    return ",\n".join([
+        f'    {{\n      "D": {D},\n      "a": {a},\n      "b": {b},\n'
+        f'      "g": {g},\n      "norm": {norm},\n      "minimum_num": {minimum},\n'
+        f'      "minimum_den": 1,\n      "n_minimal": {n_minimal},\n'
+        f'      "wr": {_TF[wr]},\n      "hexagonal": {_TF[hexagonal]},\n'
+        f'      "order_maximal": {_TF[maximal]}\n    }}'
+        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
+    ])
 
 
-def _record_lines(records):
-    for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in records:
-        yield (
-            f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={minimum} "
-            f"nmin={n_minimal} wr={_YN[wr]} hex={_YN[hexagonal]} maximal={_YN[maximal]}\n"
-        )
+def _records_text(rows) -> str:
+    return "".join([
+        f"D={D} (a,b,g)=({a},{b},{g}) norm={norm} min={minimum} "
+        f"nmin={n_minimal} wr={_YN[wr]} hex={_YN[hexagonal]} maximal={_YN[maximal]}\n"
+        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
+    ])
+
+
+_RECORDS = {"csv": _records_csv, "json": _records_json, "text": _records_text}
+
+
+def _write_records(args, chunks, summary=None):
+    """Write chunks of `_RECORDS[format]` to --out or stdout, after a header
+    for CSV.  A survey `summary` goes on the last text line, to stderr with
+    CSV, and under "summary" in JSON, in the bytes of json.dumps(indent=2)."""
+    fmt = args.format or "text"
+    with _output(args) as fh:
+        if fmt == "json":
+            body = ",\n".join(chunks)  # empty only for a window without radicands
+            fh.write('{\n  "records": [\n' + body + "\n  ],\n" if body else '{\n  "records": [],\n')
+            fh.write('  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
+        else:
+            if fmt == "csv":
+                fh.write(",".join(RECORD_COLUMNS) + "\n")
+            fh.writelines(chunks)
+            if fmt == "text" and summary is not None:
+                fh.write(_summary_line(summary) + "\n")
+    if fmt == "csv" and summary is not None:
+        print(_summary_line(summary), file=sys.stderr)
 
 
 def _cmd_classify(args) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
-    rec = classify_triple(t.order, t.a, t.b, t.g)
-    render(args, [rec], RECORD_COLUMNS, _record_lines, row=_record_row, csv_lines=_record_csv_lines)
-    return EXIT_OK if rec.wr else EXIT_NOT_WR
+    (row,) = classify_triple(t.order, [(t.a, t.b, t.g)])
+    if args.format == "json":  # one top-level object, in which the minimum fills two cells
+        render(args, [(*row[:6], 1, *row[6:])], RECORD_COLUMNS, None)
+    else:
+        _write_records(args, [_RECORDS[args.format or "text"]([row])])
+    return EXIT_OK if row[7] else EXIT_NOT_WR
 
 
 _INT_KEYS = ("d_min", "d_max", "norm_bound", "workers")
@@ -225,9 +233,8 @@ def _cmd_survey(args) -> int:
     if "d_min" not in settings or "d_max" not in settings:
         print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    records, summary = run_survey(SurveyConfig(**settings))
-    render(args, records, RECORD_COLUMNS, _record_lines, summary=summary,
-           csv_lines=_record_csv_lines, json_lines=_record_json_lines)
+    chunks, summary = run_survey(SurveyConfig(**settings), _RECORDS[args.format or "text"])
+    _write_records(args, chunks, summary)
     return EXIT_OK
 
 

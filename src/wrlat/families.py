@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import QuadOrder, check_radicand_bound, factorize, is_squarefree
+from .arith import QuadOrder, check_radicand_bound, factorize
 from .errors import InvariantViolation
 from .ideals import IdealTriple
 from .planar import BinaryForm, form_from_ideal, gauss_reduce
@@ -37,10 +37,11 @@ def _radicand(imaginary: bool, t: int) -> int:
     return -(3 * t * t + 8 * t + 4) if imaginary else t * t - 4
 
 
-def _flags(t: int, D: int) -> tuple[bool, bool]:
+def _flags(t: int, order: QuadOrder) -> tuple[bool, bool]:
     """(t + 2 is prime, |D| is squarefree); t + 2 stays below about 1.2*10**6
-    under MAX_RADICAND, so trial division decides primality."""
-    return factorize(t + 2) == {t + 2: 1}, is_squarefree(abs(D))
+    under MAX_RADICAND, so trial division decides primality, and the order
+    has already decided squarefreeness as its `maximal` flag."""
+    return factorize(t + 2) == {t + 2: 1}, order.maximal
 
 
 def imaginary_instance(t: int) -> FamilyInstance:
@@ -51,7 +52,7 @@ def imaginary_instance(t: int) -> FamilyInstance:
     a = t + 1
     triple = IdealTriple(a, (t - 1) // 2, 1, QuadOrder(D))
     form = BinaryForm(a * a, a * (a - 1), a * a)
-    return FamilyInstance(t, D, triple, form, *_flags(t, D))
+    return FamilyInstance(t, D, triple, form, *_flags(t, triple.order))
 
 
 def real_instance(t: int) -> FamilyInstance:
@@ -62,7 +63,7 @@ def real_instance(t: int) -> FamilyInstance:
     a = t + 2
     triple = IdealTriple(a, (t + 1) // 2, 1, QuadOrder(D))
     form = BinaryForm(t * a, 4 * a, t * a)
-    return FamilyInstance(t, D, triple, form, *_flags(t, D))
+    return FamilyInstance(t, D, triple, form, *_flags(t, triple.order))
 
 
 def family_stream(kind, t_max: int, require_squarefree: bool = False) -> list[FamilyInstance]:

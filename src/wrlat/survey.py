@@ -1,13 +1,17 @@
 """Batch classification of quadratic ideal lattices and the reference tables.
 
-Survey results are deterministic: records are sorted by (D, norm, a, b, g),
-so identical configurations give identical records regardless of worker count.
+A survey task is one radicand: build its order, enumerate its ideals,
+classify them in one loop (classify_triple) and hand the rows to the
+caller's `emit`, in a worker process or in this one alike.  Survey results
+are deterministic: rows come in (D, norm, a, b, g) order, so identical
+configurations give identical results regardless of worker count.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
@@ -15,21 +19,6 @@ from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
 from .ideals import IdealTriple, check_norm_bound, enumerate_ideals
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
-
-
-class SurveyRecord(NamedTuple):
-    """One classified ideal; the norm form has integer coefficients, so the minimum is an int."""
-
-    D: int
-    a: int
-    b: int
-    g: int
-    norm: int
-    minimum: int
-    n_minimal: int
-    wr: bool
-    hexagonal: bool
-    order_maximal: bool
 
 
 @dataclass(frozen=True)
@@ -52,42 +41,38 @@ class SurveyConfig:
             raise ValueError("workers must be at least 1")
 
 
-def classify_triple(order: QuadOrder, a: int, b: int, g: int) -> SurveyRecord:
-    """Full classification of the ideal (a, b + g*delta) of `order`: minimum,
-    minimal vector count, and the well-rounded and hexagonal flags, all read
-    off the reduced norm form (c1, c2, c3).  The triple must be valid: it
-    comes from enumerate_ideals or has passed IdealTriple.
+def classify_triple(order: QuadOrder, triples):
+    """Classify each ideal (a, b + g*delta) of `order` in `triples`, yielding
+    the row (D, a, b, g, norm, minimum, n_minimal, wr, hexagonal,
+    order_maximal): minimum, minimal vector count, and the well-rounded and
+    hexagonal flags are all read off the reduced norm form (c1, c2, c3), and
+    the minimum is an int.  Each triple must be valid: it comes from
+    enumerate_ideals or has passed IdealTriple.
 
-    Raises InvariantViolation, naming the replay command, if the minimum breaks
+    Raises InvariantViolation, naming the replay command, if a minimum breaks
     its lower bound: min >= N(I) for D < 0, min^2 >= 4*N(I) for D > 0.  Both
     sides are integers, so the comparison is exact.
     """
-    (c1, c2, c3), _ = gauss_reduce(*norm_form(order, a, b, g))
-    D = order.D
-    nrm = a * g
-    if not (c1 >= nrm if D < 0 else c1 * c1 >= 4 * nrm):
-        raise InvariantViolation(
-            f"minimum bound violated for D={D}, triple=({a},{b},{g}), "
-            f"min={c1}, norm={nrm}; replay: wrlat classify -- {D} {a} {b} {g}"
-        )
-    # the minimal vectors are +-p, also +-q when c1 = c3, also +-(p - q) when c1 = c2 = c3
-    wr = c1 == c3
-    hexagonal = wr and c1 == c2
-    return SurveyRecord(
-        D, a, b, g, nrm, c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal, order.maximal
-    )
+    D, maximal = order.D, order.maximal
+    for a, b, g in triples:
+        (c1, c2, c3), _ = gauss_reduce(*norm_form(order, a, b, g))
+        nrm = a * g
+        if not (c1 >= nrm if D < 0 else c1 * c1 >= 4 * nrm):
+            raise InvariantViolation(
+                f"minimum bound violated for D={D}, triple=({a},{b},{g}), "
+                f"min={c1}, norm={nrm}; replay: wrlat classify -- {D} {a} {b} {g}"
+            )
+        # the minimal vectors are +-p, also +-q when c1 = c3, also +-(p - q) when c1 = c2 = c3
+        wr = c1 == c3
+        hexagonal = wr and c1 == c2
+        yield D, a, b, g, nrm, c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal, maximal
 
 
-def _survey_radicand(args) -> list[SurveyRecord]:
-    D, norm_bound = args
+def _survey_radicand(norm_bound: int, emit, D: int) -> tuple:
+    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D."""
     order = QuadOrder(D)
-    return [classify_triple(order, a, b, g) for a, b, g in enumerate_ideals(order, norm_bound)]
-
-
-def _survey_rows(args) -> list[tuple]:
-    # a survey worker's task: plain tuples pickle and unpickle in C, while a
-    # SurveyRecord goes through Python-level __getnewargs__ and __new__
-    return list(map(tuple, _survey_radicand(args)))
+    rows = list(classify_triple(order, enumerate_ideals(order, norm_bound)))
+    return emit(rows), len(rows), sum([r[7] for r in rows]), sum([r[8] for r in rows])
 
 
 def __getattr__(name):
@@ -106,41 +91,39 @@ _MIN_RADICANDS = 8  # radicands per survey worker, at least
 _TASKS_PER_WORKER = 32
 
 
-def run_survey(cfg: SurveyConfig) -> tuple[list[SurveyRecord], dict]:
-    """Classify every ideal of norm <= norm_bound for each radicand in the window.
+def run_survey(cfg: SurveyConfig, emit) -> tuple[list, dict]:
+    """Classify every ideal of norm <= norm_bound for each radicand in the
+    window, and return one `emit(rows)` per radicand, with the summary.
 
-    The records come out in (D, norm, a, b, g) order without a sort: the jobs
-    ascend in D, pool.map returns results in submission order, and
-    enumerate_ideals sorts the ideals of each radicand.  All of them are
-    classified before this returns, so a bound violation raises before the
-    command line writes a byte of output.  Workers return plain tuples, which
-    become SurveyRecords again here, so any worker count gives the same list.
+    `emit` maps a radicand's list of classify_triple rows to a value, and
+    runs where the radicand is classified, so with workers > 1 it must be a
+    picklable (module-level) function and its value picklable too.  The
+    values come in ascending D, each radicand's rows in (norm, a, b, g)
+    order, without a sort: pool.map returns results in submission order and
+    enumerate_ideals sorts the ideals of each radicand.  So any worker count
+    gives the same list.  Every radicand is classified before this returns,
+    so a bound violation raises before the command line writes a byte.
     """
-    jobs = [
-        (D, cfg.norm_bound) for D in range(cfg.d_min, cfg.d_max + 1)
+    ds = [
+        D for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
+    task = partial(_survey_radicand, cfg.norm_bound, emit)
     # the pool starts all its processes at once, so start no more than there
-    # are CPUs or groups of _MIN_RADICANDS jobs
-    workers = min(cfg.workers, -(-len(jobs) // _MIN_RADICANDS), os.cpu_count() or 1)
+    # are CPUs or groups of _MIN_RADICANDS radicands
+    workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-        chunksize = -(-len(jobs) // (_TASKS_PER_WORKER * workers))
+        chunksize = -(-len(ds) // (_TASKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [SurveyRecord._make(row)
-                       for rows in pool.map(_survey_rows, jobs, chunksize=chunksize)
-                       for row in rows]
+            results = list(pool.map(task, ds, chunksize=chunksize))
     else:
-        chunks = [_survey_radicand(job) for job in jobs]
-        records = [rec for chunk in chunks for rec in chunk]
-    summary = {
-        "records": len(records),
-        "wr": sum(r.wr for r in records),
-        "hexagonal": sum(r.hexagonal for r in records),
-        "bound_ok": len(records),  # classify_triple raises on a violation
-    }
-    return records, summary
+        results = list(map(task, ds))
+    n, wr, hexagonal = (sum(r[i] for r in results) for i in (1, 2, 3))
+    # classify_triple raises on a violation, so the bound holds for every record
+    summary = {"records": n, "wr": wr, "hexagonal": hexagonal, "bound_ok": n}
+    return [r[0] for r in results], summary
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from wrlat.cyclo import (
 from wrlat.families import family_stream
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
-from wrlat.survey import SurveyConfig, classify_triple, reference_tables, run_survey
+from wrlat.survey import SurveyConfig, reference_tables
 from wrlat.svp import GramMatrix, enumerate_shortest, lll_reduce
 from oracles import (
     box_form_minimum,
@@ -35,6 +35,7 @@ from oracles import (
     transform_gram,
     walk_fraction,
 )
+from records import classify_one, survey
 
 THEOREM_K = (3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 20)
 
@@ -56,7 +57,7 @@ def survey_records():
     """Squarefree |D| <= 200, ideal norms <= 500; shared by two criteria."""
     if "survey" not in _CACHE:
         cfg = SurveyConfig(d_min=-200, d_max=200, norm_bound=500, require_squarefree=True)
-        _CACHE["survey"] = run_survey(cfg)[0]
+        _CACHE["survey"] = survey(cfg)[0]
     return _CACHE["survey"]
 
 
@@ -85,11 +86,46 @@ def test_full_rings_classified():
         for D in range(-10_000, 10_001):
             if not is_valid_radicand(D) or not is_squarefree(abs(D)):
                 continue
-            rec = classify_triple(QuadOrder(D), 1, 0, 1)
+            rec = classify_one(QuadOrder(D), 1, 0, 1)
             assert rec.minimum == (1 if D < 0 else 2)
             if rec.wr:
                 wr_set.add(D)
         assert wr_set == {-3, -1}
+        assert time.perf_counter() - start < 10.0
+
+
+def real_subfield_gram(F) -> GramMatrix:
+    """Trace form of Z[zeta + zeta^-1], the ring of integers of the maximal
+    real subfield Q(zeta_k)^+, in the basis 1, zeta^j + zeta^-j for
+    1 <= j < phi/2: Tr(1) = phi/2, Tr(zeta^j + zeta^-j) = T[j], and the
+    product of two basis elements j, i > 0 has trace T[i + j] + T[i - j]."""
+    k, h, T = F.k, F.phi // 2, F.trace_table
+
+    def entry(i, j):
+        if i == 0 or j == 0:
+            return h if i == j else T[i + j]
+        return T[(i + j) % k] + T[(i - j) % k]
+
+    return GramMatrix(tuple(tuple(entry(i, j) for j in range(h)) for i in range(h)))
+
+
+def test_real_subfields_not_wr():
+    # The converse of the cyclotomic theorem on fields that are not
+    # cyclotomic: for phi(k) > 2, Q(zeta_k)^+ is totally real of degree
+    # phi/2 > 1, and its full ring is not well-rounded.  Its minimum phi/2 is
+    # attained by +-1 alone.  k = 2 (mod 4) gives the field of k/2 again.
+    with criterion(11, "maximal real subfields are not well-rounded"):
+        start = time.perf_counter()
+        # phi(k) >= sqrt(k/2), so phi(k) <= 48 needs k <= 2 * 48**2
+        ks = [k for k in range(3, 2 * 48**2 + 1) if k % 4 != 2 and 2 < euler_phi(k) <= 48]
+        assert len(ks) == 65
+        for k in ks:
+            F = cyclo_field(k)
+            h = F.phi // 2
+            rep = enumerate_shortest(real_subfield_gram(F))
+            one = (1,) + (0,) * (h - 1)
+            assert rep.minimum == h, k
+            assert set(rep.vectors) == {one, tuple(-c for c in one)}, k
         assert time.perf_counter() - start < 10.0
 
 

@@ -26,6 +26,7 @@ from oracles import (
     qd_trace,
     window_minimal_vectors,
 )
+from records import Record, classify_one
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
@@ -235,7 +236,7 @@ def test_minimal_vectors_match_window_oracle():
 
 def ideal_record(a, b, g, D):
     t = IdealTriple(a, b, g, QuadOrder(D))
-    return classify_triple(t.order, t.a, t.b, t.g)
+    return classify_one(t.order, t.a, t.b, t.g)
 
 
 def test_is_wr_examples():
@@ -277,5 +278,5 @@ def test_check_min_bound_examples():
 def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
         o = QuadOrder(D)
-        for a, b, g in enumerate_ideals(o, 40):
-            assert min_bound_holds(classify_triple(o, a, b, g)), (D, a, b, g)
+        for rec in map(Record._make, classify_triple(o, enumerate_ideals(o, 40))):
+            assert min_bound_holds(rec), rec

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
-from wrlat.cli import RECORD_COLUMNS, main
+from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.survey import (
     SurveyConfig,
-    SurveyRecord,
     classify_triple,
     element_str,
     reference_tables,
@@ -29,6 +28,7 @@ from oracles import (
     squarefree_by_factorization,
     window_minimal_vectors,
 )
+from records import classify_one, survey
 
 SAMPLE_D = (-15, -55, -5, -3, -1, -20, 2, 3, 5, 21, 165, 60)
 
@@ -41,7 +41,7 @@ for _D in SAMPLE_D:
 def classify(a, b, g, D):
     """classify_triple behind the IdealTriple gate, as `wrlat classify` runs it."""
     t = IdealTriple(a, b, g, QuadOrder(D))
-    return classify_triple(t.order, t.a, t.b, t.g)
+    return classify_one(t.order, t.a, t.b, t.g)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +84,9 @@ def test_classify_real_hexagonal():
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
     order, a, b, g = trip
-    rec = classify_triple(order, a, b, g)
-    assert isinstance(rec, tuple) and type(rec.minimum) is int
+    (row,) = classify_triple(order, [(a, b, g)])
+    assert type(row) is tuple and type(row[5]) is int
+    rec = classify_one(order, a, b, g)
     assert (rec.D, rec.a, rec.b, rec.g) == (order.D, a, b, g)
     assert rec.norm == a * g
     assert rec.minimum > 0
@@ -119,12 +120,12 @@ def test_config_validation():
 
 
 def test_survey_skips_invalid_radicands():
-    records, _ = run_survey(SurveyConfig(d_min=0, d_max=4, norm_bound=5))
+    records, _ = survey(SurveyConfig(d_min=0, d_max=4, norm_bound=5))
     assert {r.D for r in records} == {2, 3}
 
 
 def test_survey_squarefree_filter():
-    records, _ = run_survey(
+    records, _ = survey(
         SurveyConfig(d_min=-20, d_max=-1, norm_bound=5, require_squarefree=True)
     )
     ds = {r.D for r in records}
@@ -133,7 +134,7 @@ def test_survey_squarefree_filter():
 
 
 def test_survey_imaginary_window():
-    records, summary = run_survey(SurveyConfig(d_min=-20, d_max=-1, norm_bound=10))
+    records, summary = survey(SurveyConfig(d_min=-20, d_max=-1, norm_bound=10))
     key = {(r.D, r.a, r.b, r.g): r for r in records}
     assert key[(-15, 2, 0, 1)].wr
     assert all(r.wr for r in records if r.D == -1)
@@ -145,7 +146,7 @@ def test_survey_imaginary_window():
 
 
 def test_survey_sorted_deterministically():
-    records, _ = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=8))
+    records, _ = survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=8))
     keys = [(r.D, r.norm, r.a, r.b, r.g) for r in records]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -181,7 +182,7 @@ def assert_records_match_oracles(records, d_min, d_max, norm_bound):
 def test_survey_records_match_oracles():
     # both signs, D = +-3, and non-maximal orders such as D = -12, whose
     # ideal (4, 2, 1) has a hexagonal lattice
-    records, _ = run_survey(SurveyConfig(d_min=-45, d_max=45, norm_bound=30))
+    records, _ = survey(SurveyConfig(d_min=-45, d_max=45, norm_bound=30))
     assert_records_match_oracles(records, -45, 45, 30)
     key = {(r.D, r.a, r.b, r.g): r for r in records}
     assert key[(-12, 4, 2, 1)].hexagonal and not key[(-12, 4, 2, 1)].order_maximal
@@ -192,19 +193,22 @@ def test_survey_records_match_oracles():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(-3000, 3000), st.integers(0, 6), st.integers(1, 60))
 def test_survey_records_match_oracles_random(d_min, width, norm_bound):
-    records, _ = run_survey(SurveyConfig(d_min=d_min, d_max=d_min + width, norm_bound=norm_bound))
+    records, _ = survey(SurveyConfig(d_min=d_min, d_max=d_min + width, norm_bound=norm_bound))
     assert_records_match_oracles(records, d_min, d_min + width, norm_bound)
 
 
 def test_survey_worker_count_is_invisible(monkeypatch):
     # a window of many tasks, and two CPUs so that the pool starts on any host;
-    # a plain tuple compares equal to a SurveyRecord, so the types are checked too
+    # the workers format their own chunks, so each format's chunks are compared
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial, sum1 = run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6))
-    pooled, sum2 = run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6, workers=2))
-    assert sum1 == sum2
-    assert serial == pooled
-    assert all(type(r) is SurveyRecord for r in pooled)
+    cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6)
+    for emit in (list, *_RECORDS.values()):
+        serial = run_survey(cfg, emit)
+        pooled = run_survey(dataclasses.replace(cfg, workers=2), emit)
+        assert serial == pooled, emit
+        assert len(pooled[0]) == sum(map(is_valid_radicand, range(-300, 301)))  # one per radicand
+    chunks, _ = run_survey(dataclasses.replace(cfg, workers=2), list)
+    assert all(type(r) is tuple for chunk in chunks for r in chunk)
 
 
 class RecordingPool:
@@ -244,11 +248,10 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
-    records, summary = run_survey(cfg)
+    chunks, summary = run_survey(cfg, list)
     assert RecordingPool.sizes == ([] if expected is None else [expected])
-    serial = run_survey(dataclasses.replace(cfg, workers=1))
-    assert (records, summary) == serial
-    assert all(type(r) is SurveyRecord for r in records)
+    assert (chunks, summary) == run_survey(dataclasses.replace(cfg, workers=1), list)
+    assert all(type(r) is tuple for chunk in chunks for r in chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ def survey_output(capsys, d_min, d_max, norm_bound, fmt):
 
 
 def test_csv_schema(capsys):
-    records, _ = run_survey(SurveyConfig(d_min=-5, d_max=-5, norm_bound=4))
+    records, _ = survey(SurveyConfig(d_min=-5, d_max=-5, norm_bound=4))
     text = survey_output(capsys, -5, -5, 4, "csv").out
     lines = text.splitlines()
     assert lines[0] == ",".join(RECORD_COLUMNS)
@@ -274,7 +277,7 @@ def test_csv_schema(capsys):
 
 
 def test_json_round_trip(capsys):
-    records, summary = run_survey(SurveyConfig(d_min=-5, d_max=-3, norm_bound=4))
+    records, summary = survey(SurveyConfig(d_min=-5, d_max=-3, norm_bound=4))
     text = survey_output(capsys, -5, -3, 4, "json").out
     obj = json.loads(text)
     assert obj["summary"] == summary
@@ -300,7 +303,7 @@ def test_json_of_an_empty_window(capsys):
 
 
 def test_text_rendering(capsys):
-    records, summary = run_survey(SurveyConfig(d_min=-3, d_max=-3, norm_bound=2))
+    records, summary = survey(SurveyConfig(d_min=-3, d_max=-3, norm_bound=2))
     text = survey_output(capsys, -3, -3, 2, "text").out
     lines = text.splitlines()
     assert len(lines) == len(records) + 1
@@ -318,17 +321,11 @@ def test_record_line_format(capsys):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
-def test_survey_output_matches_reference_renderer(capsys, tmp_path, fmt, workers):
-    """`wrlat survey` writes, to stdout and to --out, the bytes of the csv
-    module, Fraction and json.dumps renderer in the oracles, plus the summary
-    line for CSV and text: on real and imaginary fields, the non-maximal
-    orders D = -27, -12, 12, 45 and the hexagonal ideals of D = -3, -12, -27."""
-    records, summary = run_survey(SurveyConfig(d_min=-30, d_max=50, norm_bound=20))
-    assert {r.D > 0 for r in records} == {True, False}
-    assert {-27, -12, 12, 45} <= {r.D for r in records if not r.order_maximal}
-    assert {-27, -12, -3} <= {r.D for r in records if r.hexagonal}
+def assert_survey_matches_reference(capsys, tmp_path, cfg, fmt):
+    """`wrlat survey` on the window of `cfg` writes, to stdout and to --out,
+    the bytes of the csv module, Fraction and json.dumps renderer in the
+    oracles, plus the summary line for CSV and text."""
+    records, summary = survey(cfg)
     summary_line = (
         f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
         f"bound holds for {summary['bound_ok']}/{summary['records']}\n"
@@ -339,14 +336,39 @@ def test_survey_output_matches_reference_renderer(capsys, tmp_path, fmt, workers
         want += summary_line
     elif fmt == "csv":
         want_err = summary_line
-    argv = ["survey", "--d-min", "-30", "--d-max", "50", "--norm-bound", "20",
-            "--format", fmt, "--workers", str(workers)]
+    argv = ["survey", "--d-min", str(cfg.d_min), "--d-max", str(cfg.d_max),
+            "--norm-bound", str(cfg.norm_bound), "--format", fmt, "--workers", str(cfg.workers)]
     assert main(argv) == 0
     assert capsys.readouterr() == (want, want_err)
     target = tmp_path / f"survey.{fmt}"
     assert main(argv + ["--out", str(target)]) == 0
     assert capsys.readouterr() == ("", want_err)
     assert target.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_survey_output_matches_reference_renderer(monkeypatch, capsys, tmp_path, fmt, workers):
+    """On real and imaginary fields, the non-maximal orders D = -27, -12, 12,
+    45 and the hexagonal ideals of D = -3, -12, -27; two CPUs, so that two
+    workers start the pool on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = SurveyConfig(d_min=-30, d_max=50, norm_bound=20, workers=workers)
+    records, _ = survey(cfg)
+    assert {r.D > 0 for r in records} == {True, False}
+    assert {-27, -12, 12, 45} <= {r.D for r in records if not r.order_maximal}
+    assert {-27, -12, -3} <= {r.D for r in records if r.hexagonal}
+    assert_survey_matches_reference(capsys, tmp_path, cfg, fmt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_empty_survey_matches_reference_renderer(monkeypatch, capsys, tmp_path, fmt, workers):
+    # 0 and 1 are no radicands, so the window has no record
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = SurveyConfig(d_min=0, d_max=1, norm_bound=20, workers=workers)
+    assert survey(cfg) == ([], {"records": 0, "wr": 0, "hexagonal": 0, "bound_ok": 0})
+    assert_survey_matches_reference(capsys, tmp_path, cfg, fmt)
 
 
 # ---------------------------------------------------------------------------
