@@ -261,7 +261,7 @@ def _cmd_tables(args) -> int:
 
 def _family_row(inst) -> tuple:
     trip = inst.triple
-    return (inst.t, inst.D, trip.a, trip.b, trip.g, *inst.closed_form.coeffs(),
+    return (inst.t, inst.D, trip.a, trip.b, trip.g, *inst.closed_form,
             inst.p_prime, inst.squarefree)
 
 

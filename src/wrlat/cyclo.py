@@ -136,7 +136,8 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
 
     Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2 = Tr(y*zeta^|i-j|) / 2
     with y = x*conj(x), which is real, so one product gives every entry:
-    Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).  Exact in half-integers.
+    Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).  The matrix is passed as
+    these integer traces with scale 2.
     """
     if x.fld.k != F.k:
         raise ValueError("mismatched cyclotomic fields")
@@ -144,8 +145,8 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
         raise ValueError("zero element generates no lattice")
     y = (x * x.conj()).coeffs
     k, n, T = F.k, F.phi, F.trace_table
-    diag = [Fraction(sum(c * T[(l + m) % k] for l, c in enumerate(y) if c), 2) for m in range(n)]
-    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
+    diag = [sum(c * T[(l + m) % k] for l, c in enumerate(y) if c) for m in range(n)]
+    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)), 2)
 
 
 @dataclass(frozen=True)

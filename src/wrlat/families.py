@@ -4,23 +4,19 @@ Both are indexed by odd t.  The imaginary family lives in the order of
 radicand -(3t^2 + 8t + 4) with ideal (t+1, (t-1)/2, 1) and norm form
 a^2*m^2 + a(a-1)*m*n + a^2*n^2 for a = t + 1.  The real family lives in
 radicand t^2 - 4 with ideal (t+2, (t+1)/2, 1); after reduction its form is
-t(t+2)*m^2 + 4(t+2)*m*n + t(t+2)*n^2.
+t(t+2)*m^2 + 4(t+2)*m*n + t(t+2)*n^2.  Each instance carries its closed
+form as the integer triple (c1, c2, c3), which family_stream checks against
+the form computed from the ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .arith import QuadOrder, check_radicand_bound, factorize
 from .errors import InvariantViolation
 from .ideals import IdealTriple
-from .planar import BinaryForm, form_from_ideal, gauss_reduce
-
-
-class FamilyKind(str, Enum):
-    IMAGINARY = "imaginary"
-    REAL = "real"
+from .planar import form_from_ideal, gauss_reduce
 
 
 @dataclass(frozen=True)
@@ -28,7 +24,7 @@ class FamilyInstance:
     t: int
     D: int
     triple: IdealTriple
-    closed_form: BinaryForm
+    closed_form: tuple[int, int, int]
     p_prime: bool       # is t + 2 prime
     squarefree: bool    # is |D| squarefree
 
@@ -51,7 +47,7 @@ def imaginary_instance(t: int) -> FamilyInstance:
     D = _radicand(True, t)
     a = t + 1
     triple = IdealTriple(a, (t - 1) // 2, 1, QuadOrder(D))
-    form = BinaryForm(a * a, a * (a - 1), a * a)
+    form = (a * a, a * (a - 1), a * a)
     return FamilyInstance(t, D, triple, form, *_flags(t, triple.order))
 
 
@@ -62,19 +58,21 @@ def real_instance(t: int) -> FamilyInstance:
     D = _radicand(False, t)
     a = t + 2
     triple = IdealTriple(a, (t + 1) // 2, 1, QuadOrder(D))
-    form = BinaryForm(t * a, 4 * a, t * a)
+    form = (t * a, 4 * a, t * a)
     return FamilyInstance(t, D, triple, form, *_flags(t, triple.order))
 
 
-def family_stream(kind, t_max: int, require_squarefree: bool = False) -> list[FamilyInstance]:
+def family_stream(kind: str, t_max: int, require_squarefree: bool = False) -> list[FamilyInstance]:
     """Instances for every valid odd t <= t_max, cross-checked on the way out.
 
     Each closed form must agree with the form computed from the ideal triple:
     directly in the imaginary case, after reduction in the real case.  Raises
-    ValueError before any work if the last t has |D| above MAX_RADICAND.
+    ValueError before any work for a kind other than "imaginary" and "real",
+    or if the last t has |D| above MAX_RADICAND.
     """
-    kind = FamilyKind(kind)
-    imaginary = kind is FamilyKind.IMAGINARY
+    if kind not in ("imaginary", "real"):
+        raise ValueError(f"unknown family kind {kind!r}")
+    imaginary = kind == "imaginary"
     build = imaginary_instance if imaginary else real_instance
     start = 1 if imaginary else 5
     last = t_max if t_max % 2 else t_max - 1  # |D| grows with t
@@ -85,12 +83,10 @@ def family_stream(kind, t_max: int, require_squarefree: bool = False) -> list[Fa
         inst = build(t)
         if require_squarefree and not inst.squarefree:
             continue
-        canon = form_from_ideal(inst.triple).coeffs()
+        canon = form_from_ideal(inst.triple)
         if not imaginary:
             canon = gauss_reduce(*canon)[0]
-        if canon != inst.closed_form.coeffs():
-            raise InvariantViolation(
-                f"closed form mismatch at t={t}: {canon} != {inst.closed_form.coeffs()}"
-            )
+        if canon != inst.closed_form:
+            raise InvariantViolation(f"closed form mismatch at t={t}: {canon} != {inst.closed_form}")
         out.append(inst)
     return out

@@ -9,51 +9,18 @@ vectors p, q it ends on.  Every answer is read off the reduced coefficients:
 the minimum is c1, the lattice is well-rounded exactly when c1 = c3, and
 hexagonal exactly when also c1 = c2 (Buchmann & Vollmer, Binary Quadratic
 Forms).  A survey classifies each ideal from the reduced coefficients alone,
-in survey.classify_triple, which also checks the minimum bound; BinaryForm
-serves the families, and minimal_vectors expands the basis into vectors only
-for the tables, which print them.  Everything is exact.
+in survey.classify_triple, which also checks the minimum bound; the families
+cross-check their closed forms against form_from_ideal, and minimal_vectors
+expands the basis into vectors only for the tables, which print them.  Forms
+are plain integer triples, and everything is exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import QuadOrder, norm_xy, trace_xy
 from .ideals import IdealTriple
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """Positive definite binary quadratic form c1*m^2 + c2*m*n + c3*n^2."""
-
-    c1: Fraction | int
-    c2: Fraction | int
-    c3: Fraction | int
-
-    def __post_init__(self):
-        if not (self.c1 > 0 and 4 * self.c1 * self.c3 - self.c2 * self.c2 > 0):
-            raise ValueError("form is not positive definite")
-
-    def __call__(self, m, n):
-        return self.c1 * m * m + self.c2 * m * n + self.c3 * n * n
-
-    def coeffs(self):
-        return (self.c1, self.c2, self.c3)
-
-
-@dataclass(frozen=True)
-class MinimalSet:
-    """Lattice minimum together with every vector attaining it."""
-
-    minimum: Fraction | int
-    vectors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.vectors) not in (2, 4, 6):
-            raise ValueError("a planar lattice has 2, 4 or 6 minimal vectors")
 
 
 def norm_form(order: QuadOrder, a: int, b: int, g: int) -> tuple[int, int, int]:
@@ -71,9 +38,9 @@ def norm_form(order: QuadOrder, a: int, b: int, g: int) -> tuple[int, int, int]:
     return 2 * a * a, 2 * a * tr, tr * tr - 2 * nm
 
 
-def form_from_ideal(t: IdealTriple) -> BinaryForm:
-    """Norm form of the embedded ideal in the canonical basis (a, b + g*delta)."""
-    return BinaryForm(*norm_form(t.order, t.a, t.b, t.g))
+def form_from_ideal(t: IdealTriple) -> tuple[int, int, int]:
+    """Norm form (c1, c2, c3) of the embedded ideal in the canonical basis (a, b + g*delta)."""
+    return norm_form(t.order, t.a, t.b, t.g)
 
 
 def gauss_reduce(c1, c2, c3) -> tuple[tuple, Mat2]:
@@ -106,17 +73,18 @@ def gauss_reduce(c1, c2, c3) -> tuple[tuple, Mat2]:
     return (c1, c2, c3), ((p0, q0), (p1, q1))
 
 
-def minimal_vectors(f: BinaryForm) -> MinimalSet:
-    """All vectors attaining the minimum, in the original basis coordinates.
+def minimal_vectors(c1, c2, c3) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(minimum, vectors) of the positive definite form (c1, c2, c3), the
+    vectors sorted and in the original basis coordinates.
 
-    With p, q the reduced basis, the minimum is c1 and the minimal vectors are
-    +-p, also +-q when c1 = c3, and also +-(p - q) when c1 = c2 = c3.
+    With p, q the reduced basis, the minimum is the reduced c1 and the minimal
+    vectors are +-p, also +-q when c1 = c3, and also +-(p - q) when c1 = c2 = c3.
     """
-    (c1, c2, c3), ((p0, q0), (p1, q1)) = gauss_reduce(f.c1, f.c2, f.c3)
+    (c1, c2, c3), ((p0, q0), (p1, q1)) = gauss_reduce(c1, c2, c3)
     vecs = [(p0, p1), (-p0, -p1)]
     if c1 == c3:
         vecs += [(q0, q1), (-q0, -q1)]
         if c2 == c1:
             vecs += [(p0 - q0, p1 - q1), (q0 - p0, q1 - p1)]
     vecs.sort()
-    return MinimalSet(c1, tuple(vecs))
+    return c1, tuple(vecs)

@@ -176,8 +176,8 @@ _EXPECTED_ROWS = (
 
 
 def _minimal_elements_str(t: IdealTriple) -> str:
-    ms = minimal_vectors(form_from_ideal(t))
-    reps = [v for v in ms.vectors if v > (-v[0], -v[1])]
+    _, vecs = minimal_vectors(*form_from_ideal(t))
+    reps = [v for v in vecs if v > (-v[0], -v[1])]
     reps.sort(key=lambda v: (abs(v[1]), abs(v[0]), v[1], v[0]))
     return ", ".join("±" + element_str(t.order, t.a * m + t.b * n, t.g * n) for m, n in reps)
 

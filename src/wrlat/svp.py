@@ -1,8 +1,8 @@
-"""Exact shortest-vector computation for small rational Gram matrices.
+"""Exact shortest-vector computation for small Gram matrices, on integers.
 
-Everything runs on integers.  GramMatrix clears the denominators of G once,
-into the integer matrix sG (s the lcm of the entry denominators), and
-factors it by integral Gram-Schmidt (Cohen, A Course in Computational
+Everything runs on integers.  GramMatrix takes G as the integer matrix sG and
+the positive integer s (for a cyclotomic ideal, its traces and s = 2) and
+factors sG by integral Gram-Schmidt (Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.6.7, after de Weger): d[i] is the leading
 principal minor of order i, d[0] = 1, and lam_ij = d[j+1]*mu_ij, for the
 Gram-Schmidt coefficients mu and the squared Gram-Schmidt lengths
@@ -40,38 +40,32 @@ MAX_ENUM_DIM = 24
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive definite matrix with exact rational entries.
+    """Symmetric positive definite matrix G, given as the integer matrix
+    ``scaled`` = s*G and the positive integer ``scale`` = s.
 
-    The constructor clears the denominators once: ``scale`` is the lcm s of
-    the entry denominators and ``scaled`` the integer matrix s*G.  ``ldl`` is
-    the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on s*G, computed as the
-    positive-definiteness check.
+    ``ldl`` is the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on s*G,
+    computed as the positive-definiteness check.
     """
 
-    entries: tuple[tuple[Fraction | int, ...], ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int = 1
     ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        rows = tuple(map(tuple, self.scaled))
+        object.__setattr__(self, "scaled", rows)
         n = len(rows)
         if not n:
             raise ValueError("matrix must be non-empty")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        s = math.lcm(*(v.denominator for row in rows for v in row))
-        scaled = tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row in rows)
-        if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(i)):
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "ldl", _ldl(scaled))  # raises if not positive definite
+        object.__setattr__(self, "ldl", _ldl(rows))  # raises if not positive definite
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.scaled)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
-beyond plain data.  Some are the package's own former algorithms, kept as
-references after a faster one replaced them (lll_rebuild, lll_fraction,
-span_rank_fraction, walk_fraction, window_minimal_vectors, gram_by_products,
-enumerate_ideals_scan, render_records_reference) or after the package stopped
-needing them (hnf_triple, the canonical triple of an ideal from its
-generators, and is_similar, lattice similarity of two binary forms).
+beyond plain data, except gram_from_rows, which builds the package's
+GramMatrix from a matrix with rational entries.  Some are the package's own
+former algorithms, kept as references after a faster one replaced them
+(lll_rebuild, lll_fraction, span_rank_fraction, walk_fraction,
+window_minimal_vectors, gram_by_products, enumerate_ideals_scan,
+render_records_reference) or after the package stopped needing them
+(hnf_triple, the canonical triple of an ideal from its generators, and
+is_similar, lattice similarity of two binary forms).
 """
 
 import csv
@@ -20,6 +22,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from wrlat.svp import GramMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,28 @@ def hnf_triple(D: int, *gens) -> tuple[int, int, int]:
     if a == 0 or g_y == 0:
         raise ValueError("generators do not span a rank-2 module")
     return a, b_x % a, g_y
+
+
+# ---------------------------------------------------------------------------
+# forms and Gram matrices as the tests write them
+
+def form_value(c, m, n):
+    """c1*m^2 + c2*m*n + c3*n^2 for the binary form c = (c1, c2, c3)."""
+    c1, c2, c3 = c
+    return c1 * m * m + c2 * m * n + c3 * n * n
+
+
+def gram_from_rows(rows):
+    """GramMatrix of a matrix with int or Fraction entries: the integer matrix
+    s*G and s, the lcm of the entry denominators."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    s = math.lcm(*(v.denominator for row in rows for v in row))
+    return GramMatrix(tuple(tuple(int(v * s) for v in row) for row in rows), s)
+
+
+def rational_entries(G):
+    """The entries of the GramMatrix G, scaled/scale, as Fractions."""
+    return tuple(tuple(Fraction(v, G.scale) for v in row) for row in G.scaled)
 
 
 # ---------------------------------------------------------------------------

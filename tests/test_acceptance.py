@@ -30,8 +30,10 @@ from oracles import (
     box_form_minimum,
     box_form_minimum_np,
     fraction_gram_schmidt,
+    gram_from_rows,
     min_bound_holds,
     newton_trace_table,
+    rational_entries,
     transform_gram,
     walk_fraction,
 )
@@ -139,28 +141,29 @@ def test_family_prefixes_exact():
             a = t + 1
             assert inst.D == -(t + 2) * (3 * t + 2)
             assert (trip.a, trip.b, trip.g) == (a, (t - 1) // 2, 1)
-            assert inst.closed_form.coeffs() == (a * a, a * (a - 1), a * a)
-            assert form_from_ideal(trip).coeffs() == inst.closed_form.coeffs()
+            assert inst.closed_form == (a * a, a * (a - 1), a * a)
+            assert form_from_ideal(trip) == inst.closed_form
         for inst in real:
             t, trip = inst.t, inst.triple
             assert inst.D == t * t - 4
             assert (trip.a, trip.b, trip.g) == (t + 2, (t + 1) // 2, 1)
-            assert inst.closed_form.coeffs() == (t * (t + 2), 4 * (t + 2), t * (t + 2))
-            reduced, _ = gauss_reduce(*form_from_ideal(trip).coeffs())
-            assert reduced == inst.closed_form.coeffs()
+            assert inst.closed_form == (t * (t + 2), 4 * (t + 2), t * (t + 2))
+            reduced, _ = gauss_reduce(*form_from_ideal(trip))
+            assert reduced == inst.closed_form
         for inst in imag + real:
-            c1, c2, c3 = inst.closed_form.coeffs()
+            c1, c2, c3 = inst.closed_form
             assert abs(c2) <= c1 == c3
-            assert len(minimal_vectors(inst.closed_form).vectors) == 4
-            assert len(minimal_vectors(form_from_ideal(inst.triple)).vectors) == 4
+            assert len(minimal_vectors(c1, c2, c3)[1]) == 4
+            assert len(minimal_vectors(*form_from_ideal(inst.triple))[1]) == 4
         _CACHE["families"] = (imag, real)
 
 
 def box_radius(f, bound) -> int:
     """A radius whose box holds every (m, n) with f(m, n) <= bound: completing
     the square gives m^2 <= 4*c3*bound/disc and n^2 <= 4*c1*bound/disc."""
-    disc = 4 * f.c1 * f.c3 - f.c2 * f.c2
-    return math.isqrt(math.floor(4 * max(f.c1, f.c3) * bound / disc))
+    c1, c2, c3 = f
+    disc = 4 * c1 * c3 - c2 * c2
+    return math.isqrt(math.floor(4 * max(c1, c3) * bound / disc))
 
 
 def test_minimum_bound_survey():
@@ -174,7 +177,7 @@ def test_minimum_bound_survey():
             assert min_bound_holds(r), (r.D, r.a, r.b, r.g)
         for r in random.Random(4242).sample(records, 1000):
             f = form_from_ideal(IdealTriple(r.a, r.b, r.g, QuadOrder(r.D)))
-            assert box_form_minimum(f.c1, f.c2, f.c3, box_radius(f, r.minimum))[0] == r.minimum
+            assert box_form_minimum(*f, box_radius(f, r.minimum))[0] == r.minimum
         assert time.perf_counter() - start < 60.0
 
 
@@ -224,7 +227,7 @@ def test_hard_principal_ideals_of_zeta_35():
             assert verify_principal_ideal_wr(F, x, rng=rng), seed
             if seed == 3:
                 lam, d, u = lll_reduce(G)
-                red = transform_gram(G.entries, u)
+                red = transform_gram(rational_entries(G), u)
                 mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
                 omin, ovecs = walk_fraction(mu, lengths, min(red[i][i] for i in range(F.phi)))
                 assert omin == rep.minimum
@@ -245,17 +248,16 @@ def test_oracle_equivalence():
                 pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, 100))
         sample = rng.sample(pool, 1000)
         for trip in sample:
-            f = form_from_ideal(trip)
-            ms = minimal_vectors(f)
-            c1, c2, c3 = f.coeffs()
+            c1, c2, c3 = form_from_ideal(trip)
+            minimum, vectors = minimal_vectors(c1, c2, c3)
             box_min, box_vecs = box_form_minimum_np(c1, c2, c3, radius=25)
-            assert ms.minimum == box_min
-            assert sorted(ms.vectors) == box_vecs
+            assert minimum == box_min
+            assert sorted(vectors) == box_vecs
             half = Fraction(c2, 2)
-            G = GramMatrix(((Fraction(c1), half), (half, Fraction(c3))))
+            G = gram_from_rows(((Fraction(c1), half), (half, Fraction(c3))))
             rep = enumerate_shortest(G)
-            assert rep.minimum == ms.minimum
-            assert set(rep.vectors) == set(ms.vectors)
+            assert rep.minimum == minimum
+            assert set(rep.vectors) == set(vectors)
         for k in range(3, 61):
             assert cyclo_field(k).trace_table == newton_trace_table(k)
 

@@ -21,12 +21,14 @@ from wrlat.errors import InvariantViolation
 from wrlat.svp import GramMatrix
 from oracles import (
     gram_by_products,
+    gram_from_rows,
     is_similar,
     moebius_cyclo_poly,
     newton_trace_table,
     numeric_cyclo_poly,
     numeric_gram,
     numeric_trace,
+    rational_entries,
 )
 
 SMALL_K = (3, 4, 5, 6, 7, 8, 9, 12)
@@ -193,15 +195,18 @@ def test_mismatched_fields_rejected():
 
 def test_gram_examples():
     F = cyclo_field(4)
-    assert gram_principal(F, element(F, [1])).entries == ((1, 0), (0, 1))
+    G = gram_principal(F, element(F, [1]))
+    assert rational_entries(G) == ((1, 0), (0, 1))
+    # the integer traces with scale 2
+    assert (G.scaled, G.scale) == (((2, 0), (0, 2)), 2)
     F = cyclo_field(3)
     h = Fraction(-1, 2)
-    assert gram_principal(F, element(F, [1])).entries == ((1, h), (h, 1))
+    assert rational_entries(gram_principal(F, element(F, [1]))) == ((1, h), (h, 1))
     F = cyclo_field(5)
-    G = gram_principal(F, element(F, [1]))
+    entries = rational_entries(gram_principal(F, element(F, [1])))
     for i in range(4):
         for j in range(4):
-            assert G.entries[i][j] == (2 if i == j else Fraction(-1, 2))
+            assert entries[i][j] == (2 if i == j else Fraction(-1, 2))
 
 
 def test_gram_rejects_zero():
@@ -218,11 +223,11 @@ def test_gram_matches_numeric_embeddings():
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
             if not any(coeffs):
                 coeffs[0] = 1
-            G = gram_principal(F, element(F, coeffs))
+            entries = rational_entries(gram_principal(F, element(F, coeffs)))
             N = numeric_gram(k, coeffs)
             for i in range(F.phi):
                 for j in range(F.phi):
-                    assert abs(float(G.entries[i][j]) - N[i, j]) < 1e-6
+                    assert abs(float(entries[i][j]) - N[i, j]) < 1e-6
 
 
 def _gram_generators():
@@ -252,7 +257,7 @@ def test_gram_matches_product_oracle():
     count = 0
     for F, coeffs in _gram_generators():
         x = element(F, coeffs)
-        assert gram_principal(F, x).entries == gram_by_products(F, x), (F.k, coeffs)
+        assert rational_entries(gram_principal(F, x)) == gram_by_products(F, x), (F.k, coeffs)
         count += 1
     assert count > 140
 
@@ -275,10 +280,10 @@ def test_verify_principal_ideal_examples():
     # <2> in the third cyclotomic field is similar to the full ring
     F = cyclo_field(3)
     assert verify_principal_ideal_wr(F, element(F, [2]))
-    g2 = gram_principal(F, element(F, [2]))
-    g1 = gram_principal(F, element(F, [1]))
-    f2 = (g2.entries[0][0], 2 * g2.entries[0][1], g2.entries[1][1])
-    f1 = (g1.entries[0][0], 2 * g1.entries[0][1], g1.entries[1][1])
+    g2 = rational_entries(gram_principal(F, element(F, [2])))
+    g1 = rational_entries(gram_principal(F, element(F, [1])))
+    f2 = (g2[0][0], 2 * g2[0][1], g2[1][1])
+    f1 = (g1[0][0], 2 * g1[0][1], g1[1][1])
     assert is_similar(f2, f1)
     # a unit multiple is literally the same lattice
     F = cyclo_field(5)
@@ -314,12 +319,12 @@ def test_rotation_violation_names_its_witness(monkeypatch):
 
 def test_rotation_check_requires_half_integral_gram(monkeypatch):
     F = cyclo_field(4)
-    third = GramMatrix(((1, Fraction(1, 3)), (Fraction(1, 3), 1)))
+    third = gram_from_rows(((1, Fraction(1, 3)), (Fraction(1, 3), 1)))
     monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: third)
     with pytest.raises(InvariantViolation, match="half-integer"):
         verify_principal_ideal_wr(F, element(F, [1]))
     # the check is that the denominators clear with s | 2: quarters fail too
-    quarter = GramMatrix(((1, Fraction(1, 4)), (Fraction(1, 4), 1)))
+    quarter = gram_from_rows(((1, Fraction(1, 4)), (Fraction(1, 4), 1)))
     monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: quarter)
     with pytest.raises(InvariantViolation, match="half-integer"):
         verify_principal_ideal_wr(F, element(F, [1]))

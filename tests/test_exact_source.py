@@ -6,6 +6,10 @@ decimal, and ``math`` functions and constants other than the integer-valued
 floor, ceil, gcd, lcm and isqrt.  Division of two ints, which also gives a
 float, cannot be told from Fraction division without types and is not
 searched for.
+
+Rationals are confined too: forms and Gram matrices are integers, and only
+svp.py and cyclo.py, where the rational minimum is built and reported, may
+import fractions.
 """
 
 import ast
@@ -18,6 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wrlat"
 FLOAT_MODULES = {"cmath", "numpy", "decimal"}
 FLOAT_NAMES = {"float", "complex"}
 INTEGER_MATH = {"floor", "ceil", "gcd", "lcm", "isqrt"}
+FRACTION_MODULES = {"svp.py", "cyclo.py"}
 
 
 def float_uses(source: str) -> list[str]:
@@ -99,3 +104,31 @@ def test_guard_allows_integer_math():
         " math.isqrt(10), gcd(1, 2), 7 // 2]"
     )
     assert float_uses(source) == []
+
+
+def fraction_imports(source: str) -> list[int]:
+    """Line numbers of the imports of the fractions module in the source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+    ]
+
+
+def test_fractions_only_where_the_minimum_is_built():
+    importers = {p.name for p in SRC.glob("*.py") if fraction_imports(p.read_text())}
+    assert importers <= FRACTION_MODULES
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import fractions", "import fractions as fr", "from fractions import Fraction",
+     "import math, fractions", "def f():\n    from fractions import Fraction"],
+)
+def test_guard_finds_fraction_imports(source):
+    assert fraction_imports(source)
+
+
+def test_guard_ignores_other_imports():
+    assert fraction_imports("import math\nfrom .svp import Fraction\nx = Fraction") == []

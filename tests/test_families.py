@@ -1,12 +1,7 @@
 import pytest
 
 from wrlat.arith import is_squarefree, norm_xy
-from wrlat.families import (
-    FamilyKind,
-    family_stream,
-    imaginary_instance,
-    real_instance,
-)
+from wrlat.families import family_stream, imaginary_instance, real_instance
 from wrlat.ideals import IdealTriple
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 from oracles import trial_division_prime
@@ -16,11 +11,11 @@ def test_imaginary_examples():
     inst = imaginary_instance(1)
     assert inst.D == -15
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (2, 0, 1)
-    assert inst.closed_form.coeffs() == (4, 2, 4)
+    assert inst.closed_form == (4, 2, 4)
     inst = imaginary_instance(3)
     assert inst.D == -55
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (4, 1, 1)
-    assert inst.closed_form.coeffs() == (16, 12, 16)
+    assert inst.closed_form == (16, 12, 16)
     inst = imaginary_instance(7)
     assert inst.D == -207 and not inst.squarefree
 
@@ -29,7 +24,7 @@ def test_real_examples():
     inst = real_instance(5)
     assert inst.D == 21
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (7, 3, 1)
-    assert inst.closed_form.coeffs() == (35, 28, 35)
+    assert inst.closed_form == (35, 28, 35)
     inst = real_instance(13)
     assert inst.D == 165
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (15, 7, 1)
@@ -48,35 +43,35 @@ def test_family_invariants_long_prefix():
     # imaginary: D = -(t+2)(3t+2), N(b + delta) = a^2, closed form is the
     # canonical form itself; real: D = (t-2)(t+2), N(b + delta) = a, closed
     # form is the reduced canonical form.  Checked for every t up to 201.
-    for inst in family_stream(FamilyKind.IMAGINARY, 201):
+    for inst in family_stream("imaginary", 201):
         t = inst.t
         trip = inst.triple
         assert inst.D == -(t + 2) * (3 * t + 2)
         assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a**2
-        assert inst.closed_form.coeffs() == form_from_ideal(trip).coeffs()
+        assert inst.closed_form == form_from_ideal(trip)
         assert inst.p_prime == trial_division_prime(t + 2)
         assert inst.squarefree == is_squarefree(-inst.D)
-    for inst in family_stream(FamilyKind.REAL, 201):
+    for inst in family_stream("real", 201):
         t = inst.t
         trip = inst.triple
         assert inst.D == (t - 2) * (t + 2)
         assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a
-        reduced, _ = gauss_reduce(*form_from_ideal(trip).coeffs())
-        assert inst.closed_form.coeffs() == reduced
+        reduced, _ = gauss_reduce(*form_from_ideal(trip))
+        assert inst.closed_form == reduced
         assert inst.p_prime == trial_division_prime(t + 2)
         assert inst.squarefree == is_squarefree(inst.D)
 
 
 def test_every_instance_is_wr_with_four_minimal_vectors():
-    for kind in (FamilyKind.IMAGINARY, FamilyKind.REAL):
+    for kind in ("imaginary", "real"):
         for inst in family_stream(kind, 201):
-            f = inst.closed_form
-            assert abs(f.c2) <= f.c1 == f.c3  # reduced and symmetric
-            ms = minimal_vectors(f)
-            assert ms.minimum == f.c1
-            assert len(ms.vectors) == 4
+            c1, c2, c3 = inst.closed_form
+            assert abs(c2) <= c1 == c3  # reduced and symmetric
+            minimum, vectors = minimal_vectors(c1, c2, c3)
+            assert minimum == c1
+            assert len(vectors) == 4
 
 
 def test_family_stream_filters():
@@ -91,8 +86,6 @@ def test_family_stream_filters():
 
 
 def test_family_stream_kind_handling():
-    by_enum = [i.t for i in family_stream(FamilyKind.IMAGINARY, 9)]
-    by_str = [i.t for i in family_stream("imaginary", 9)]
-    assert by_enum == by_str == [1, 3, 5, 7, 9]
+    assert [i.t for i in family_stream("imaginary", 9)] == [1, 3, 5, 7, 9]
     with pytest.raises(ValueError):
         family_stream("octonion", 9)

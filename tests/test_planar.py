@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder
 from wrlat.ideals import IdealTriple, enumerate_ideals
-from wrlat.planar import (
-    BinaryForm,
-    MinimalSet,
-    form_from_ideal,
-    gauss_reduce,
-    minimal_vectors,
-)
+from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 from wrlat.survey import classify_triple
 from oracles import (
     box_form_minimum,
+    form_value,
     is_similar,
     min_bound_holds,
     numeric_quad_gram,
@@ -49,24 +44,11 @@ pd_forms = st.builds(
 # ---------------------------------------------------------------------------
 # form construction
 
-def test_binary_form_guards():
-    for c in ((1, 2, 1), (-1, 0, 1), (0, 0, 1), (1, 0, 0)):
-        with pytest.raises(ValueError, match="positive definite"):
-            BinaryForm(*c)
-
-
-def test_minimal_set_size_guard():
-    with pytest.raises(ValueError, match="2, 4 or 6"):
-        MinimalSet(1, ((1, 0), (-1, 0), (0, 1)))
-
-
 def test_form_from_ideal_examples():
-    f = form_from_ideal(IdealTriple(2, 0, 1, QuadOrder(-15)))
-    assert f.coeffs() == (4, 2, 4)
-    f = form_from_ideal(IdealTriple(1, 0, 1, QuadOrder(-1)))
-    assert f.coeffs() == (1, 0, 1)
+    assert form_from_ideal(IdealTriple(2, 0, 1, QuadOrder(-15))) == (4, 2, 4)
+    assert form_from_ideal(IdealTriple(1, 0, 1, QuadOrder(-1))) == (1, 0, 1)
     f = form_from_ideal(IdealTriple(7, 3, 1, QuadOrder(21)))
-    assert gauss_reduce(*f.coeffs())[0] == (35, 28, 35)
+    assert gauss_reduce(*f)[0] == (35, 28, 35)
 
 
 def test_form_from_ideal_rejects_invalid():
@@ -86,9 +68,9 @@ def test_form_value_is_embedded_length():
             m, n = rng.randint(-8, 8), rng.randint(-8, 8)
             z = qd_from_xy(D, D % 4 == 1, m * t.a + n * t.b, n * t.g)
             if D < 0:
-                assert f(m, n) == qd_norm(z, D)
+                assert form_value(f, m, n) == qd_norm(z, D)
             else:
-                assert f(m, n) == qd_trace(qd_mul(z, z, D))
+                assert form_value(f, m, n) == qd_trace(qd_mul(z, z, D))
 
 
 def test_form_matches_float_embedding():
@@ -96,10 +78,10 @@ def test_form_matches_float_embedding():
     for t in random_ideals(rng, 60):
         D = t.order.D
         G = numeric_quad_gram(D, D % 4 == 1, t.a, t.b, t.g)
-        f = form_from_ideal(t)
-        assert abs(G[0, 0] - f.c1) < 1e-6
-        assert abs(2 * G[0, 1] - f.c2) < 1e-6
-        assert abs(G[1, 1] - f.c3) < 1e-6
+        c1, c2, c3 = form_from_ideal(t)
+        assert abs(G[0, 0] - c1) < 1e-6
+        assert abs(2 * G[0, 1] - c2) < 1e-6
+        assert abs(G[1, 1] - c3) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +98,13 @@ def test_gauss_reduce_examples():
 
 @given(pd_forms)
 def test_gauss_reduce_properties(c):
-    f = BinaryForm(*c)
     red, u = gauss_reduce(*c)
     assert all(type(x) is int for x in red)
     c1, c2, c3 = red
-    assert abs(c2) <= c1 <= c3
+    # 0 < c1 and |c2| <= c1 <= c3 make the reduced form positive definite
+    assert 0 < c1 and abs(c2) <= c1 <= c3
     if abs(c2) == c1 or c1 == c3:
         assert c2 >= 0
-    red = BinaryForm(*red)
     det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
     assert det in (1, -1)
     # the change of basis carries the input form to the reduced one exactly
@@ -131,7 +112,7 @@ def test_gauss_reduce_properties(c):
         for n in (-2, -1, 0, 1, 2):
             om = u[0][0] * m + u[0][1] * n
             on = u[1][0] * m + u[1][1] * n
-            assert red(m, n) == f(om, on)
+            assert form_value(red, m, n) == form_value(c, om, on)
 
 
 @given(pd_forms)
@@ -163,29 +144,29 @@ def test_gauss_reduce_gram_transform(c):
 # minimal vectors
 
 def test_minimal_vectors_examples():
-    ms = minimal_vectors(BinaryForm(4, 2, 4))
-    assert ms.minimum == 4
-    assert set(ms.vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    ms = minimal_vectors(BinaryForm(1, 1, 1))
-    assert ms.minimum == 1 and len(ms.vectors) == 6
-    ms = minimal_vectors(BinaryForm(1, 0, 3))
-    assert ms.minimum == 1 and set(ms.vectors) == {(1, 0), (-1, 0)}
+    minimum, vectors = minimal_vectors(4, 2, 4)
+    assert minimum == 4
+    assert set(vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    minimum, vectors = minimal_vectors(1, 1, 1)
+    assert minimum == 1 and len(vectors) == 6
+    minimum, vectors = minimal_vectors(1, 0, 3)
+    assert minimum == 1 and set(vectors) == {(1, 0), (-1, 0)}
 
 
 @given(pd_forms)
 def test_minimal_vectors_properties(c):
-    f = BinaryForm(*c)
-    ms = minimal_vectors(f)
-    assert len(ms.vectors) in (2, 4, 6)
-    got = set(ms.vectors)
-    for v in ms.vectors:
-        assert f(*v) == ms.minimum
+    minimum, vectors = minimal_vectors(*c)
+    assert len(vectors) in (2, 4, 6)
+    assert list(vectors) == sorted(vectors)
+    got = set(vectors)
+    for v in vectors:
+        assert form_value(c, *v) == minimum
         assert (-v[0], -v[1]) in got
     # well-roundedness is equivalent to a symmetric reduced form
     (c1, c2, c3), _ = gauss_reduce(*c)
-    assert ms.minimum == c1
-    assert (len(ms.vectors) >= 4) == (c1 == c3)
-    assert (len(ms.vectors) == 6) == (c1 == c2 == c3)
+    assert minimum == c1
+    assert (len(vectors) >= 4) == (c1 == c3)
+    assert (len(vectors) == 6) == (c1 == c2 == c3)
 
 
 def test_minimal_vector_count_bulk():
@@ -198,9 +179,9 @@ def test_minimal_vector_count_bulk():
         c2 = rng.randint(-int(lim**0.5), int(lim**0.5))
         if c2 * c2 >= lim:
             continue
-        ms = minimal_vectors(BinaryForm(c1, c2, c3))
-        seen.add(len(ms.vectors))
-        assert len(ms.vectors) in (2, 4, 6)
+        _, vectors = minimal_vectors(c1, c2, c3)
+        seen.add(len(vectors))
+        assert len(vectors) in (2, 4, 6)
     assert seen == {2, 4, 6}
 
 
@@ -208,15 +189,17 @@ def test_minimal_vectors_match_box_oracle():
     rng = random.Random(7171)
     for t in random_ideals(rng, 100):
         f = form_from_ideal(t)
-        ms = minimal_vectors(f)
-        omin, ovecs = box_form_minimum(f.c1, f.c2, f.c3, 25)
-        assert ms.minimum == omin
-        assert sorted(ms.vectors) == ovecs
+        minimum, vectors = minimal_vectors(*f)
+        omin, ovecs = box_form_minimum(*f, 25)
+        assert minimum == omin
+        assert sorted(vectors) == ovecs
 
 
 def test_minimal_vectors_match_window_oracle():
     """The minimal vectors read off the reduced form equal a search of the
-    reduced form's window, on every positive definite form of a grid."""
+    reduced form's window, on every positive definite form of a grid; on the
+    grid scaled by 1/7 and 3/2 the oracle gives the same vectors and the
+    scaled minimum."""
     count = 0
     for scale in (1, Fraction(1, 7), Fraction(3, 2)):
         for c1 in range(1, 16):
@@ -224,9 +207,9 @@ def test_minimal_vectors_match_window_oracle():
                 for c2 in range(-30, 31):
                     if 4 * c1 * c3 <= c2 * c2:
                         continue
-                    f = BinaryForm(c1 * scale, c2 * scale, c3 * scale)
-                    ms = minimal_vectors(f)
-                    assert (ms.minimum, list(ms.vectors)) == window_minimal_vectors(*f.coeffs())
+                    minimum, vectors = minimal_vectors(c1, c2, c3)
+                    want = window_minimal_vectors(c1 * scale, c2 * scale, c3 * scale)
+                    assert (minimum * scale, list(vectors)) == want
                     count += 1
     assert count > 19_000
 
@@ -247,8 +230,8 @@ def test_is_wr_examples():
 
 
 def test_is_hexagonal_examples():
-    assert len(minimal_vectors(BinaryForm(1, 1, 1)).vectors) == 6
-    assert len(minimal_vectors(BinaryForm(1, 0, 1)).vectors) == 4
+    assert len(minimal_vectors(1, 1, 1)[1]) == 6
+    assert len(minimal_vectors(1, 0, 1)[1]) == 4
     assert ideal_record(2, 1, 1, 3).hexagonal
     assert not ideal_record(1, 0, 1, -1).hexagonal
 
@@ -264,7 +247,7 @@ def test_is_similar():
     o = QuadOrder(-3)
     f2 = form_from_ideal(IdealTriple(2, 0, 2, o))
     f1 = form_from_ideal(IdealTriple(1, 0, 1, o))
-    assert is_similar(f2.coeffs(), f1.coeffs())
+    assert is_similar(f2, f1)
 
 
 def test_check_min_bound_examples():

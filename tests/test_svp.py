@@ -22,9 +22,11 @@ from oracles import (
     box_gram_minimum,
     box_gram_within,
     fraction_gram_schmidt,
+    gram_from_rows,
     ldl_factor,
     lll_fraction,
     lll_rebuild,
+    rational_entries,
     span_rank_fraction,
     transform_gram,
     walk_fraction,
@@ -81,18 +83,18 @@ def test_dimension_guard():
 def test_lll_identity_fixed_point():
     G = identity_gram(5)
     _, _, u = lll_reduce(G)
-    assert transform_gram(G.entries, u) == G.entries
+    assert transform_gram(G.scaled, u) == G.scaled
     assert u == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def test_lll_examples():
     G = GramMatrix(((15, 10), (10, 15)))
-    red = transform_gram(G.entries, lll_reduce(G)[2])
+    red = transform_gram(rational_entries(G), lll_reduce(G)[2])
     assert red[0][0] < 15
     # power-basis Gram of the fifth cyclotomic field: diagonal cannot drop
     # below the lattice minimum 2
     G = gram_principal(cyclo_field(5), element(cyclo_field(5), [1]))
-    red = transform_gram(G.entries, lll_reduce(G)[2])
+    red = transform_gram(rational_entries(G), lll_reduce(G)[2])
     assert all(red[i][i] >= 2 for i in range(G.n))
 
 
@@ -102,7 +104,7 @@ def test_lll_transform_soundness():
         for _ in range(20):
             G = random_gram(rng, n)
             lam, d, u = lll_reduce(G)
-            assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(transform_gram(G.entries, u))
+            assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(transform_gram(G.scaled, u))
             # integer unimodular: check det via row reduction over fractions
             m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
             det = Fraction(1)
@@ -155,10 +157,10 @@ def test_lll_matches_rebuilding_oracle():
     lam_ij/d[j+1] and squared lengths d[j+1]/(d[j]*s)."""
     for label, G in _lll_inputs():
         assert _is_integral_pair(*G.ldl, G.n), label
-        assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(G.entries), label
+        assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(rational_entries(G)), label
         lam, d, u = lll_reduce(G)
-        red = transform_gram(G.entries, u)
-        assert (red, u) == lll_rebuild(G.entries), label
+        red = transform_gram(rational_entries(G), u)
+        assert (red, u) == lll_rebuild(rational_entries(G)), label
         assert _is_integral_pair(lam, d, G.n), label
         assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(red), label
 
@@ -183,7 +185,7 @@ def test_integer_lll_matches_fraction_lll():
     the LLL inputs and on random Gram matrices scaled by 1, 1/7 and 3/2."""
     for label, G in chain(_lll_inputs(), _scaled_random_inputs()):
         lam, d, u = lll_reduce(G)
-        mu, lengths, want_u = lll_fraction(G.entries)
+        mu, lengths, want_u = lll_fraction(rational_entries(G))
         assert u == want_u, label
         assert _is_integral_pair(lam, d, G.n), label
         for i in range(G.n):
@@ -206,17 +208,17 @@ def test_lll_rounds_exact_ties_upwards():
         (((2, 0, -1), (0, 2, 0), (-1, 0, 2)), {(1, 0): 0, (2, 1): 0, (2, 0): -half}),
     )
     for entries, ties in cases:
-        G = GramMatrix(entries)
+        G = gram_from_rows(entries)
         mu = fraction_gram_schmidt(*G.ldl, G.scale)[0]
         assert {ij: mu[ij[0]][ij[1]] for ij in ties} == ties, entries
         u = lll_reduce(G)[2]
-        assert (transform_gram(G.entries, u), u) == lll_rebuild(entries), entries
+        assert (transform_gram(rational_entries(G), u), u) == lll_rebuild(entries), entries
 
 
 def test_enumeration_reuses_stored_ldl(monkeypatch):
     F = cyclo_field(12)
     G = gram_principal(F, element(F, [1, 2, 0, -1]))
-    assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(G.entries)
+    assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(rational_entries(G))
     calls = []
     real_ldl = svp._ldl
 
@@ -227,8 +229,8 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
     monkeypatch.setattr(svp, "_ldl", counting_ldl)
     rep = enumerate_shortest(G)
     assert calls == []
-    assert list(rep.vectors) == box_gram_within(G.entries, rep.minimum)
-    assert GramMatrix(G.entries).ldl == G.ldl
+    assert list(rep.vectors) == box_gram_within(rational_entries(G), rep.minimum)
+    assert GramMatrix(G.scaled, G.scale).ldl == G.ldl
     assert calls == [F.phi]
 
 
@@ -244,8 +246,8 @@ def _scaled_random_inputs():
         for i in range(3):
             G = random_gram(rng, n)
             for s in (1, Fraction(1, 7), Fraction(3, 2)):
-                rows = tuple(tuple(s * e for e in row) for row in G.entries)
-                yield f"random n={n} #{i} x{s}", GramMatrix(rows)
+                rows = tuple(tuple(s * e for e in row) for row in G.scaled)
+                yield f"random n={n} #{i} x{s}", gram_from_rows(rows)
 
 
 def _walk_inputs():
@@ -278,7 +280,7 @@ def test_walk_matches_fraction_oracle(monkeypatch):
         rep = enumerate_shortest(G)
         [(lam, d, (best, q, vectors))] = walks
         walks.clear()
-        red = transform_gram(G.entries, lll_reduce(G)[2])
+        red = transform_gram(rational_entries(G), lll_reduce(G)[2])
         mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
         assert (mu, lengths) == ldl_factor(red), label
         gcds = [math.gcd(d[j + 1], *(row[j] for row in lam[j + 1:])) for j in range(G.n)]
@@ -331,12 +333,12 @@ def test_enumerate_planar_agreement():
         o = QuadOrder(D)
         pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, 40))
     for t in rng.sample(pool, 60):
-        f = form_from_ideal(t)
-        ms = minimal_vectors(f)
-        h = Fraction(f.c2, 2)
-        rep = enumerate_shortest(GramMatrix(((f.c1, h), (h, f.c3))))
-        assert rep.minimum == ms.minimum
-        assert sorted(rep.vectors) == sorted(ms.vectors)
+        c1, c2, c3 = form_from_ideal(t)
+        minimum, vectors = minimal_vectors(c1, c2, c3)
+        h = Fraction(c2, 2)
+        rep = enumerate_shortest(gram_from_rows(((c1, h), (h, c3))))
+        assert rep.minimum == minimum
+        assert sorted(rep.vectors) == sorted(vectors)
 
 
 def test_enumerate_matches_box_oracle():
@@ -347,7 +349,7 @@ def test_enumerate_matches_box_oracle():
             rep = enumerate_shortest(G)
             # oracle works in the reduced basis where a small box suffices
             u = lll_reduce(G)[2]
-            omin, ovecs = box_gram_minimum(transform_gram(G.entries, u), 6)
+            omin, ovecs = box_gram_minimum(transform_gram(rational_entries(G), u), 6)
             assert rep.minimum == omin
             mapped = sorted(
                 tuple(sum(u[r][c] * w[c] for c in range(n)) for r in range(n)) for w in ovecs
@@ -362,7 +364,7 @@ def test_vectors_attain_minimum_in_original_gram():
         rep = enumerate_shortest(G)
         got = set(rep.vectors)
         for v in rep.vectors:
-            q = sum(G.entries[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+            q = sum(G.scaled[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
             assert q == rep.minimum
             assert tuple(-c for c in v) in got
 
@@ -389,8 +391,8 @@ def test_enumerate_within_consistency():
     for _ in range(10):
         G = random_gram(rng, 3)
         rep = enumerate_shortest(G)
-        at_min = box_gram_within(G.entries, rep.minimum)
+        at_min = box_gram_within(G.scaled, rep.minimum)
         assert sorted(rep.vectors) == at_min
-        assert box_gram_within(G.entries, rep.minimum - Fraction(1, 2)) == []
-        larger = box_gram_within(G.entries, rep.minimum + 5)
+        assert box_gram_within(G.scaled, rep.minimum - Fraction(1, 2)) == []
+        larger = box_gram_within(G.scaled, rep.minimum + 5)
         assert set(at_min) <= set(larger)
