@@ -5,9 +5,9 @@ Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 ideal, 2 invalid input, 3 internal invariant violation (for classify and
 survey: a minimum below its bound).
 
-Survey and classify records go through one formatter per output format
-(_RECORDS); survey workers run it on each radicand's rows, so this process
-only joins strings.  Every other output goes through render.
+Survey records go through one formatter per output format (_RECORDS);
+survey workers run it on each radicand's rows, so this process only joins
+strings.  Every other output goes through render.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ def _records_text(rows) -> str:
 _RECORDS = {"csv": _records_csv, "json": _records_json, "text": _records_text}
 
 
-def _write_records(args, chunks, summary=None):
-    """Write chunks of `_RECORDS[format]` to --out or stdout, after a header
-    for CSV.  A survey `summary` goes on the last text line, to stderr with
-    CSV, and under "summary" in JSON, in the bytes of json.dumps(indent=2)."""
+def _write_records(args, chunks, summary):
+    """Write the survey's chunks of `_RECORDS[format]` to --out or stdout,
+    after a header for CSV.  The `summary` goes on the last text line, to
+    stderr with CSV, and under "summary" in JSON, in the bytes of
+    json.dumps(indent=2)."""
     fmt = args.format or "text"
     with _output(args) as fh:
         if fmt == "json":
@@ -141,9 +142,9 @@ def _write_records(args, chunks, summary=None):
             if fmt == "csv":
                 fh.write(",".join(RECORD_COLUMNS) + "\n")
             fh.writelines(chunks)
-            if fmt == "text" and summary is not None:
+            if fmt == "text":
                 fh.write(_summary_line(summary) + "\n")
-    if fmt == "csv" and summary is not None:
+    if fmt == "csv":
         print(_summary_line(summary), file=sys.stderr)
 
 
@@ -152,10 +153,8 @@ def _cmd_classify(args) -> int:
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
     (row,) = classify_triple(t.order, [(t.a, t.b, t.g)])
-    if args.format == "json":  # one top-level object, in which the minimum fills two cells
-        render(args, [(*row[:6], 1, *row[6:])], RECORD_COLUMNS, None)
-    else:
-        _write_records(args, [_RECORDS[args.format or "text"]([row])])
+    # the integer minimum fills minimum_num and minimum_den = 1
+    render(args, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
     return EXIT_OK if row[7] else EXIT_NOT_WR
 
 

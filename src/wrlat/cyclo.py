@@ -134,10 +134,9 @@ def zeta_power(F: CycloField, j: int) -> CycloElement:
 def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     """Gram matrix of the ideal lattice generated by x, basis x*zeta^i.
 
-    Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2 = Tr(y*zeta^|i-j|) / 2
-    with y = x*conj(x), which is real, so one product gives every entry:
-    Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).  The matrix is passed as
-    these integer traces with scale 2.
+    Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) = Tr(y*zeta^|i-j|), twice the
+    Minkowski inner product, with y = x*conj(x), which is real, so one product
+    gives every entry: Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).
     """
     if x.fld.k != F.k:
         raise ValueError("mismatched cyclotomic fields")
@@ -146,7 +145,7 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     y = (x * x.conj()).coeffs
     k, n, T = F.k, F.phi, F.trace_table
     diag = [sum(c * T[(l + m) % k] for l, c in enumerate(y) if c) for m in range(n)]
-    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)), 2)
+    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     return CycloTheoremReport(
         F.k,
         F.phi,
-        rep.minimum,
+        Fraction(rep.minimum, 2),
         Fraction(F.phi, 2),
         len(rep.vectors),
         expected_count,
@@ -197,20 +196,14 @@ def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
     """Well-roundedness of the lattice of the principal ideal (x).
 
     Also spot-checks rotation invariance: multiplying the ring coordinate
-    vector by zeta leaves the quadratic form value unchanged, exactly, on
-    the integer matrix sG that GramMatrix keeps (s divides 2, as the entries
-    of G are half-integers).
+    vector by zeta leaves the trace form value unchanged, exactly.
     """
     G = gram_principal(F, x)
-    if 2 % G.scale:
-        raise InvariantViolation(
-            f"Gram entry not a half-integer (k={F.k}, generator={list(x.coeffs)})"
-        )
     rng = rng if rng is not None else random.Random(20210)
     for _ in range(_ROTATION_TRIALS):
         w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
         rotated = w.times_zeta()
-        if _form_value(G.scaled, rotated.coeffs) != _form_value(G.scaled, w.coeffs):
+        if _form_value(G.rows, rotated.coeffs) != _form_value(G.rows, w.coeffs):
             raise InvariantViolation(
                 f"rotation by zeta changed a vector length "
                 f"(k={F.k}, generator={list(x.coeffs)}, w={list(w.coeffs)})"

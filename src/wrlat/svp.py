@@ -1,13 +1,13 @@
 """Exact shortest-vector computation for small Gram matrices, on integers.
 
-Everything runs on integers.  GramMatrix takes G as the integer matrix sG and
-the positive integer s (for a cyclotomic ideal, its traces and s = 2) and
-factors sG by integral Gram-Schmidt (Cohen, A Course in Computational
-Algebraic Number Theory, Alg. 2.6.7, after de Weger): d[i] is the leading
-principal minor of order i, d[0] = 1, and lam_ij = d[j+1]*mu_ij, for the
-Gram-Schmidt coefficients mu and the squared Gram-Schmidt lengths
-d[i+1]/d[i].  Every entry is an integer and every division is exact; the
-factorization is also the positive-definiteness check (every d[i] > 0).
+Everything runs on integers.  GramMatrix takes a symmetric integer matrix G
+(for a cyclotomic ideal, its traces) and factors it by integral Gram-Schmidt
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7, after
+de Weger): d[i] is the leading principal minor of order i, d[0] = 1, and
+lam_ij = d[j+1]*mu_ij, for the Gram-Schmidt coefficients mu and the squared
+Gram-Schmidt lengths d[i+1]/d[i].  Every entry is an integer and every division
+is exact; the factorization is also the positive-definiteness check (every
+d[i] > 0).
 
 LLL (delta = 3/4) starts from (lam, d) and updates both in place after each
 size reduction and swap.  It rounds as floor(mu + 1/2) and runs the Lovasz
@@ -20,7 +20,7 @@ least that makes them integers: its bound starts at Q times the smallest
 diagonal entry of the reduced matrix and tightens to the best value seen.
 Every comparison is Q times the rational one, so the visiting order, the
 minimum and the vectors are exactly those of the walk in fractions, and the
-minimum of G is best/(Q*s), the one Fraction built here.
+minimum of G is the integer best/Q.
 The vectors are mapped through U in one pass over its rows.  Whether they
 span the space is decided by an integer echelon built one vector at a time,
 which stops as soon as the rank is full.  Dimensions are capped at
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 MAX_ENUM_DIM = 24
@@ -40,20 +39,18 @@ MAX_ENUM_DIM = 24
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive definite matrix G, given as the integer matrix
-    ``scaled`` = s*G and the positive integer ``scale`` = s.
+    """Symmetric positive definite integer matrix G, given by its ``rows``.
 
-    ``ldl`` is the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on s*G,
+    ``ldl`` is the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on G,
     computed as the positive-definiteness check.
     """
 
-    scaled: tuple[tuple[int, ...], ...]
-    scale: int = 1
+    rows: tuple[tuple[int, ...], ...]
     ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.scaled))
-        object.__setattr__(self, "scaled", rows)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
         n = len(rows)
         if not n:
             raise ValueError("matrix must be non-empty")
@@ -65,12 +62,12 @@ class GramMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.scaled)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
 class ShortVectorReport:
-    minimum: Fraction
+    minimum: int
     vectors: tuple[tuple[int, ...], ...]
     span_rank: int
 
@@ -121,7 +118,7 @@ def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
     """LLL reduction (delta = 3/4) of the Gram matrix, on integers.
 
     Returns (lam, d, U): U is unimodular, lam and d are the integral
-    Gram-Schmidt pair of the reduced matrix U^T (sG) U, and a vector with
+    Gram-Schmidt pair of the reduced matrix U^T G U, and a vector with
     coordinates w in the reduced basis has coordinates U @ w in the original
     one.  Row k is size reduced against j = k-1, ..., 0 with
     q = floor(mu_kj + 1/2) = (2 lam_kj + d[j+1]) // (2 d[j+1]), then the
@@ -247,12 +244,12 @@ def _span_rank(vectors) -> int:
 def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     """Minimum of the lattice and every vector attaining it.
 
-    LLL and the walk run on the scaled matrix sG, whose minimum the walk
-    returns as best/Q; the minimum of G is best/(Q*s).
+    The walk returns the minimum as best/Q, an exact division: an integer
+    matrix takes integer values at integer vectors.
     """
     if G.n > MAX_ENUM_DIM:
         raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
     lam, d, u = lll_reduce(G)
     best, q, vecs = _walk(lam, d)
     mapped = sorted(_apply(u, vecs))
-    return ShortVectorReport(Fraction(best, q * G.scale), tuple(mapped), _span_rank(mapped))
+    return ShortVectorReport(best // q, tuple(mapped), _span_rank(mapped))

@@ -3,7 +3,7 @@
 Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
-beyond plain data, except gram_from_rows, which builds the package's
+beyond plain data, except gram_from_rows, which builds the package's integer
 GramMatrix from a matrix with rational entries.  Some are the package's own
 former algorithms, kept as references after a faster one replaced them
 (lll_rebuild, lll_fraction, span_rank_fraction, walk_fraction,
@@ -164,16 +164,17 @@ def form_value(c, m, n):
 
 
 def gram_from_rows(rows):
-    """GramMatrix of a matrix with int or Fraction entries: the integer matrix
-    s*G and s, the lcm of the entry denominators."""
+    """(GramMatrix(s*G), s) for a matrix G with int or Fraction entries, s the
+    lcm of the entry denominators.  Minima of s*G are s times those of G."""
     rows = [[Fraction(v) for v in row] for row in rows]
     s = math.lcm(*(v.denominator for row in rows for v in row))
-    return GramMatrix(tuple(tuple(int(v * s) for v in row) for row in rows), s)
+    return GramMatrix(tuple(tuple(int(v * s) for v in row) for row in rows)), s
 
 
-def rational_entries(G):
-    """The entries of the GramMatrix G, scaled/scale, as Fractions."""
-    return tuple(tuple(Fraction(v, G.scale) for v in row) for row in G.scaled)
+def rational_entries(G, s=1):
+    """The entries of the GramMatrix G of s times a rational matrix, divided
+    by s, as Fractions."""
+    return tuple(tuple(Fraction(v, s) for v in row) for row in G.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,9 @@ def test_principal_cyclotomic_ideals():
 
 
 def test_hard_principal_ideals_of_zeta_35():
-    # for these generators the LLL bound lies far above the minimum (1134
-    # against 935 for seed 2), so the walk visits many nodes
+    # for these generators the LLL bound lies far above the Minkowski minimum
+    # (1134 against 935 for seed 2), so the walk visits many nodes; the trace
+    # form that gram_principal gives has twice these minima
     with criterion(10, "hard principal ideals of Z[zeta_35]"):
         F = cyclo_field(35)
         for seed, minimum in ((1, 859), (2, 935), (3, 856)):
@@ -223,14 +224,14 @@ def test_hard_principal_ideals_of_zeta_35():
             x = element(F, [rng.randint(-3, 3) for _ in range(F.phi)])
             G = gram_principal(F, x)
             rep = enumerate_shortest(G)
-            assert (rep.minimum, len(rep.vectors), rep.span_rank) == (minimum, 70, 24), seed
+            assert (rep.minimum, len(rep.vectors), rep.span_rank) == (2 * minimum, 70, 24), seed
             assert verify_principal_ideal_wr(F, x, rng=rng), seed
             if seed == 3:
                 lam, d, u = lll_reduce(G)
-                red = transform_gram(rational_entries(G), u)
-                mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
+                red = transform_gram(rational_entries(G, 2), u)
+                mu, lengths = fraction_gram_schmidt(lam, d, 2)
                 omin, ovecs = walk_fraction(mu, lengths, min(red[i][i] for i in range(F.phi)))
-                assert omin == rep.minimum
+                assert 2 * omin == rep.minimum
                 mapped = sorted(
                     tuple(sum(u[r][c] * w[c] for c in range(F.phi)) for r in range(F.phi))
                     for w in ovecs
@@ -254,9 +255,9 @@ def test_oracle_equivalence():
             assert minimum == box_min
             assert sorted(vectors) == box_vecs
             half = Fraction(c2, 2)
-            G = gram_from_rows(((Fraction(c1), half), (half, Fraction(c3))))
+            G, s = gram_from_rows(((Fraction(c1), half), (half, Fraction(c3))))
             rep = enumerate_shortest(G)
-            assert rep.minimum == minimum
+            assert rep.minimum == s * minimum
             assert set(rep.vectors) == set(vectors)
         for k in range(3, 61):
             assert cyclo_field(k).trace_table == newton_trace_table(k)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load
 from wrlat.arith import MAX_RADICAND, euler_phi
 from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.svp import MAX_ENUM_DIM
+from oracles import squarefree_by_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,19 @@ def test_survey_workers_match_serial(capsys):
     serial = capsys.readouterr().out
     assert main(base + ["--workers", "2"]) == EXIT_OK
     assert capsys.readouterr().out == serial
+
+
+def test_survey_squarefree_flag_matches_config(tmp_path, capsys):
+    window = ["--d-min", "-30", "--d-max", "30", "--norm-bound", "3", "--format", "csv"]
+    assert main(["survey", *window, "--squarefree"]) == EXIT_OK
+    flagged = capsys.readouterr().out
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("require_squarefree = yes\n")
+    assert main(["survey", "--config", str(cfg), *window]) == EXIT_OK
+    assert capsys.readouterr().out == flagged
+    radicands = {int(line.split(",")[0]) for line in flagged.splitlines()[1:]}
+    # every radicand of the window with squarefree |D|, and no other
+    assert radicands == {D for D in range(-30, 31) if D not in (0, 1) and squarefree_by_factorization(abs(D))}
 
 
 def test_survey_invalid_range(capsys):
@@ -276,6 +291,17 @@ def test_flag_format_overrides_config_format(tmp_path, capsys, flag):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [('{"require_squarefree": true}', True), ('{"require_squarefree": false}', False),
+     ("require_squarefree = no\n", False), ("require_squarefree = off\n", False)],
+)
+def test_config_booleans(tmp_path, text, want):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    assert load_config(str(cfg)) == {"require_squarefree": want}
+
+
 def test_config_rejects_bad_format(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"d_min": -5, "d_max": -3, "output_format": "xml"}))
@@ -420,6 +446,21 @@ def test_family_empty_stream(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_family_closed_form_mismatch_exits_three(monkeypatch, capsys):
+    real_instance = wrlat.families.imaginary_instance
+
+    def skewed(t):
+        inst = real_instance(t)
+        c1, c2, c3 = inst.closed_form
+        return dataclasses.replace(inst, closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
+
+    monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
+    assert main(["family", "imaginary", "--t-max", "7"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: closed form mismatch at t=5: ")
+
+
 def test_family_huge_t_max_refused_at_once():
     # the bound is checked before any instance is built, so this takes well
     # under a second instead of hours
@@ -458,6 +499,20 @@ def test_cyclo_pass(capsys):
     assert main(["cyclo", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "k=5 phi=4" in out and out.splitlines()[-1] == "PASS"
+
+
+def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys):
+    real_enumerate = wrlat.cyclo.enumerate_shortest
+
+    def without_zeta_cubed(G):
+        rep = real_enumerate(G)
+        return dataclasses.replace(rep, vectors=tuple(v for v in rep.vectors if v != (0, 0, 0, 1)))
+
+    monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_cubed)
+    assert main(["cyclo", "5"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violation: root of unity zeta^3 missing from the minimal set (k=5)\n"
 
 
 def test_cyclo_small_k_rejected(capsys):

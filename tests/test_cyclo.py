@@ -21,7 +21,6 @@ from wrlat.errors import InvariantViolation
 from wrlat.svp import GramMatrix
 from oracles import (
     gram_by_products,
-    gram_from_rows,
     is_similar,
     moebius_cyclo_poly,
     newton_trace_table,
@@ -196,14 +195,14 @@ def test_mismatched_fields_rejected():
 def test_gram_examples():
     F = cyclo_field(4)
     G = gram_principal(F, element(F, [1]))
-    assert rational_entries(G) == ((1, 0), (0, 1))
-    # the integer traces with scale 2
-    assert (G.scaled, G.scale) == (((2, 0), (0, 2)), 2)
+    assert rational_entries(G, 2) == ((1, 0), (0, 1))
+    # the integer traces, twice the Minkowski Gram matrix
+    assert G.rows == ((2, 0), (0, 2))
     F = cyclo_field(3)
     h = Fraction(-1, 2)
-    assert rational_entries(gram_principal(F, element(F, [1]))) == ((1, h), (h, 1))
+    assert rational_entries(gram_principal(F, element(F, [1])), 2) == ((1, h), (h, 1))
     F = cyclo_field(5)
-    entries = rational_entries(gram_principal(F, element(F, [1])))
+    entries = rational_entries(gram_principal(F, element(F, [1])), 2)
     for i in range(4):
         for j in range(4):
             assert entries[i][j] == (2 if i == j else Fraction(-1, 2))
@@ -223,7 +222,7 @@ def test_gram_matches_numeric_embeddings():
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
             if not any(coeffs):
                 coeffs[0] = 1
-            entries = rational_entries(gram_principal(F, element(F, coeffs)))
+            entries = rational_entries(gram_principal(F, element(F, coeffs)), 2)
             N = numeric_gram(k, coeffs)
             for i in range(F.phi):
                 for j in range(F.phi):
@@ -257,7 +256,7 @@ def test_gram_matches_product_oracle():
     count = 0
     for F, coeffs in _gram_generators():
         x = element(F, coeffs)
-        assert rational_entries(gram_principal(F, x)) == gram_by_products(F, x), (F.k, coeffs)
+        assert rational_entries(gram_principal(F, x), 2) == gram_by_products(F, x), (F.k, coeffs)
         count += 1
     assert count > 140
 
@@ -280,8 +279,8 @@ def test_verify_principal_ideal_examples():
     # <2> in the third cyclotomic field is similar to the full ring
     F = cyclo_field(3)
     assert verify_principal_ideal_wr(F, element(F, [2]))
-    g2 = rational_entries(gram_principal(F, element(F, [2])))
-    g1 = rational_entries(gram_principal(F, element(F, [1])))
+    g2 = rational_entries(gram_principal(F, element(F, [2])), 2)
+    g1 = rational_entries(gram_principal(F, element(F, [1])), 2)
     f2 = (g2[0][0], 2 * g2[0][1], g2[1][1])
     f1 = (g1[0][0], 2 * g1[0][1], g1[1][1])
     assert is_similar(f2, f1)
@@ -292,7 +291,7 @@ def test_verify_principal_ideal_examples():
     from wrlat.svp import enumerate_shortest
 
     rep2 = enumerate_shortest(gram_principal(F, zeta_power(F, 1)))
-    assert rep2.minimum == rep1.minimum
+    assert Fraction(rep2.minimum, 2) == rep1.minimum
 
 
 def test_verify_principal_rejects_zero():
@@ -316,15 +315,3 @@ def test_rotation_violation_names_its_witness(monkeypatch):
     assert f"generator={gen}" in msg
     assert f"w={list(w)}" in msg
 
-
-def test_rotation_check_requires_half_integral_gram(monkeypatch):
-    F = cyclo_field(4)
-    third = gram_from_rows(((1, Fraction(1, 3)), (Fraction(1, 3), 1)))
-    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: third)
-    with pytest.raises(InvariantViolation, match="half-integer"):
-        verify_principal_ideal_wr(F, element(F, [1]))
-    # the check is that the denominators clear with s | 2: quarters fail too
-    quarter = gram_from_rows(((1, Fraction(1, 4)), (Fraction(1, 4), 1)))
-    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: quarter)
-    with pytest.raises(InvariantViolation, match="half-integer"):
-        verify_principal_ideal_wr(F, element(F, [1]))

@@ -83,7 +83,7 @@ def test_dimension_guard():
 def test_lll_identity_fixed_point():
     G = identity_gram(5)
     _, _, u = lll_reduce(G)
-    assert transform_gram(G.scaled, u) == G.scaled
+    assert transform_gram(G.rows, u) == G.rows
     assert u == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
@@ -92,9 +92,9 @@ def test_lll_examples():
     red = transform_gram(rational_entries(G), lll_reduce(G)[2])
     assert red[0][0] < 15
     # power-basis Gram of the fifth cyclotomic field: diagonal cannot drop
-    # below the lattice minimum 2
+    # below the lattice minimum 2 (half the trace form)
     G = gram_principal(cyclo_field(5), element(cyclo_field(5), [1]))
-    red = transform_gram(rational_entries(G), lll_reduce(G)[2])
+    red = transform_gram(rational_entries(G, 2), lll_reduce(G)[2])
     assert all(red[i][i] >= 2 for i in range(G.n))
 
 
@@ -104,7 +104,7 @@ def test_lll_transform_soundness():
         for _ in range(20):
             G = random_gram(rng, n)
             lam, d, u = lll_reduce(G)
-            assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(transform_gram(G.scaled, u))
+            assert fraction_gram_schmidt(lam, d) == ldl_factor(transform_gram(G.rows, u))
             # integer unimodular: check det via row reduction over fractions
             m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
             det = Fraction(1)
@@ -122,22 +122,24 @@ def test_lll_transform_soundness():
 
 def _lll_inputs():
     """Full rings with phi(k) <= 24, seeded principal ideals of the sizes the
-    benchmark uses, and seeded random Gram matrices for n = 2..8."""
+    benchmark uses, and seeded random Gram matrices for n = 2..8, each as
+    (label, G, s) with G the integer matrix s times a rational one: the trace
+    forms with s = 2, so that G/s is the Minkowski Gram matrix."""
     for k in range(3, 91):
         if euler_phi(k) <= 24:
             F = cyclo_field(k)
-            yield f"ring k={k}", gram_principal(F, element(F, [1]))
+            yield f"ring k={k}", gram_principal(F, element(F, [1])), 2
     rng = random.Random(0)
     for k in (13, 17, 19, 21, 25, 27, 28, 32, 36, 40, 44, 48, 60):
         F = cyclo_field(k)
         coeffs = [0]
         while not any(coeffs):
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
-        yield f"ideal k={k} {coeffs}", gram_principal(F, element(F, coeffs))
+        yield f"ideal k={k} {coeffs}", gram_principal(F, element(F, coeffs)), 2
     rng = random.Random(2024)
     for n in range(2, 9):
         for i in range(4):
-            yield f"random n={n} #{i}", random_gram(rng, n)
+            yield f"random n={n} #{i}", random_gram(rng, n), 1
 
 
 def _is_integral_pair(lam, d, n):
@@ -155,14 +157,14 @@ def test_lll_matches_rebuilding_oracle():
     a full LDL after every step gives, and the lam and d stored and returned
     are the LDL of the matrix and of the reduced matrix, as mu_ij =
     lam_ij/d[j+1] and squared lengths d[j+1]/(d[j]*s)."""
-    for label, G in _lll_inputs():
+    for label, G, s in _lll_inputs():
         assert _is_integral_pair(*G.ldl, G.n), label
-        assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(rational_entries(G)), label
+        assert fraction_gram_schmidt(*G.ldl, s) == ldl_factor(rational_entries(G, s)), label
         lam, d, u = lll_reduce(G)
-        red = transform_gram(rational_entries(G), u)
-        assert (red, u) == lll_rebuild(rational_entries(G)), label
+        red = transform_gram(rational_entries(G, s), u)
+        assert (red, u) == lll_rebuild(rational_entries(G, s)), label
         assert _is_integral_pair(lam, d, G.n), label
-        assert fraction_gram_schmidt(lam, d, G.scale) == ldl_factor(red), label
+        assert fraction_gram_schmidt(lam, d, s) == ldl_factor(red), label
 
 
 def test_lll_conditions():
@@ -170,7 +172,7 @@ def test_lll_conditions():
     satisfy the Lovasz condition with delta = 3/4 in its integer form
     4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_k,k-1^2, checked directly rather than
     against an oracle."""
-    for label, G in _lll_inputs():
+    for label, G, _ in _lll_inputs():
         lam, d, _ = lll_reduce(G)
         for i in range(G.n):
             assert all(abs(2 * lam[i][j]) <= d[j + 1] for j in range(i)), label
@@ -183,15 +185,15 @@ def test_integer_lll_matches_fraction_lll():
     """The integer LLL makes the decisions of the LLL in fractions: the same
     U, mu_ij = lam_ij/d[j+1] and Gram-Schmidt lengths d[j+1]/d[j] of sG, on
     the LLL inputs and on random Gram matrices scaled by 1, 1/7 and 3/2."""
-    for label, G in chain(_lll_inputs(), _scaled_random_inputs()):
+    for label, G, s in chain(_lll_inputs(), _scaled_random_inputs()):
         lam, d, u = lll_reduce(G)
-        mu, lengths, want_u = lll_fraction(rational_entries(G))
+        mu, lengths, want_u = lll_fraction(rational_entries(G, s))
         assert u == want_u, label
         assert _is_integral_pair(lam, d, G.n), label
         for i in range(G.n):
             assert all(Fraction(lam[i][j], d[j + 1]) == mu[i][j] for j in range(i)), label
         assert [Fraction(d[j + 1], d[j]) for j in range(G.n)] == [
-            G.scale * x for x in lengths
+            s * x for x in lengths
         ], label
 
 
@@ -208,17 +210,17 @@ def test_lll_rounds_exact_ties_upwards():
         (((2, 0, -1), (0, 2, 0), (-1, 0, 2)), {(1, 0): 0, (2, 1): 0, (2, 0): -half}),
     )
     for entries, ties in cases:
-        G = gram_from_rows(entries)
-        mu = fraction_gram_schmidt(*G.ldl, G.scale)[0]
+        G, s = gram_from_rows(entries)
+        mu = fraction_gram_schmidt(*G.ldl, s)[0]
         assert {ij: mu[ij[0]][ij[1]] for ij in ties} == ties, entries
         u = lll_reduce(G)[2]
-        assert (transform_gram(rational_entries(G), u), u) == lll_rebuild(entries), entries
+        assert (transform_gram(rational_entries(G, s), u), u) == lll_rebuild(entries), entries
 
 
 def test_enumeration_reuses_stored_ldl(monkeypatch):
     F = cyclo_field(12)
     G = gram_principal(F, element(F, [1, 2, 0, -1]))
-    assert fraction_gram_schmidt(*G.ldl, G.scale) == ldl_factor(rational_entries(G))
+    assert fraction_gram_schmidt(*G.ldl) == ldl_factor(G.rows)
     calls = []
     real_ldl = svp._ldl
 
@@ -229,8 +231,8 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
     monkeypatch.setattr(svp, "_ldl", counting_ldl)
     rep = enumerate_shortest(G)
     assert calls == []
-    assert list(rep.vectors) == box_gram_within(rational_entries(G), rep.minimum)
-    assert GramMatrix(G.scaled, G.scale).ldl == G.ldl
+    assert list(rep.vectors) == box_gram_within(G.rows, rep.minimum)
+    assert GramMatrix(G.rows).ldl == G.ldl
     assert calls == [F.phi]
 
 
@@ -240,22 +242,22 @@ def test_enumeration_reuses_stored_ldl(monkeypatch):
 def _scaled_random_inputs():
     """Seeded random Gram matrices for n = 1..8 scaled by 1, 1/7 and 3/2, so
     that mu, d and the bound have denominators beyond those of the Gram matrix
-    itself."""
+    itself, as (label, G, s) from gram_from_rows."""
     rng = random.Random(7007)
     for n in range(1, 9):
         for i in range(3):
             G = random_gram(rng, n)
             for s in (1, Fraction(1, 7), Fraction(3, 2)):
-                rows = tuple(tuple(s * e for e in row) for row in G.scaled)
-                yield f"random n={n} #{i} x{s}", gram_from_rows(rows)
+                rows = tuple(tuple(s * e for e in row) for row in G.rows)
+                yield f"random n={n} #{i} x{s}", *gram_from_rows(rows)
 
 
 def _walk_inputs():
     """The rings and principal ideals of _lll_inputs, and the scaled random
     Gram matrices."""
-    for label, G in _lll_inputs():
+    for label, G, s in _lll_inputs():
         if not label.startswith("random"):
-            yield label, G
+            yield label, G, s
     yield from _scaled_random_inputs()
 
 
@@ -266,7 +268,8 @@ def test_walk_matches_fraction_oracle(monkeypatch):
     matrix.  With g_j the gcd of d[j+1] and column j of lam, its weights
     E_j = Q g_j^2/(d[j] d[j+1]) are integers and reproduce that diagonal as
     sum_j (lam_ij/g_j)^2 E_j with lam_ii = d[i+1]; Q divides the
-    lcm_j(d[j] d[j+1]) of the walk without the gcds."""
+    lcm_j(d[j] d[j+1]) of the walk without the gcds.  The minimum is the
+    integer best/Q, s times the minimum of the walk in fractions on G/s."""
     walks = []
     real_walk = svp._walk
 
@@ -276,12 +279,12 @@ def test_walk_matches_fraction_oracle(monkeypatch):
 
     monkeypatch.setattr(svp, "_walk", recording_walk)
     fractional_bounds = 0
-    for label, G in _walk_inputs():
+    for label, G, s in _walk_inputs():
         rep = enumerate_shortest(G)
         [(lam, d, (best, q, vectors))] = walks
         walks.clear()
-        red = transform_gram(rational_entries(G), lll_reduce(G)[2])
-        mu, lengths = fraction_gram_schmidt(lam, d, G.scale)
+        red = transform_gram(rational_entries(G, s), lll_reduce(G)[2])
+        mu, lengths = fraction_gram_schmidt(lam, d, s)
         assert (mu, lengths) == ldl_factor(red), label
         gcds = [math.gcd(d[j + 1], *(row[j] for row in lam[j + 1:])) for j in range(G.n)]
         weight = [Fraction(q * g * g, a * b) for g, a, b in zip(gcds, d, d[1:])]
@@ -291,12 +294,12 @@ def test_walk_matches_fraction_oracle(monkeypatch):
             sum(Fraction(m, g) ** 2 * e for m, g, e in zip(list(row) + [d[i + 1]], gcds, weight))
             for i, row in enumerate(lam)
         ]
-        assert diagonal == [q * G.scale * red[i][i] for i in range(G.n)], label
+        assert diagonal == [q * s * red[i][i] for i in range(G.n)], label
         bound = min(red[i][i] for i in range(G.n))
         fractional_bounds += Fraction(bound).denominator > 1
         want_minimum, want_vectors = walk_fraction(mu, lengths, bound)
-        assert Fraction(best, q * G.scale) == rep.minimum == want_minimum, label
-        assert type(rep.minimum) is type(want_minimum) is Fraction, label
+        assert Fraction(best, q) == rep.minimum == s * want_minimum, label
+        assert type(rep.minimum) is int, label
         assert vectors == want_vectors, label
     assert fractional_bounds
 
@@ -320,7 +323,8 @@ def test_enumerate_simple_cases():
 def test_enumerate_cyclotomic_examples():
     F = cyclo_field(5)
     rep = enumerate_shortest(gram_principal(F, element(F, [1])))
-    assert rep.minimum == 2 and len(rep.vectors) == 10 and rep.span_rank == 4
+    # the trace-form minimum, twice the Minkowski minimum phi/2 = 2
+    assert rep.minimum == 4 and len(rep.vectors) == 10 and rep.span_rank == 4
     F = cyclo_field(8)
     G = gram_principal(F, element(F, [1]))
     assert enumerate_shortest(G).span_rank == G.n
@@ -336,8 +340,9 @@ def test_enumerate_planar_agreement():
         c1, c2, c3 = form_from_ideal(t)
         minimum, vectors = minimal_vectors(c1, c2, c3)
         h = Fraction(c2, 2)
-        rep = enumerate_shortest(gram_from_rows(((c1, h), (h, c3))))
-        assert rep.minimum == minimum
+        G, s = gram_from_rows(((c1, h), (h, c3)))
+        rep = enumerate_shortest(G)
+        assert rep.minimum == s * minimum
         assert sorted(rep.vectors) == sorted(vectors)
 
 
@@ -364,7 +369,7 @@ def test_vectors_attain_minimum_in_original_gram():
         rep = enumerate_shortest(G)
         got = set(rep.vectors)
         for v in rep.vectors:
-            q = sum(G.scaled[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+            q = sum(G.rows[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
             assert q == rep.minimum
             assert tuple(-c for c in v) in got
 
@@ -372,7 +377,7 @@ def test_vectors_attain_minimum_in_original_gram():
 def test_span_rank_matches_fraction_oracle():
     """The integer echelon gives the rank of full Gaussian elimination over Q,
     on the minimal vectors of every LLL input and on rank-deficient sets."""
-    for label, G in _lll_inputs():
+    for label, G, _ in _lll_inputs():
         vecs = enumerate_shortest(G).vectors
         assert svp._span_rank(vecs) == span_rank_fraction(vecs), label
     rng = random.Random(99)
@@ -391,8 +396,8 @@ def test_enumerate_within_consistency():
     for _ in range(10):
         G = random_gram(rng, 3)
         rep = enumerate_shortest(G)
-        at_min = box_gram_within(G.scaled, rep.minimum)
+        at_min = box_gram_within(G.rows, rep.minimum)
         assert sorted(rep.vectors) == at_min
-        assert box_gram_within(G.scaled, rep.minimum - Fraction(1, 2)) == []
-        larger = box_gram_within(G.scaled, rep.minimum + 5)
+        assert box_gram_within(G.rows, rep.minimum - Fraction(1, 2)) == []
+        larger = box_gram_within(G.rows, rep.minimum + 5)
         assert set(at_min) <= set(larger)
