@@ -1,10 +1,11 @@
 """Cyclotomic integers and the Gram matrices of embedded principal ideals.
 
 Elements of Z[zeta_k] are integer coefficient vectors on the power basis
-1, zeta, ..., zeta^(phi(k)-1); products are reduced modulo the k-th
-cyclotomic polynomial.  Traces of root powers come from the closed-form
-Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), and the inner
-product of the Minkowski embedding is half the trace of u * conj(v).
+1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
+Traces of root powers come from the closed-form Ramanujan sum
+mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)).  Gram matrices are read off that
+trace table from x * conj(x) taken modulo x^k - 1, with no product reduced
+mod the polynomial; the trace form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
@@ -20,45 +21,29 @@ from .errors import InvariantViolation
 from .svp import GramMatrix, enumerate_shortest
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder of integer polynomials, divisor monic.
-
-    Coefficient lists are ordered low degree first.
-    """
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) <= dn:
-        return [], num
-    q = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    return q, num[:dn]
-
-
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of the k-th cyclotomic polynomial, low degree first.
 
-    Built by exact division: x^d - 1 divided by the polynomials of the
-    proper divisors of d, for each divisor d of k in turn.
+    For k > 1, Phi_k(x) is the product of (1 - x^d)^mu(k/d) over the divisors
+    d of k, taken as a power series modulo x^(phi+1): multiplying by 1 - x^d
+    is one downward pass, dividing by it one upward pass, and a factor with
+    d > phi is 1 at that precision.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    cache: dict[int, list[int]] = {}
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        num = [-1] + [0] * (d - 1) + [1]
-        for e, pe in cache.items():
-            if d % e == 0:
-                num, rem = _poly_divmod(num, pe)
-                if any(rem):
-                    raise ArithmeticError("cyclotomic division left a remainder")
-        cache[d] = num
-    return tuple(cache[k])
+    if k == 1:
+        return (-1, 1)
+    n = euler_phi(k)
+    c = [1] + [0] * n
+    for d in range(1, n + 1):
+        mu = 0 if k % d else mobius(k // d)
+        if mu == 1:
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:
+            for i in range(d, n + 1):
+                c[i] += c[i - d]
+    return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -72,6 +57,7 @@ class CycloField:
 
 
 def cyclo_field(k: int) -> CycloField:
+    """Q(zeta_k) for k >= 3; trace_table[j] is the integer Tr(zeta^j), 0 <= j < k."""
     if k < 3:
         raise ValueError("k must be at least 3")
     poly = cyclotomic_poly(k)
@@ -92,58 +78,41 @@ class CycloElement:
     coeffs: tuple[int, ...]
     fld: CycloField
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __mul__(self, other: "CycloElement") -> "CycloElement":
-        if self.fld.k != other.fld.k:
-            raise ValueError("mismatched cyclotomic fields")
-        a, b = self.coeffs, other.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return element(self.fld, conv)
-
-    def conj(self) -> "CycloElement":
-        """Complex conjugation zeta -> zeta^(k-1)."""
-        k = self.fld.k
-        acc = [0] * k
-        for i, c in enumerate(self.coeffs):
-            acc[(k - i) % k] += c
-        return element(self.fld, acc)
-
     def times_zeta(self) -> "CycloElement":
         return element(self.fld, (0,) + self.coeffs)
 
 
 def element(F: CycloField, coeffs) -> CycloElement:
-    """Element from a coefficient list of any length, reduced mod the polynomial."""
-    _, rem = _poly_divmod(list(coeffs), list(F.poly))
-    rem = rem + [0] * (F.phi - len(rem))
-    return CycloElement(tuple(rem), F)
-
-
-def zeta_power(F: CycloField, j: int) -> CycloElement:
-    j %= F.k
-    return element(F, [0] * j + [1])
+    """Element from a coefficient list of any length, reduced mod the polynomial
+    by clearing each c_i, i >= phi, from the top down with c_i * x^(i-phi) * Phi_k."""
+    n, poly = F.phi, F.poly
+    c = list(coeffs) + [0] * (n - len(coeffs))
+    for i in range(len(c) - 1, n - 1, -1):
+        top = c[i]
+        if top:
+            for j in range(n):
+                c[i - n + j] -= top * poly[j]
+    return CycloElement(tuple(c[:n]), F)
 
 
 def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     """Gram matrix of the ideal lattice generated by x, basis x*zeta^i.
 
     Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) = Tr(y*zeta^|i-j|), twice the
-    Minkowski inner product, with y = x*conj(x), which is real, so one product
-    gives every entry: Tr(y*zeta^m) is the sum of y_l * Tr(zeta^(l+m)).
+    Minkowski inner product, with y = x*conj(x), which is real.  Tr is linear
+    and zeta^k = 1, so y is formed modulo x^k - 1, y_s the sum of x_a * x_b
+    over a - b = s (mod k), and Tr(y*zeta^m) is the sum of y_l * T[(l+m) mod k].
     """
     if x.fld.k != F.k:
         raise ValueError("mismatched cyclotomic fields")
-    if x.is_zero:
+    if not any(x.coeffs):
         raise ValueError("zero element generates no lattice")
-    y = (x * x.conj()).coeffs
     k, n, T = F.k, F.phi, F.trace_table
+    y = [0] * k
+    for a, xa in enumerate(x.coeffs):
+        if xa:
+            for b, xb in enumerate(x.coeffs):
+                y[(a - b) % k] += xa * xb
     diag = [sum(c * T[(l + m) % k] for l, c in enumerate(y) if c) for m in range(n)]
     return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
 
@@ -166,12 +135,13 @@ class CycloTheoremReport:
 def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     """Check the full ring of integers: minimum phi(k)/2, minimal vectors the
     embedded roots of unity (k of them for even k, 2k for odd k), well-rounded."""
-    rep = enumerate_shortest(gram_principal(F, element(F, [1])))
+    w = element(F, [1])
+    rep = enumerate_shortest(gram_principal(F, w))
     vecs = set(rep.vectors)
     for j in range(F.k):
-        w = zeta_power(F, j).coeffs
-        if w not in vecs or tuple(-c for c in w) not in vecs:
+        if w.coeffs not in vecs or tuple(-c for c in w.coeffs) not in vecs:
             raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k})")
+        w = w.times_zeta()
     expected_count = F.k if F.k % 2 == 0 else 2 * F.k
     return CycloTheoremReport(
         F.k,

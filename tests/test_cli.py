@@ -501,18 +501,25 @@ def test_cyclo_pass(capsys):
     assert "k=5 phi=4" in out and out.splitlines()[-1] == "PASS"
 
 
-def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys):
+# zeta^j in the power basis of Z[zeta_5]; the first and the last power pin
+# both ends of the walk over the roots of unity
+@pytest.mark.parametrize(
+    "j, dropped",
+    [(0, (1, 0, 0, 0)), (3, (0, 0, 0, 1)), (4, (-1, -1, -1, -1))],
+    ids=["zeta^0", "zeta^3", "zeta^4"],
+)
+def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, j, dropped):
     real_enumerate = wrlat.cyclo.enumerate_shortest
 
-    def without_zeta_cubed(G):
+    def without_zeta_j(G):
         rep = real_enumerate(G)
-        return dataclasses.replace(rep, vectors=tuple(v for v in rep.vectors if v != (0, 0, 0, 1)))
+        return dataclasses.replace(rep, vectors=tuple(v for v in rep.vectors if v != dropped))
 
-    monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_cubed)
+    monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_j)
     assert main(["cyclo", "5"]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "invariant violation: root of unity zeta^3 missing from the minimal set (k=5)\n"
+    assert err == f"invariant violation: root of unity zeta^{j} missing from the minimal set (k=5)\n"
 
 
 def test_cyclo_small_k_rejected(capsys):

@@ -14,7 +14,6 @@ from wrlat.cyclo import (
     gram_principal,
     verify_cyclotomic_theorem,
     verify_principal_ideal_wr,
-    zeta_power,
 )
 from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
@@ -27,6 +26,7 @@ from oracles import (
     numeric_cyclo_poly,
     numeric_gram,
     numeric_trace,
+    poly_divmod_int,
     rational_entries,
 )
 
@@ -64,7 +64,9 @@ def test_cyclotomic_poly_against_numeric_roots():
 
 
 def test_cyclotomic_poly_against_moebius_formula():
-    for k in range(1, 61):
+    # up to 210: 105, 165 and 195 have three odd prime factors, the most
+    # factors (1 - x^d)^mu(k/d) in the power-series product
+    for k in range(1, 211):
         assert cyclotomic_poly(k) == moebius_cyclo_poly(k), k
 
 
@@ -132,53 +134,28 @@ def test_element_reduction():
     # zeta^5 = 1 and 1 + zeta + ... + zeta^4 = 0
     assert element(F, [0] * 5 + [1]).coeffs == (1, 0, 0, 0)
     assert element(F, [1, 1, 1, 1, 1]).coeffs == (0, 0, 0, 0)
-    assert zeta_power(F, 4).coeffs == (-1, -1, -1, -1)
-    assert zeta_power(F, 7).coeffs == zeta_power(F, 2).coeffs
+    assert element(F, [0] * 4 + [1]).coeffs == (-1, -1, -1, -1)
+    assert element(F, [0] * 7 + [1]).coeffs == element(F, [0] * 2 + [1]).coeffs
 
 
 small_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
-
-
-def pad_sum(cb, cc):
-    n = max(len(cb), len(cc))
-    return [
-        (cb[i] if i < len(cb) else 0) + (cc[i] if i < len(cc) else 0) for i in range(n)
-    ]
-
-
-@given(st.sampled_from(SMALL_K), small_coeffs, small_coeffs, small_coeffs)
-def test_ring_axioms(k, ca, cb, cc):
-    F = cyclo_field(k)
-    a, b, c = element(F, ca), element(F, cb), element(F, cc)
-    assert (a * b).coeffs == (b * a).coeffs
-    assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
-    # distributivity: reduction is linear, so summing raw coefficient lists
-    # before reducing builds b + c
-    ab_plus_ac = tuple(x + y for x, y in zip((a * b).coeffs, (a * c).coeffs))
-    assert (a * element(F, pad_sum(cb, cc))).coeffs == ab_plus_ac
-
-
-@given(st.sampled_from(SMALL_K), small_coeffs, small_coeffs)
-def test_conjugation_is_ring_map(k, ca, cb):
-    F = cyclo_field(k)
-    a, b = element(F, ca), element(F, cb)
-    assert a.conj().conj().coeffs == a.coeffs
-    assert (a * b).conj().coeffs == (a.conj() * b.conj()).coeffs
-    assert trace(a.conj()) == trace(a)
 
 
 @given(st.sampled_from(SMALL_K), small_coeffs)
 def test_times_zeta_is_multiplication(k, ca):
     F = cyclo_field(k)
     a = element(F, ca)
-    assert a.times_zeta().coeffs == (a * zeta_power(F, 1)).coeffs
+    # zeta * a is x * a(x) reduced mod Phi_k, by the long-division oracle
+    _, rem = poly_divmod_int([0, *a.coeffs], F.poly)
+    assert a.times_zeta().coeffs == tuple(rem)
+    # zeta^k = 1
+    w = a
+    for _ in range(k):
+        w = w.times_zeta()
+    assert w == a
 
 
 def test_mismatched_fields_rejected():
-    u = element(cyclo_field(5), [1])
-    v = element(cyclo_field(7), [1])
-    with pytest.raises(ValueError, match="mismatched"):
-        u * v
     # a generator from another field is refused before any work, also when
     # the two fields have the same degree
     for k, other in ((5, 8), (5, 10), (3, 4)):
@@ -286,11 +263,11 @@ def test_verify_principal_ideal_examples():
     assert is_similar(f2, f1)
     # a unit multiple is literally the same lattice
     F = cyclo_field(5)
-    assert verify_principal_ideal_wr(F, zeta_power(F, 1))
+    assert verify_principal_ideal_wr(F, element(F, [0, 1]))
     rep1 = verify_cyclotomic_theorem(F)
     from wrlat.svp import enumerate_shortest
 
-    rep2 = enumerate_shortest(gram_principal(F, zeta_power(F, 1)))
+    rep2 = enumerate_shortest(gram_principal(F, element(F, [0, 1])))
     assert Fraction(rep2.minimum, 2) == rep1.minimum
 
 
