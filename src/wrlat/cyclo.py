@@ -14,7 +14,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import euler_phi, mobius
 from .errors import InvariantViolation
@@ -121,8 +120,8 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
 class CycloTheoremReport:
     k: int
     phi: int
-    minimum: Fraction
-    expected: Fraction
+    minimum: int
+    expected: int
     n_minimal: int
     expected_count: int
     wr: bool
@@ -146,8 +145,8 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     return CycloTheoremReport(
         F.k,
         F.phi,
-        Fraction(rep.minimum, 2),
-        Fraction(F.phi, 2),
+        rep.minimum // 2,
+        F.phi // 2,
         len(rep.vectors),
         expected_count,
         rep.span_rank == F.phi,

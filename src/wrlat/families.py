@@ -85,7 +85,7 @@ def family_stream(kind: str, t_max: int, require_squarefree: bool = False) -> li
             continue
         canon = form_from_ideal(inst.triple)
         if not imaginary:
-            canon = gauss_reduce(*canon)[0]
+            canon = gauss_reduce(*canon)
         if canon != inst.closed_form:
             raise InvariantViolation(f"closed form mismatch at t={t}: {canon} != {inst.closed_form}")
         out.append(inst)

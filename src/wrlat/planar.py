@@ -4,23 +4,21 @@ An ideal (a, b + g*delta) embeds in the plane; the squared length of
 m*sigma(a) + n*sigma(b + g*delta) is a positive definite form
 Q(m, n) = c1*m^2 + c2*m*n + c3*n^2 with integer coefficients, read off the
 trace and norm of b + g*delta by norm_form.  One Gauss-Lagrange reduction,
-gauss_reduce, runs on the coefficients (c1, c2, c3) and tracks the two basis
-vectors p, q it ends on.  Every answer is read off the reduced coefficients:
-the minimum is c1, the lattice is well-rounded exactly when c1 = c3, and
-hexagonal exactly when also c1 = c2 (Buchmann & Vollmer, Binary Quadratic
-Forms).  A survey classifies each ideal from the reduced coefficients alone,
-in survey.classify_triple, which also checks the minimum bound; the families
-cross-check their closed forms against form_from_ideal, and minimal_vectors
-expands the basis into vectors only for the tables, which print them.  Forms
-are plain integer triples, and everything is exact.
+gauss_reduce, runs on the coefficients (c1, c2, c3) alone.  Every answer is
+read off the reduced coefficients: the minimum is c1, the lattice is
+well-rounded exactly when c1 = c3, and hexagonal exactly when also c1 = c2
+(Buchmann & Vollmer, Binary Quadratic Forms).  A survey classifies each ideal
+from them in survey.classify_triple, which also checks the minimum bound; the
+families cross-check their closed forms against form_from_ideal; only the
+tables print minimal vectors, which minimal_vectors gets from
+svp.enumerate_shortest.  Forms are plain integer triples, and all is exact.
 """
 
 from __future__ import annotations
 
 from .arith import QuadOrder, norm_xy, trace_xy
 from .ideals import IdealTriple
-
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
+from .svp import GramMatrix, enumerate_shortest
 
 
 def norm_form(order: QuadOrder, a: int, b: int, g: int) -> tuple[int, int, int]:
@@ -43,48 +41,33 @@ def form_from_ideal(t: IdealTriple) -> tuple[int, int, int]:
     return norm_form(t.order, t.a, t.b, t.g)
 
 
-def gauss_reduce(c1, c2, c3) -> tuple[tuple, Mat2]:
+def gauss_reduce(c1, c2, c3) -> tuple[int, int, int]:
     """Gauss-Lagrange reduction of the positive definite form (c1, c2, c3).
 
     Returns the reduced coefficients (c1, c2, c3), with |c2| <= c1 <= c3 and
-    sign-normalized to c2 >= 0 whenever |c2| = c1 or c1 = c3, and U
-    unimodular such that the reduced Gram equals U^T G U exactly.  The
-    columns p, q of U are the reduced basis in the original coordinates: a
-    shear is q <- q - k*p and a swap is (p, q) <- (q, -p).
+    sign-normalized to c2 >= 0 whenever |c2| = c1 or c1 = c3.  Each step is a
+    change of basis: a shear q <- q - k*p, a swap (p, q) <- (q, -p), and the
+    final sign flip q <- q + p when -c2 = c1, or (p, q) <- (q, -p) when c1 = c3.
     """
-    p0, p1, q0, q1 = 1, 0, 0, 1
     while True:
         # shear with k nearest to c2/(2*c1); afterwards c2 lies in [-c1, c1)
         k = (c2 + c1) // (2 * c1)
         if k:
             c2, c3 = c2 - 2 * k * c1, c1 * k * k - c2 * k + c3
-            q0, q1 = q0 - k * p0, q1 - k * p1
         if c1 > c3:
             c1, c2, c3 = c3, -c2, c1
-            p0, p1, q0, q1 = q0, q1, -p0, -p1
             continue
         break
-    if c2 < 0 and -c2 == c1:
-        c2 = c1
-        q0, q1 = q0 + p0, q1 + p1
-    elif c2 < 0 and c1 == c3:
+    if c2 < 0 and (-c2 == c1 or c1 == c3):
         c2 = -c2
-        p0, p1, q0, q1 = q0, q1, -p0, -p1
-    return (c1, c2, c3), ((p0, q0), (p1, q1))
+    return c1, c2, c3
 
 
 def minimal_vectors(c1, c2, c3) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(minimum, vectors) of the positive definite form (c1, c2, c3), the
-    vectors sorted and in the original basis coordinates.
-
-    With p, q the reduced basis, the minimum is the reduced c1 and the minimal
-    vectors are +-p, also +-q when c1 = c3, and also +-(p - q) when c1 = c2 = c3.
+    vectors sorted and in the original basis coordinates.  The doubled Gram
+    matrix takes the value 2*Q(m, n), so its minimum halves exactly;
+    GramMatrix raises ValueError for a form that is not positive definite.
     """
-    (c1, c2, c3), ((p0, q0), (p1, q1)) = gauss_reduce(c1, c2, c3)
-    vecs = [(p0, p1), (-p0, -p1)]
-    if c1 == c3:
-        vecs += [(q0, q1), (-q0, -q1)]
-        if c2 == c1:
-            vecs += [(p0 - q0, p1 - q1), (q0 - p0, q1 - p1)]
-    vecs.sort()
-    return c1, tuple(vecs)
+    rep = enumerate_shortest(GramMatrix(((2 * c1, c2), (c2, 2 * c3))))
+    return rep.minimum // 2, rep.vectors

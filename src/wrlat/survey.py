@@ -55,14 +55,14 @@ def classify_triple(order: QuadOrder, triples):
     """
     D, maximal = order.D, order.maximal
     for a, b, g in triples:
-        (c1, c2, c3), _ = gauss_reduce(*norm_form(order, a, b, g))
+        c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, g))
         nrm = a * g
         if not (c1 >= nrm if D < 0 else c1 * c1 >= 4 * nrm):
             raise InvariantViolation(
                 f"minimum bound violated for D={D}, triple=({a},{b},{g}), "
                 f"min={c1}, norm={nrm}; replay: wrlat classify -- {D} {a} {b} {g}"
             )
-        # the minimal vectors are +-p, also +-q when c1 = c3, also +-(p - q) when c1 = c2 = c3
+        # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
         wr = c1 == c3
         hexagonal = wr and c1 == c2
         yield D, a, b, g, nrm, c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal, maximal

@@ -148,8 +148,7 @@ def test_family_prefixes_exact():
             assert inst.D == t * t - 4
             assert (trip.a, trip.b, trip.g) == (t + 2, (t + 1) // 2, 1)
             assert inst.closed_form == (t * (t + 2), 4 * (t + 2), t * (t + 2))
-            reduced, _ = gauss_reduce(*form_from_ideal(trip))
-            assert reduced == inst.closed_form
+            assert gauss_reduce(*form_from_ideal(trip)) == inst.closed_form
         for inst in imag + real:
             c1, c2, c3 = inst.closed_form
             assert abs(c2) <= c1 == c3

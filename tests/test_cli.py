@@ -205,8 +205,8 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
-        red, u = reduce(c1, c2, c3)
-        return ((2, *red[1:]), u) if (c1, c2, c3) == (9, 6, 6) else (red, u)
+        red = reduce(c1, c2, c3)
+        return (2, *red[1:]) if (c1, c2, c3) == (9, 6, 6) else red
 
     monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
     target = tmp_path / "survey.csv"
@@ -226,7 +226,7 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
 def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
     # a minimum of 1/2 breaks min >= N(I) for every ideal
     monkeypatch.setattr(
-        wrlat.survey, "gauss_reduce", lambda c1, c2, c3: ((Fraction(1, 2), 0, 1), ((1, 0), (0, 1)))
+        wrlat.survey, "gauss_reduce", lambda c1, c2, c3: (Fraction(1, 2), 0, 1)
     )
     assert main(["classify", "--", "-15", "2", "0", "1"]) == EXIT_INVARIANT
     out, err = capsys.readouterr()

@@ -7,9 +7,9 @@ floor, ceil, gcd, lcm and isqrt.  Division of two ints, which also gives a
 float, cannot be told from Fraction division without types and is not
 searched for.
 
-Rationals are confined too: forms, Gram matrices and lattice minima are
-integers, and only cyclo.py, which reports the Minkowski minimum phi(k)/2 as
-half the integer trace-form minimum, may import fractions.
+Rationals are kept out too: forms, Gram matrices and lattice minima are
+integers, and no module imports fractions.  cyclo.py reports the Minkowski
+minimum phi(k)/2 as half the integer trace-form minimum, an exact division.
 """
 
 import ast
@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wrlat"
 FLOAT_MODULES = {"cmath", "numpy", "decimal"}
 FLOAT_NAMES = {"float", "complex"}
 INTEGER_MATH = {"floor", "ceil", "gcd", "lcm", "isqrt"}
-FRACTION_MODULES = {"cyclo.py"}
+FRACTION_MODULES = set()
 
 
 def float_uses(source: str) -> list[str]:

@@ -58,8 +58,7 @@ def test_family_invariants_long_prefix():
         assert inst.D == (t - 2) * (t + 2)
         assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a
-        reduced, _ = gauss_reduce(*form_from_ideal(trip))
-        assert inst.closed_form == reduced
+        assert inst.closed_form == gauss_reduce(*form_from_ideal(trip))
         assert inst.p_prime == trial_division_prime(t + 2)
         assert inst.squarefree == is_squarefree(inst.D)
 

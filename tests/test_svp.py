@@ -11,7 +11,8 @@ from wrlat import svp
 from wrlat.arith import QuadOrder, euler_phi
 from wrlat.cyclo import cyclo_field, element, gram_principal
 from wrlat.ideals import IdealTriple, enumerate_ideals
-from wrlat.planar import form_from_ideal, minimal_vectors
+from wrlat.planar import form_from_ideal
+from wrlat.survey import classify_triple
 from wrlat.svp import (
     MAX_ENUM_DIM,
     GramMatrix,
@@ -336,14 +337,15 @@ def test_enumerate_planar_agreement():
     for D in (-15, -5, -3, 2, 3, 21, 165):
         o = QuadOrder(D)
         pool.extend(IdealTriple(a, b, g, o) for a, b, g in enumerate_ideals(o, 40))
+    # the survey reads the minimum and the vector count off the reduced form;
+    # the walk on the doubled Gram matrix finds twice that minimum
     for t in rng.sample(pool, 60):
         c1, c2, c3 = form_from_ideal(t)
-        minimum, vectors = minimal_vectors(c1, c2, c3)
-        h = Fraction(c2, 2)
-        G, s = gram_from_rows(((c1, h), (h, c3)))
-        rep = enumerate_shortest(G)
-        assert rep.minimum == s * minimum
-        assert sorted(rep.vectors) == sorted(vectors)
+        row = next(classify_triple(t.order, [(t.a, t.b, t.g)]))
+        minimum, n_minimal = row[5], row[6]
+        rep = enumerate_shortest(GramMatrix(((2 * c1, c2), (c2, 2 * c3))))
+        assert rep.minimum == 2 * minimum
+        assert len(rep.vectors) == n_minimal
 
 
 def test_enumerate_matches_box_oracle():
