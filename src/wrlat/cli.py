@@ -5,8 +5,10 @@ Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 ideal, 2 invalid input, 3 internal invariant violation (for classify and
 survey: a minimum below its bound).
 
-Survey records go through one formatter per output format (_RECORDS);
-survey workers run it on each radicand's rows, so this process only joins
+main spools each command's output and copies it to --out or stdout only
+when the command returns, so a failed command writes nothing.  Survey
+records go through one formatter per output format (_RECORDS); survey
+workers run it on each radicand's rows, so this process only writes
 strings.  Every other output goes through render.
 """
 
@@ -16,7 +18,9 @@ import argparse
 import contextlib
 import csv
 import json
+import shutil
 import sys
+import tempfile
 
 from .arith import QuadOrder, euler_phi
 from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
@@ -47,22 +51,20 @@ _YN = ("no", "yes")  # indexed by a bool
 _TF = ("false", "true")
 
 
-def _summary_line(summary: dict) -> str:
-    return (
-        f"{summary['records']} ideals: {summary['wr']} wr, {summary['hexagonal']} hexagonal, "
-        f"bound holds for {summary['bound_ok']}/{summary['records']}"
-    )
+@contextlib.contextmanager
+def _spool(out):
+    """A temporary file for a command's output, copied to the file `out`, or
+    to stdout when `out` is None, when the command returns.  When it raises,
+    the spool is dropped: nothing is written and no file is created."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        yield spool
+        spool.seek(0)
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            shutil.copyfileobj(spool, fh)
 
 
-def _output(args):
-    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-
-
-def render(args, items, columns, text_lines, key=None, *, row=None):
-    """Write `items` to --out or stdout in the requested format, each line as
-    it is formatted.  `items` must be fully computed (a list, or a map over
-    one): an InvariantViolation then comes before this call, and a failed
-    command writes nothing and creates no --out.
+def render(fh, fmt, items, columns, text_lines, key=None, *, row=None):
+    """Write `items` to `fh` in the format `fmt`, each line as it is formatted.
 
     Each row, `row(item)` or else the item, holds the values of `columns`.
     JSON is the json module's indented text that maps `columns` to each row:
@@ -71,19 +73,17 @@ def render(args, items, columns, text_lines, key=None, *, row=None):
     booleans as true/false.  Text is the lines of `text_lines(items)`, each
     ending in a newline.
     """
-    fmt = args.format or "text"
     rows = items if row is None else map(row, items)
-    with _output(args) as fh:
-        if fmt == "json":
-            dicts = [dict(zip(columns, r)) for r in rows]
-            fh.writelines((json.dumps(dicts[0] if key is None else {key: dicts}, indent=2), "\n"))
-        elif fmt == "csv":
-            fh.write(",".join(columns) + "\n")
-            csv.writer(fh, lineterminator="\n").writerows(
-                [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
-            )
-        else:
-            fh.writelines(text_lines(items))
+    if fmt == "json":
+        dicts = [dict(zip(columns, r)) for r in rows]
+        fh.writelines((json.dumps(dicts[0] if key is None else {key: dicts}, indent=2), "\n"))
+    elif fmt == "csv":
+        fh.write(",".join(columns) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
+        )
+    else:
+        fh.writelines(text_lines(items))
 
 
 def _add_common(sub):
@@ -127,34 +127,41 @@ def _records_text(rows) -> str:
 _RECORDS = {"csv": _records_csv, "json": _records_json, "text": _records_text}
 
 
-def _write_records(args, chunks, summary):
-    """Write the survey's chunks of `_RECORDS[format]` to --out or stdout,
-    after a header for CSV.  The `summary` goes on the last text line, to
-    stderr with CSV, and under "summary" in JSON, in the bytes of
-    json.dumps(indent=2)."""
-    fmt = args.format or "text"
-    with _output(args) as fh:
-        if fmt == "json":
-            body = ",\n".join(chunks)  # empty only for a window without radicands
-            fh.write('{\n  "records": [\n' + body + "\n  ],\n" if body else '{\n  "records": [],\n')
-            fh.write('  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
-        else:
-            if fmt == "csv":
-                fh.write(",".join(RECORD_COLUMNS) + "\n")
-            fh.writelines(chunks)
-            if fmt == "text":
-                fh.write(_summary_line(summary) + "\n")
+def _write_records(fh, fmt, results):
+    """Write the survey's `results`, one (chunk of `_RECORDS[fmt]`, records,
+    wr, hexagonal) per radicand, to `fh` as they arrive, after a header for
+    CSV, and sum the summary: it goes on the last text line, to stderr with
+    CSV, and under "summary" in JSON, in the bytes of json.dumps(indent=2)."""
+    n = wr = hexagonal = 0
     if fmt == "csv":
-        print(_summary_line(summary), file=sys.stderr)
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
+    elif fmt == "json":
+        fh.write('{\n  "records": [')
+    for chunk, records, w, h in results:
+        if fmt == "json":
+            # every radicand has the unit ideal, so n > 0 after the first chunk
+            fh.write(",\n" if n else "\n")
+        fh.write(chunk)
+        n, wr, hexagonal = n + records, wr + w, hexagonal + h
+    # classify_triple raises on a violation, so the bound holds for every record
+    line = f"{n} ideals: {wr} wr, {hexagonal} hexagonal, bound holds for {n}/{n}\n"
+    if fmt == "json":
+        summary = {"records": n, "wr": wr, "hexagonal": hexagonal, "bound_ok": n}
+        fh.write(("\n  ],\n" if n else "],\n") + '  "summary": '
+                 + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
+    elif fmt == "csv":
+        sys.stderr.write(line)
+    else:
+        fh.write(line)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, fh) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
     (row,) = classify_triple(t.order, [(t.a, t.b, t.g)])
     # the integer minimum fills minimum_num and minimum_den = 1
-    render(args, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
+    render(fh, args.format, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
     return EXIT_OK if row[7] else EXIT_NOT_WR
 
 
@@ -219,21 +226,19 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args, fh) -> int:
     settings = load_config(args.config) if args.config else {}
     # flags override the config file
-    config_format = settings.pop("output_format", None)
-    args.format = args.format or config_format
+    config_format = settings.pop("output_format", "text")
+    fmt = args.format or config_format
     for key in _INT_KEYS:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
     if args.squarefree:
         settings["require_squarefree"] = True
     if "d_min" not in settings or "d_max" not in settings:
-        print("error: survey needs --d-min and --d-max (or a config file)", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    chunks, summary = run_survey(SurveyConfig(**settings), _RECORDS[args.format or "text"])
-    _write_records(args, chunks, summary)
+        raise ValueError("survey needs --d-min and --d-max (or a config file)")
+    _write_records(fh, fmt, run_survey(SurveyConfig(**settings), _RECORDS[fmt]))
     return EXIT_OK
 
 
@@ -249,9 +254,9 @@ def _table_lines(rows):
     yield "all rows match\n" if all(row.match for row in rows) else "MISMATCH detected\n"
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args, fh) -> int:
     rows = reference_tables()
-    render(args, rows, TableRow._fields, _table_lines, key="rows")
+    render(fh, args.format, rows, TableRow._fields, _table_lines, key="rows")
     if not all(row.match for row in rows):
         print("error: reference table row failed to reproduce", file=sys.stderr)
         return EXIT_INVARIANT
@@ -272,9 +277,9 @@ def _family_lines(rows):
         )
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args, fh) -> int:
     instances = family_stream(args.kind, args.t_max, require_squarefree=args.squarefree)
-    render(args, map(_family_row, instances), FAMILY_COLUMNS, _family_lines, key="instances")
+    render(fh, args.format, map(_family_row, instances), FAMILY_COLUMNS, _family_lines, key="instances")
     return EXIT_OK
 
 
@@ -294,16 +299,14 @@ def _cyclo_lines(reports):
         yield "PASS\n" if rep.passed else "FAIL\n"
 
 
-def _cmd_cyclo(args) -> int:
+def _cmd_cyclo(args, fh) -> int:
     if args.k < 3:
-        print("error: k must be at least 3", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("k must be at least 3")
     # phi(k) >= sqrt(k/2) for every k, so a larger k is refused without factoring it
     if args.k > 2 * MAX_ENUM_DIM**2 or euler_phi(args.k) > MAX_ENUM_DIM:
-        print(f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})")
     rep = verify_cyclotomic_theorem(cyclo_field(args.k))
-    render(args, [rep], CYCLO_COLUMNS, _cyclo_lines, row=_cyclo_row)
+    render(fh, args.format, [rep], CYCLO_COLUMNS, _cyclo_lines, row=_cyclo_row)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 
@@ -355,7 +358,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _spool(args.out) as fh:
+            return args.func(args, fh)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

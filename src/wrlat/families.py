@@ -62,13 +62,14 @@ def real_instance(t: int) -> FamilyInstance:
     return FamilyInstance(t, D, triple, form, *_flags(t, triple.order))
 
 
-def family_stream(kind: str, t_max: int, require_squarefree: bool = False) -> list[FamilyInstance]:
-    """Instances for every valid odd t <= t_max, cross-checked on the way out.
+def family_stream(kind: str, t_max: int, require_squarefree: bool = False):
+    """Instances for every valid odd t <= t_max, built and cross-checked one
+    at a time as the returned iterator is read.
 
     Each closed form must agree with the form computed from the ideal triple:
     directly in the imaginary case, after reduction in the real case.  Raises
-    ValueError before any work for a kind other than "imaginary" and "real",
-    or if the last t has |D| above MAX_RADICAND.
+    ValueError at the call, before any work, for a kind other than
+    "imaginary" and "real", or if the last t has |D| above MAX_RADICAND.
     """
     if kind not in ("imaginary", "real"):
         raise ValueError(f"unknown family kind {kind!r}")
@@ -78,15 +79,14 @@ def family_stream(kind: str, t_max: int, require_squarefree: bool = False) -> li
     last = t_max if t_max % 2 else t_max - 1  # |D| grows with t
     if last >= start:
         check_radicand_bound(_radicand(imaginary, last))
-    out = []
-    for t in range(start, t_max + 1, 2):
-        inst = build(t)
-        if require_squarefree and not inst.squarefree:
-            continue
+
+    def checked(inst):
         canon = form_from_ideal(inst.triple)
         if not imaginary:
             canon = gauss_reduce(*canon)
         if canon != inst.closed_form:
-            raise InvariantViolation(f"closed form mismatch at t={t}: {canon} != {inst.closed_form}")
-        out.append(inst)
-    return out
+            raise InvariantViolation(f"closed form mismatch at t={inst.t}: {canon} != {inst.closed_form}")
+        return inst
+
+    instances = map(build, range(start, t_max + 1, 2))
+    return map(checked, (inst for inst in instances if inst.squarefree or not require_squarefree))

@@ -91,9 +91,10 @@ _MIN_RADICANDS = 8  # radicands per survey worker, at least
 _TASKS_PER_WORKER = 32
 
 
-def run_survey(cfg: SurveyConfig, emit) -> tuple[list, dict]:
+def run_survey(cfg: SurveyConfig, emit):
     """Classify every ideal of norm <= norm_bound for each radicand in the
-    window, and return one `emit(rows)` per radicand, with the summary.
+    window, yielding (emit(rows), #rows, #wr, #hexagonal) per radicand as it
+    is classified.
 
     `emit` maps a radicand's list of classify_triple rows to a value, and
     runs where the radicand is classified, so with workers > 1 it must be a
@@ -101,8 +102,7 @@ def run_survey(cfg: SurveyConfig, emit) -> tuple[list, dict]:
     values come in ascending D, each radicand's rows in (norm, a, b, g)
     order, without a sort: pool.map returns results in submission order and
     enumerate_ideals sorts the ideals of each radicand.  So any worker count
-    gives the same list.  Every radicand is classified before this returns,
-    so a bound violation raises before the command line writes a byte.
+    gives the same sequence.
     """
     ds = [
         D for D in range(cfg.d_min, cfg.d_max + 1)
@@ -117,13 +117,9 @@ def run_survey(cfg: SurveyConfig, emit) -> tuple[list, dict]:
 
         chunksize = -(-len(ds) // (_TASKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, ds, chunksize=chunksize))
+            yield from pool.map(task, ds, chunksize=chunksize)
     else:
-        results = list(map(task, ds))
-    n, wr, hexagonal = (sum(r[i] for r in results) for i in (1, 2, 3))
-    # classify_triple raises on a violation, so the bound holds for every record
-    summary = {"records": n, "wr": wr, "hexagonal": hexagonal, "bound_ok": n}
-    return [r[0] for r in results], summary
+        yield from map(task, ds)
 
 
 # ---------------------------------------------------------------------------

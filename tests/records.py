@@ -18,6 +18,13 @@ def classify_one(order, a, b, g) -> Record:
 
 
 def survey(cfg) -> tuple[list[Record], dict]:
-    """Every row of a survey window, in output order, and the summary."""
-    chunks, summary = run_survey(cfg, list)
-    return [Record._make(row) for rows in chunks for row in rows], summary
+    """Every row of a survey window, in output order, and the summary that
+    `wrlat survey` writes, summed here from the rows.  Each radicand's
+    counts, which the command line sums, must agree with its rows."""
+    results = list(run_survey(cfg, list))
+    for rows, n, wr, hexagonal in results:
+        assert (n, wr, hexagonal) == (len(rows), sum(r[7] for r in rows), sum(r[8] for r in rows))
+    records = [Record._make(row) for rows, *_ in results for row in rows]
+    n = len(records)
+    wr, hexagonal = sum(r.wr for r in records), sum(r.hexagonal for r in records)
+    return records, {"records": n, "wr": wr, "hexagonal": hexagonal, "bound_ok": n}

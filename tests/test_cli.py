@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -558,7 +557,7 @@ def test_cyclo_guard_agrees_with_phi(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cyclo_field", accepted)
     for k in range(3, 2001):
         try:
-            code = cli._cmd_cyclo(argparse.Namespace(k=k))
+            code = main(["cyclo", str(k)])
         except _Accepted:
             assert euler_phi(k) <= MAX_ENUM_DIM, k
             continue
@@ -580,6 +579,61 @@ def test_cyclo_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("k,phi,minimum_num")
+
+
+# ---------------------------------------------------------------------------
+# a failed run leaves --out alone
+
+def _bad_survey_reduction(monkeypatch):
+    # D = -5 lies inside the window, so earlier radicands are done when the
+    # reduction of (3, 1, 1) reports the minimum 2 < N(I) = 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reduce = wrlat.survey.gauss_reduce
+
+    def one_bad_reduction(c1, c2, c3):
+        red = reduce(c1, c2, c3)
+        return (2, *red[1:]) if (c1, c2, c3) == (9, 6, 6) else red
+
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+
+
+def _bad_closed_form(monkeypatch):
+    # t = 1 and t = 3 are done when t = 5 fails its cross-check
+    imaginary_instance = wrlat.families.imaginary_instance
+
+    def skewed(t):
+        inst = imaginary_instance(t)
+        c1, c2, c3 = inst.closed_form
+        return dataclasses.replace(inst, closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
+
+    monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
+
+
+_SURVEY_WINDOW = ["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10", "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv, breaks, code", [
+    pytest.param([*_SURVEY_WINDOW, "--workers", "1"], _bad_survey_reduction, EXIT_INVARIANT,
+                 id="survey-violation"),
+    pytest.param([*_SURVEY_WINDOW, "--workers", "2"], _bad_survey_reduction, EXIT_INVARIANT,
+                 id="survey-violation-pooled", marks=_NEEDS_FORK),
+    pytest.param(["family", "imaginary", "--t-max", "7"], _bad_closed_form, EXIT_INVARIANT,
+                 id="family-mismatch"),
+    pytest.param(["survey", "--norm-bound", "5"], None, EXIT_BAD_INPUT, id="survey-no-window"),
+    pytest.param(["cyclo", "2"], None, EXIT_BAD_INPUT, id="cyclo-small-k"),
+    pytest.param(["cyclo", "105"], None, EXIT_BAD_INPUT, id="cyclo-guard"),
+])
+def test_failed_run_leaves_out_alone(monkeypatch, capsys, tmp_path, argv, breaks, code):
+    if breaks:
+        breaks(monkeypatch)
+    existing = tmp_path / "existing.out"
+    existing.write_bytes(b"earlier output\n")
+    missing = tmp_path / "missing.out"
+    for target in (existing, missing):
+        assert main([*argv, "--out", str(target)]) == code
+        assert capsys.readouterr().out == ""
+    assert existing.read_bytes() == b"earlier output\n"
+    assert not missing.exists()
 
 
 # ---------------------------------------------------------------------------

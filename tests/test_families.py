@@ -1,5 +1,6 @@
 import pytest
 
+import wrlat.families
 from wrlat.arith import is_squarefree, norm_xy
 from wrlat.families import family_stream, imaginary_instance, real_instance
 from wrlat.ideals import IdealTriple
@@ -80,11 +81,29 @@ def test_family_stream_filters():
     assert set(ts) >= {5, 13, 17, 31}
     ds = [i.D for i in family_stream("real", 31, require_squarefree=True)]
     assert set(ds) >= {21, 165, 285, 957}
-    assert family_stream("imaginary", 0) == []
-    assert family_stream("real", 0) == []
+    assert list(family_stream("imaginary", 0)) == []
+    assert list(family_stream("real", 0)) == []
 
 
 def test_family_stream_kind_handling():
     assert [i.t for i in family_stream("imaginary", 9)] == [1, 3, 5, 7, 9]
     with pytest.raises(ValueError):
         family_stream("octonion", 9)
+    # the bound on the last t is checked at the call too, before any instance
+    with pytest.raises(ValueError, match="exceeds MAX_RADICAND"):
+        family_stream("imaginary", 10**9)
+
+
+def test_family_stream_builds_instances_as_it_is_read(monkeypatch):
+    built = []
+    build = wrlat.families.imaginary_instance
+
+    def counting(t):
+        built.append(t)
+        return build(t)
+
+    monkeypatch.setattr(wrlat.families, "imaginary_instance", counting)
+    stream = family_stream("imaginary", 99)
+    assert built == []
+    assert next(stream).t == 1
+    assert built == [1]

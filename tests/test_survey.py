@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
 from wrlat.ideals import IdealTriple, enumerate_ideals
@@ -203,12 +204,29 @@ def test_survey_worker_count_is_invisible(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6)
     for emit in (list, *_RECORDS.values()):
-        serial = run_survey(cfg, emit)
-        pooled = run_survey(dataclasses.replace(cfg, workers=2), emit)
+        serial = list(run_survey(cfg, emit))
+        pooled = list(run_survey(dataclasses.replace(cfg, workers=2), emit))
         assert serial == pooled, emit
-        assert len(pooled[0]) == sum(map(is_valid_radicand, range(-300, 301)))  # one per radicand
-    chunks, _ = run_survey(dataclasses.replace(cfg, workers=2), list)
-    assert all(type(r) is tuple for chunk in chunks for r in chunk)
+        assert len(pooled) == sum(map(is_valid_radicand, range(-300, 301)))  # one per radicand
+    results = list(run_survey(dataclasses.replace(cfg, workers=2), list))
+    assert all(type(r) is tuple for chunk, *_ in results for r in chunk)
+
+
+def test_survey_classifies_as_it_is_read(monkeypatch):
+    # with one worker, each radicand is classified when its result is asked for
+    seen = []
+    classify = wrlat.survey.classify_triple
+
+    def counting(order, triples):
+        seen.append(order.D)
+        return classify(order, triples)
+
+    monkeypatch.setattr(wrlat.survey, "classify_triple", counting)
+    results = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=10), list)
+    assert seen == []
+    rows, n, _, _ = next(results)
+    assert seen == [-30]
+    assert n == len(rows) > 0 and {r[0] for r in rows} == {-30}
 
 
 class RecordingPool:
@@ -248,10 +266,10 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
-    chunks, summary = run_survey(cfg, list)
+    results = list(run_survey(cfg, list))
     assert RecordingPool.sizes == ([] if expected is None else [expected])
-    assert (chunks, summary) == run_survey(dataclasses.replace(cfg, workers=1), list)
-    assert all(type(r) is tuple for chunk in chunks for r in chunk)
+    assert results == list(run_survey(dataclasses.replace(cfg, workers=1), list))
+    assert all(type(r) is tuple for chunk, *_ in results for r in chunk)
 
 
 # ---------------------------------------------------------------------------
