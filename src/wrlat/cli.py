@@ -159,7 +159,7 @@ def _cmd_classify(args, fh) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
-    (row,) = classify_triple(t.order, [(t.a, t.b, t.g)])
+    (row,) = classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))])
     # the integer minimum fills minimum_num and minimum_den = 1
     render(fh, args.format, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
     return EXIT_OK if row[7] else EXIT_NOT_WR

@@ -12,9 +12,10 @@ Course in Computational Algebraic Number Theory, 1.5-1.6) and scales each
 primitive triple by g.  Norm bounds are capped at MAX_NORM_BOUND.
 
 IdealTriple is the gate for user input (wrlat classify, the families and the
-tables): its constructor checks the conditions above.  enumerate_ideals
-builds only valid triples, so it returns them as plain (a, b, g) tuples and
-a survey runs on ints without checking them again.
+tables): its constructor checks the conditions above.  primitive_ideals
+builds only valid primitive pairs, so it returns them as plain (a, b) tuples
+and a survey, which classifies each one and scales it to its multiples, runs
+on ints without checking them again; enumerate_ideals lists every triple.
 """
 
 from __future__ import annotations
@@ -127,22 +128,19 @@ def _roots_mod_prime(p: int, tr: int, nm: int, disc: int) -> list[int]:
     return [(s - tr) * half % p, (-s - tr) * half % p]
 
 
-def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, int]]:
-    """Every valid triple (a, b, g) with a*g <= norm_bound, sorted by
-    (norm, a, b, g).
+def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]:
+    """Every primitive pair (a, b), the ideal (a, b + delta) of norm a, with
+    a <= norm_bound, sorted by (a, b).
 
-    The primitive pairs (a, b) are the roots b of
-    f(b) = b*(b + Tr(delta)) + N(delta) modulo a, found for a = 1..norm_bound
-    along a smallest-prime-factor sieve.  Modulo a prime p the roots are both
-    residues tested for p = 2, the double root -Tr(delta)/2 for p | disc and
-    (-Tr(delta) +- sqrt(disc))/2 otherwise, disc = Tr(delta)^2 - 4*N(delta).
-    Modulo p^e each root r modulo p^(e-1) is lifted by testing
-    r + k*p^(e-1) for k < p, which also covers the repeated roots of p | disc.
-    Modulo a = q*m, with q the full power of a's smallest prime, the roots
-    are the CRT combinations of the roots modulo q and modulo m.  Each pair
-    gives the ideals (g*a, g*b, g) of norm g^2*a for every g with
-    g^2*a <= norm_bound.  Raises ValueError for a bound outside
-    [1, MAX_NORM_BOUND].
+    The b are the roots of f(b) = b*(b + Tr(delta)) + N(delta) modulo a, for
+    a = 1..norm_bound along a smallest-prime-factor sieve.  Modulo a prime p
+    they are both residues tested for p = 2, the double root -Tr(delta)/2 for
+    p | disc and (-Tr(delta) +- sqrt(disc))/2 otherwise, disc = Tr(delta)^2 -
+    4*N(delta).  Each root r modulo p^(e-1) lifts by testing r + k*p^(e-1)
+    for k < p, which covers the repeated roots of p | disc too.  Modulo
+    a = q*m, q the full power of a's smallest prime, they are the CRT
+    combinations of the roots modulo q and m.  Raises ValueError for a bound
+    outside [1, MAX_NORM_BOUND].
     """
     check_norm_bound(norm_bound)
     tr, nm = order.delta_trace, order.delta_norm
@@ -150,20 +148,29 @@ def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, 
     roots: list[list[int]] = [[], [0]]
     for p, q, m, inv in _splits(norm_bound):
         if m > 1:  # a = q*m with gcd(q, m) = 1
-            roots.append([s + m * ((r - s) * inv % q) for r in roots[q] for s in roots[m]])
+            rs = [s + m * ((r - s) * inv % q) for r in roots[q] for s in roots[m]]
         elif q == p:
-            roots.append(_roots_mod_prime(p, tr, nm, disc))
+            rs = _roots_mod_prime(p, tr, nm, disc)
         else:
             step = q // p
-            roots.append([
-                b for r in roots[step] for b in range(r, q, step) if (b * (b + tr) + nm) % q == 0
-            ])
-    keys = []
-    for a in range(1, norm_bound + 1):
-        for b in roots[a]:
-            g = 1
-            while g * g * a <= norm_bound:
-                keys.append((g * g * a, g * a, g * b, g))
-                g += 1
+            rs = [b for r in roots[step] for b in range(r, q, step) if (b * (b + tr) + nm) % q == 0]
+        rs.sort()
+        roots.append(rs)
+    return [(a, b) for a, rs in enumerate(roots) for b in rs]
+
+
+@lru_cache(maxsize=1)
+def multipliers(norm_bound: int) -> tuple[range, ...]:
+    """For a = 0..norm_bound, the g >= 1 with g^2*a <= norm_bound (none for a = 0),
+    so that the multiples (g*a, g*b, g) of a primitive pair (a, b) lie in the bound."""
+    return (range(0), *(range(1, isqrt(norm_bound // a) + 1) for a in range(1, norm_bound + 1)))
+
+
+def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, int]]:
+    """Every valid triple (a, b, g) with a*g <= norm_bound, sorted by
+    (norm, a, b, g): the multiples (g*a, g*b, g) of each primitive pair
+    (a, b).  Raises ValueError for a bound outside [1, MAX_NORM_BOUND]."""
+    pairs, gs = primitive_ideals(order, norm_bound), multipliers(norm_bound)
+    keys = [(g * g * a, g * a, g * b, g) for a, b in pairs for g in gs[a]]
     keys.sort()
     return [(a, b, g) for _, a, b, g in keys]

@@ -1,10 +1,12 @@
 """Batch classification of quadratic ideal lattices and the reference tables.
 
-A survey task is one radicand: build its order, enumerate its ideals,
-classify them in one loop (classify_triple) and hand the rows to the
-caller's `emit`, in a worker process or in this one alike.  Survey results
-are deterministic: rows come in (D, norm, a, b, g) order, so identical
-configurations give identical results regardless of worker count.
+A survey task is one radicand: build its order, enumerate its primitive
+ideals, classify each one and its multiples g*I within the norm bound in
+one loop (classify_triple: one reduction per primitive ideal, the multiples
+by scaling), sort the rows and hand them to the caller's `emit`, in a
+worker process or in this one alike.  Survey results are deterministic:
+rows come in (D, norm, a, b, g) order, so identical configurations give
+identical results regardless of worker count.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
-from .ideals import IdealTriple, check_norm_bound, enumerate_ideals
+from .ideals import IdealTriple, check_norm_bound, multipliers, primitive_ideals
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
 
@@ -41,37 +44,46 @@ class SurveyConfig:
             raise ValueError("workers must be at least 1")
 
 
-def classify_triple(order: QuadOrder, triples):
-    """Classify each ideal (a, b + g*delta) of `order` in `triples`, yielding
-    the row (D, a, b, g, norm, minimum, n_minimal, wr, hexagonal,
-    order_maximal): minimum, minimal vector count, and the well-rounded and
-    hexagonal flags are all read off the reduced norm form (c1, c2, c3), and
-    the minimum is an int.  Each triple must be valid: it comes from
-    enumerate_ideals or has passed IdealTriple.
+def classify_triple(order: QuadOrder, items):
+    """For each item (a, b, gs), a primitive pair from primitive_ideals or the
+    (a/g, b/g) of an IdealTriple, yield the row (D, g*a, g*b, g, norm, minimum,
+    n_minimal, wr, hexagonal, order_maximal) of g*I, I = (a, b + delta), for
+    each g in gs.  I's norm form (c1, c2, c3) is reduced once: that of g*I is
+    g^2 times it, and the reduction commutes with scaling, so g*I has the norm
+    g^2*a, the minimum g^2*c1, and I's minimal vector count and flags.
 
-    Raises InvariantViolation, naming the replay command, if a minimum breaks
-    its lower bound: min >= N(I) for D < 0, min^2 >= 4*N(I) for D > 0.  Both
-    sides are integers, so the comparison is exact.
+    Raises InvariantViolation, naming the replay command, if a row's minimum
+    breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
+    ints).  Scaling multiplies both sides by g^2 for D < 0, and the minimum
+    side by g^4 but the norm side by g^2 for D > 0, so g*I breaks it only if
+    I does: with (a, b) ascending and gs from 1 up, the row raised is the
+    least (norm, a, b, g) one that breaks it.
     """
     D, maximal = order.D, order.maximal
-    for a, b, g in triples:
-        c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, g))
-        nrm = a * g
-        if not (c1 >= nrm if D < 0 else c1 * c1 >= 4 * nrm):
-            raise InvariantViolation(
-                f"minimum bound violated for D={D}, triple=({a},{b},{g}), "
-                f"min={c1}, norm={nrm}; replay: wrlat classify -- {D} {a} {b} {g}"
-            )
+    for a, b, gs in items:
+        c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
         # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
         wr = c1 == c3
         hexagonal = wr and c1 == c2
-        yield D, a, b, g, nrm, c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal, maximal
+        n_minimal = 6 if hexagonal else 4 if wr else 2
+        for g in gs:
+            gg = g * g
+            minimum, nrm = gg * c1, gg * a
+            if not (minimum >= nrm if D < 0 else minimum * minimum >= 4 * nrm):
+                raise InvariantViolation(
+                    f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
+                    f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
+                )
+            yield D, g * a, g * b, g, nrm, minimum, n_minimal, wr, hexagonal, maximal
 
 
 def _survey_radicand(norm_bound: int, emit, D: int) -> tuple:
-    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D."""
-    order = QuadOrder(D)
-    rows = list(classify_triple(order, enumerate_ideals(order, norm_bound)))
+    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D.
+    classify_triple yields the rows of one norm N by ascending a = N/g, then
+    b, so a stable sort by norm alone puts them in (norm, a, b, g) order."""
+    order, gs = QuadOrder(D), multipliers(norm_bound)
+    items = [(a, b, gs[a]) for a, b in primitive_ideals(order, norm_bound)]
+    rows = sorted(classify_triple(order, items), key=itemgetter(4))
     return emit(rows), len(rows), sum([r[7] for r in rows]), sum([r[8] for r in rows])
 
 
@@ -100,9 +112,8 @@ def run_survey(cfg: SurveyConfig, emit):
     runs where the radicand is classified, so with workers > 1 it must be a
     picklable (module-level) function and its value picklable too.  The
     values come in ascending D, each radicand's rows in (norm, a, b, g)
-    order, without a sort: pool.map returns results in submission order and
-    enumerate_ideals sorts the ideals of each radicand.  So any worker count
-    gives the same sequence.
+    order: pool.map returns results in submission order and each task sorts
+    its radicand's rows.  So any worker count gives the same sequence.
     """
     ds = [
         D for D in range(cfg.d_min, cfg.d_max + 1)

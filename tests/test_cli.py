@@ -222,6 +222,36 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
     )
 
 
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="pooled", marks=_NEEDS_FORK),
+])
+def test_survey_violation_names_primitive_before_its_multiple(monkeypatch, capsys, tmp_path, workers):
+    # the survey reduces (2, 1, 1) of D = -5 once and scales it to its
+    # multiple (4, 2, 2) of norm 8; made to report the minimum 1 < N(I) = 2,
+    # the reduction breaks both rows, and the one named is the least in
+    # (norm, a, b, g) order: the primitive
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reduce = wrlat.survey.gauss_reduce
+
+    def one_bad_reduction(c1, c2, c3):
+        red = reduce(c1, c2, c3)
+        return (1, *red[1:]) if (c1, c2, c3) == (4, 4, 6) else red
+
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+    target = tmp_path / "survey.csv"
+    code = main(["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10",
+                 "--workers", str(workers), "--format", "csv", "--out", str(target)])
+    assert code == EXIT_INVARIANT
+    assert not target.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "invariant violation: minimum bound violated for D=-5, triple=(2,1,1), "
+        "min=1, norm=2; replay: wrlat classify -- -5 2 1 1\n"
+    )
+
+
 def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
     # a minimum of 1/2 breaks min >= N(I) for every ideal
     monkeypatch.setattr(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder, is_valid_radicand, norm_xy
-from wrlat.ideals import MAX_NORM_BOUND, IdealTriple, _sqrt_mod_prime, enumerate_ideals
+from wrlat.ideals import MAX_NORM_BOUND, IdealTriple, _sqrt_mod_prime, enumerate_ideals, primitive_ideals
 from oracles import coset_index, enumerate_ideals_scan, hnf_triple
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
@@ -209,6 +209,18 @@ def test_enumerate_matches_scan_on_prime_power_radicands():
         assert not o.maximal
         for bound in (64, 250, 1000):
             assert enumerate_ideals(o, bound) == enumerate_ideals_scan(o, bound), (D, bound)
+
+
+def test_primitive_ideals_match_scan():
+    # the scan's g = 1 triples, in its (norm, a, b) order: by a, and each a's
+    # roots b ascending
+    for D in (*range(-100, 101), *PRIME_POWER_D):
+        if not is_valid_radicand(D):
+            continue
+        o = QuadOrder(D)
+        for bound in (1, 2, 64, 250):
+            want = [(a, b) for a, b, g in enumerate_ideals_scan(o, bound) if g == 1]
+            assert primitive_ideals(o, bound) == want, (D, bound)
 
 
 def test_sqrt_mod_prime_with_deep_two_power_in_p_minus_1():

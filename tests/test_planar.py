@@ -235,5 +235,6 @@ def test_check_min_bound_examples():
 def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
         o = QuadOrder(D)
-        for rec in map(Record._make, classify_triple(o, enumerate_ideals(o, 40))):
+        items = [(a // g, b // g, (g,)) for a, b, g in enumerate_ideals(o, 40)]
+        for rec in map(Record._make, classify_triple(o, items)):
             assert min_bound_holds(rec), rec

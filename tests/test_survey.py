@@ -85,7 +85,7 @@ def test_classify_real_hexagonal():
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
     order, a, b, g = trip
-    (row,) = classify_triple(order, [(a, b, g)])
+    (row,) = classify_triple(order, [(a // g, b // g, (g,))])
     assert type(row) is tuple and type(row[5]) is int
     rec = classify_one(order, a, b, g)
     assert (rec.D, rec.a, rec.b, rec.g) == (order.D, a, b, g)
@@ -189,6 +189,10 @@ def test_survey_records_match_oracles():
     assert key[(-12, 4, 2, 1)].hexagonal and not key[(-12, 4, 2, 1)].order_maximal
     assert key[(-3, 1, 0, 1)].hexagonal and key[(3, 2, 1, 1)].hexagonal
     assert not any(r.order_maximal for r in records if r.D in (-12, 8, 12, 45))
+    # rows scaled from their primitive ideal's reduction are checked too
+    assert {r.D > 0 for r in records if r.g >= 3} == {False, True}
+    assert key[(-3, 2, 0, 2)].hexagonal
+    assert any(r.wr for r in records if r.g > 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,9 +221,9 @@ def test_survey_classifies_as_it_is_read(monkeypatch):
     seen = []
     classify = wrlat.survey.classify_triple
 
-    def counting(order, triples):
+    def counting(order, items):
         seen.append(order.D)
-        return classify(order, triples)
+        return classify(order, items)
 
     monkeypatch.setattr(wrlat.survey, "classify_triple", counting)
     results = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=10), list)

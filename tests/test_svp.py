@@ -341,7 +341,7 @@ def test_enumerate_planar_agreement():
     # the walk on the doubled Gram matrix finds twice that minimum
     for t in rng.sample(pool, 60):
         c1, c2, c3 = form_from_ideal(t)
-        row = next(classify_triple(t.order, [(t.a, t.b, t.g)]))
+        row = next(classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))]))
         minimum, n_minimal = row[5], row[6]
         rep = enumerate_shortest(GramMatrix(((2 * c1, c2), (c2, 2 * c3))))
         assert rep.minimum == 2 * minimum
