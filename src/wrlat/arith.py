@@ -68,7 +68,7 @@ class QuadOrder:
 
     delta = -sqrt(D) when D != 1 (mod 4) and (1 - sqrt(D))/2 when
     D = 1 (mod 4), so Z[delta] is the maximal order exactly when D is
-    squarefree; the `maximal` flag records that.  delta is a root of
+    squarefree; `maximal` decides that when read, from D.  delta is a root of
     X^2 - Tr(delta)*X + N(delta), with Tr(delta) = 0 and N(delta) = -D in the
     first case and Tr(delta) = 1 and N(delta) = (1 - D)/4 in the second.
     """
@@ -76,7 +76,6 @@ class QuadOrder:
     D: int
     delta_trace: int = field(init=False, repr=False, compare=False)
     delta_norm: int = field(init=False, repr=False, compare=False)
-    maximal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_valid_radicand(self.D):
@@ -85,7 +84,10 @@ class QuadOrder:
         half = self.D % 4 == 1
         object.__setattr__(self, "delta_trace", 1 if half else 0)
         object.__setattr__(self, "delta_norm", (1 - self.D) // 4 if half else -self.D)
-        object.__setattr__(self, "maximal", is_squarefree(abs(self.D)))
+
+    @property
+    def maximal(self) -> bool:
+        return is_squarefree(abs(self.D))
 
 
 def norm_xy(order: QuadOrder, x: int, y: int) -> int:

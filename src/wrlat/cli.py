@@ -74,9 +74,16 @@ def render(fh, fmt, items, columns, text_lines, key=None, *, row=None):
     ending in a newline.
     """
     rows = items if row is None else map(row, items)
-    if fmt == "json":
-        dicts = [dict(zip(columns, r)) for r in rows]
-        fh.writelines((json.dumps(dicts[0] if key is None else {key: dicts}, indent=2), "\n"))
+    if fmt == "json" and key is None:
+        fh.writelines((json.dumps(dict(zip(columns, next(iter(rows)))), indent=2), "\n"))
+    elif fmt == "json":
+        # the text of json.dumps({key: rows}, indent=2), written row by row
+        fh.write(f"{{\n  {json.dumps(key)}: [")
+        sep = "\n    "
+        for r in rows:
+            fh.writelines((sep, json.dumps(dict(zip(columns, r)), indent=2).replace("\n", "\n    ")))
+            sep = ",\n    "
+        fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
     elif fmt == "csv":
         fh.write(",".join(columns) + "\n")
         csv.writer(fh, lineterminator="\n").writerows(

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -519,6 +520,33 @@ def test_family_t_max_bound_is_the_radicand_cap(capsys, monkeypatch):
         assert main(["family", kind, "--t-max", str(last_ok + 2)]) == EXIT_BAD_INPUT
         assert time.perf_counter() - start < 1.0
         assert "exceeds MAX_RADICAND" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# render
+
+_RENDER_ROWS = [(1, "\u221a2", True), (-2, "x", False), (3, "", None)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_render_json_is_json_dumps(n):
+    fh = io.StringIO()
+    cli.render(fh, "json", iter(_RENDER_ROWS[:n]), ("k", "s", "b"), None, key="rows")
+    want = [dict(zip(("k", "s", "b"), r)) for r in _RENDER_ROWS[:n]]
+    assert fh.getvalue() == json.dumps({"rows": want}, indent=2) + "\n"
+
+
+def test_render_json_writes_each_row_before_the_next_is_made():
+    fh = io.StringIO()
+
+    def rows():
+        for i, r in enumerate(_RENDER_ROWS):
+            if i:
+                assert f'"k": {_RENDER_ROWS[i - 1][0]},' in fh.getvalue()
+            yield r
+
+    cli.render(fh, "json", rows(), ("k", "s", "b"), None, key="rows")
+    assert json.loads(fh.getvalue())["rows"][2] == {"k": 3, "s": "", "b": None}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+import wrlat.arith
 import wrlat.families
 from wrlat.arith import is_squarefree, norm_xy
 from wrlat.families import family_stream, imaginary_instance, real_instance
@@ -107,3 +108,43 @@ def test_family_stream_builds_instances_as_it_is_read(monkeypatch):
     assert built == []
     assert next(stream).t == 1
     assert built == [1]
+
+
+@pytest.mark.parametrize("kind", ["imaginary", "real"])
+def test_family_stream_never_factors_the_radicand(monkeypatch, kind):
+    # the flags come from the coprime factors t + 2 and 3t + 2 or t - 2 of
+    # |D|, so no factorization or squarefree test sees a number above 3t + 2
+    seen = []
+
+    def recording(fn):
+        def wrapped(n):
+            seen.append(n)
+            return fn(n)
+        return wrapped
+
+    monkeypatch.setattr(wrlat.arith, "factorize", recording(wrlat.arith.factorize))
+    monkeypatch.setattr(wrlat.families, "factorize", recording(wrlat.families.factorize))
+    monkeypatch.setattr(wrlat.families, "is_squarefree", recording(wrlat.families.is_squarefree))
+    insts = list(family_stream(kind, 2001))
+    assert insts[-1].t == 2001
+    assert seen and max(seen) <= 3 * 2001 + 2
+
+
+@pytest.mark.parametrize(
+    "build, last, squares",
+    [(imaginary_instance, 577347, (7, 41)), (real_instance, 999999, (11, 7))],
+    ids=["imaginary", "real"],
+)
+def test_flags_match_factoring_the_radicand_up_to_the_cap(build, last, squares):
+    # about 100 odd t spread up to the last t under MAX_RADICAND, plus t where
+    # a square divides only one factor: 9 | t + 2 (t = 7), 125 | 3t + 2
+    # (imaginary t = 41), 9 | t - 2 (real t = 11)
+    first = 1 if build is imaginary_instance else 5
+    ts = {first + 2 * ((last - first) // 2 * i // 99) for i in range(100)} | set(squares)
+    assert last in ts
+    for t in sorted(ts):
+        inst = build(t)
+        assert inst.squarefree == is_squarefree(abs(inst.D)) == inst.triple.order.maximal
+        assert inst.p_prime == trial_division_prime(t + 2)
+    for t in squares:
+        assert not build(t).squarefree
