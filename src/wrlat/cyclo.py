@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass
 
 from .arith import euler_phi, mobius
@@ -153,28 +152,24 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     )
 
 
-def _form_value(a, c) -> int:
-    """c^T A c for an integer matrix A and an integer vector c."""
-    return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, a) if ci)
-
-
-_ROTATION_TRIALS = 100  # random vectors w checked for |zeta*w| = |w|
-
-
 def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
     """Well-roundedness of the lattice of the principal ideal (x).
 
-    Also spot-checks rotation invariance: multiplying the ring coordinate
-    vector by zeta leaves the trace form value unchanged, exactly.
+    Also checks, exactly, that multiplication by zeta is an isometry of the
+    trace form G: with Z its matrix on the power basis, Z e_i = e_(i+1) for
+    i < phi-1 and Z e_(phi-1) = v = -(poly[0], ..., poly[phi-1]), it tests
+    Z^T G Z = G, which by polarization is |zeta*w| = |w| for every w.  A
+    failed diagonal entry i names the witness w = e_i, else the first failed
+    entry (i, j) names e_i + e_j.  ``rng`` is unused.
     """
     G = gram_principal(F, x)
-    rng = rng if rng is not None else random.Random(20210)
-    for _ in range(_ROTATION_TRIALS):
-        w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
-        rotated = w.times_zeta()
-        if _form_value(G.rows, rotated.coeffs) != _form_value(G.rows, w.coeffs):
-            raise InvariantViolation(
-                f"rotation by zeta changed a vector length "
-                f"(k={F.k}, generator={list(x.coeffs)}, w={list(w.coeffs)})"
-            )
+    n, rows, v = F.phi, G.rows, [-c for c in F.poly[:-1]]
+    gz = [row[1:] + (sum(map(operator.mul, row, v)),) for row in rows]  # G Z
+    ztgz = (*gz[1:], tuple(sum(map(operator.mul, v, col)) for col in zip(*gz)))
+    if ztgz != rows:
+        _, i, j = min((i != j, i, j) for i in range(n) for j in range(i, n) if ztgz[i][j] != rows[i][j])
+        raise InvariantViolation(
+            f"rotation by zeta changed a vector length "
+            f"(k={F.k}, generator={list(x.coeffs)}, w={[int(m in (i, j)) for m in range(n)]})"
+        )
     return enumerate_shortest(G).span_rank == F.phi

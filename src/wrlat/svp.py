@@ -20,10 +20,13 @@ least that makes them integers: its bound starts at Q times the smallest
 diagonal entry of the reduced matrix and tightens to the best value seen.
 Every comparison is Q times the rational one, so the visiting order, the
 minimum and the vectors are exactly those of the walk in fractions, and the
-minimum of G is the integer best/Q.
-The vectors are mapped through U in one pass over its rows.  Whether they
-span the space is decided by an integer echelon built one vector at a time,
-which stops as soon as the rank is full.  Dimensions are capped at
+minimum of G is the integer best/Q.  The walk keeps to the half-space whose
+last nonzero coordinate is positive (Fincke & Pohst 1985; Schnorr & Euchner
+1994), so it finds one vector of each +- pair: the vectors of the walk in
+fractions filtered to that half-space, in the same order.  Only those are
+mapped through U, in one pass over its rows, and their negations appended.
+Whether they span the space is decided by an integer echelon built one vector
+at a time, which stops as soon as the rank is full.  Dimensions are capped at
 MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
 """
 
@@ -153,10 +156,12 @@ def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
 
 
 def _walk(lam, d):
-    """Depth-first enumeration of the nonzero vectors of least form value.
+    """Depth-first enumeration of the nonzero vectors of least form value, one
+    of each +- pair.
 
     Returns (best, Q, vectors): the minimum of the form of (lam, d) is best/Q,
-    and the vectors attaining it are in the coordinates of lam and d.
+    and the vectors attaining it whose last nonzero coordinate is positive are
+    in the coordinates of lam and d; their negations attain it too.
 
     The walk runs on integers read off (lam, d).  Column j of mu is
     lam_ij/d[j+1] (i > j); with g_j the gcd of d[j+1] and those lam_ij, its
@@ -171,6 +176,12 @@ def _walk(lam, d):
     the best value seen, so the vectors kept are exactly those attaining the
     minimum.  Every value is Q times the rational one, so the visiting order,
     the minimum and the vector list are those of the same walk in fractions.
+
+    While every coordinate above level j is 0, only x_j >= 0 is tried.  A
+    branch x_j = -k left out mirrors x_j = k, visited earlier under a bound no
+    smaller, so it could only append negations at the best value: the bound
+    and the resets evolve as in the full walk, and the list is the full
+    walk's list filtered to the half-space, in the same order.
     """
     n = len(lam)
     gcds = [math.gcd(d[j + 1], *(row[j] for row in lam[j + 1:])) for j in range(n)]
@@ -185,10 +196,10 @@ def _walk(lam, d):
     x = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def descend(j, partial):
+    def descend(j, partial, top):
         nonlocal best
         if j < 0:
-            if any(x):
+            if not top:
                 if partial < best:
                     best = partial
                     found.clear()
@@ -197,18 +208,19 @@ def _walk(lam, d):
         m, e = den[j], weight[j]
         c = sum(map(operator.mul, cols[j], x[j + 1:]))
         start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
-        # upwards from the nearest integer, then downwards from the one below it
-        for k, dk in ((start, 1), (start - 1, -1)):
+        # upwards from the nearest integer, then downwards from the one below it;
+        # while every coordinate above j is 0, c = 0 and only x_j >= 0 is tried
+        for k, dk in ((start, 1),) if top else ((start, 1), (start - 1, -1)):
             while True:
                 total = partial + e * (m * k + c) ** 2
                 if total > best:
                     break
                 x[j] = k
-                descend(j - 1, total)
+                descend(j - 1, total, top and not k)
                 k += dk
         x[j] = 0
 
-    descend(n - 1, 0)
+    descend(n - 1, 0, True)
     return best, q, found
 
 
@@ -250,6 +262,7 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
     if G.n > MAX_ENUM_DIM:
         raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
     lam, d, u = lll_reduce(G)
-    best, q, vecs = _walk(lam, d)
-    mapped = sorted(_apply(u, vecs))
-    return ShortVectorReport(best // q, tuple(mapped), _span_rank(mapped))
+    best, q, half = _walk(lam, d)
+    mapped = list(_apply(u, half))
+    vectors = sorted(mapped + [tuple(-c for c in v) for v in mapped])
+    return ShortVectorReport(best // q, tuple(vectors), _span_rank(mapped))

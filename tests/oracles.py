@@ -4,13 +4,14 @@ Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data, except gram_from_rows, which builds the package's integer
-GramMatrix from a matrix with rational entries.  Some are the package's own
-former algorithms, kept as references after a faster one replaced them
-(lll_rebuild, lll_fraction, span_rank_fraction, walk_fraction,
-window_minimal_vectors, gram_by_products, enumerate_ideals_scan,
-render_records_reference) or after the package stopped needing them
-(hnf_triple, the canonical triple of an ideal from its generators, and
-is_similar, lattice similarity of two binary forms).
+GramMatrix from a matrix with rational entries, and rotation_spot_check, which
+draws its ring elements with cyclo.element and times_zeta.  Some are the
+package's own former algorithms, kept as references after a faster one
+replaced them (lll_rebuild, lll_fraction, span_rank_fraction, walk_fraction,
+window_minimal_vectors, gram_by_products, rotation_spot_check,
+enumerate_ideals_scan, render_records_reference) or after the package stopped
+needing them (hnf_triple, the canonical triple of an ideal from its
+generators, and is_similar, lattice similarity of two binary forms).
 """
 
 import csv
@@ -23,6 +24,7 @@ from itertools import product
 
 import numpy as np
 
+from wrlat.cyclo import element
 from wrlat.svp import GramMatrix
 
 
@@ -757,6 +759,25 @@ def gram_by_products(F, x):
             prod = reduce(poly_mul_int(us[i], vs[j]))
             rows[i][j] = rows[j][i] = Fraction(sum(c * t for c, t in zip(prod, table)), 2)
     return tuple(map(tuple, rows))
+
+
+def gram_value(rows, c) -> int:
+    """c^T A c for an integer matrix A, given by its rows, and an integer vector c."""
+    return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, rows) if ci)
+
+
+def rotation_spot_check(F, rows, rng, trials):
+    """The first of ``trials`` random ring vectors w, coefficients in [-9, 9],
+    whose length under the form ``rows`` changes when w is multiplied by zeta,
+    as a list, or None when every trial keeps its length.
+
+    The package's former rotation check, replaced by the exact Z^T G Z = G.
+    """
+    for _ in range(trials):
+        w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
+        if gram_value(rows, w.times_zeta().coeffs) != gram_value(rows, w.coeffs):
+            return list(w.coeffs)
+    return None
 
 
 def numeric_trace(k: int, coeffs) -> float:

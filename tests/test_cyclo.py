@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from wrlat.cyclo import (
 )
 from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
-from wrlat.svp import GramMatrix
+from wrlat.svp import GramMatrix, ShortVectorReport
 from oracles import (
     gram_by_products,
+    gram_value,
     is_similar,
     moebius_cyclo_poly,
     newton_trace_table,
@@ -28,6 +31,7 @@ from oracles import (
     numeric_trace,
     poly_divmod_int,
     rational_entries,
+    rotation_spot_check,
 )
 
 SMALL_K = (3, 4, 5, 6, 7, 8, 9, 12)
@@ -206,13 +210,8 @@ def test_gram_matches_numeric_embeddings():
                     assert abs(float(entries[i][j]) - N[i, j]) < 1e-6
 
 
-def _gram_generators():
-    """Full rings with phi(k) <= 24, the seeded principal ideals the benchmark
-    uses, and seeded random generators for small k."""
-    for k in range(3, 91):
-        if euler_phi(k) <= 24:
-            F = cyclo_field(k)
-            yield F, [1]
+def _benchmark_generators():
+    """The 13 seeded principal ideals the benchmark uses, 12 <= phi <= 20."""
     rng = random.Random(0)
     for k in (13, 17, 19, 21, 25, 27, 28, 32, 36, 40, 44, 48, 60):
         F = cyclo_field(k)
@@ -220,6 +219,16 @@ def _gram_generators():
         while not any(coeffs):
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
         yield F, coeffs
+
+
+def _gram_generators():
+    """Full rings with phi(k) <= 24, the seeded principal ideals the benchmark
+    uses, and seeded random generators for small k."""
+    for k in range(3, 91):
+        if euler_phi(k) <= 24:
+            F = cyclo_field(k)
+            yield F, [1]
+    yield from _benchmark_generators()
     rng = random.Random(31)
     for k in range(3, 31):
         F = cyclo_field(k)
@@ -277,18 +286,76 @@ def test_verify_principal_rejects_zero():
         verify_principal_ideal_wr(F, element(F, [0]))
 
 
+def _witness(msg):
+    """The vector w named by a rotation violation message."""
+    return [int(c) for c in re.search(r"w=\[([^\]]*)\]", msg).group(1).split(",")]
+
+
+def _changes_length(F, rows, w):
+    return gram_value(rows, element(F, w).times_zeta().coeffs) != gram_value(rows, w)
+
+
 def test_rotation_violation_names_its_witness(monkeypatch):
     F = cyclo_field(5)
     gen = [2, -1, 0, 3]
-    # a positive definite form that rotation by zeta does not preserve
+    # a positive definite form that rotation by zeta does not preserve; its
+    # first diagonal entry already fails, Q(zeta e_0) = Q(e_1) = 2 != 1, so
+    # the witness is e_0 whatever rng is passed
     skewed = GramMatrix(tuple(tuple(i + 1 if i == j else 0 for j in range(4)) for i in range(4)))
     monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: skewed)
-    draws = random.Random(31)
-    w = element(F, [draws.randint(-9, 9) for _ in range(F.phi)]).coeffs  # the first vector tried
     with pytest.raises(InvariantViolation) as info:
         verify_principal_ideal_wr(F, element(F, gen), rng=random.Random(31))
     msg = str(info.value)
     assert "k=5" in msg
     assert f"generator={gen}" in msg
-    assert f"w={list(w)}" in msg
+    assert _witness(msg) == [1, 0, 0, 0]
+    assert _changes_length(F, skewed.rows, _witness(msg))
 
+
+def _zeta_35_seeds():
+    F = cyclo_field(35)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        yield F, [rng.randint(-3, 3) for _ in range(F.phi)]
+
+
+def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
+    """The exact Z^T G Z = G check and the former 100 random spot checks both
+    accept the benchmark's ideals and the hard ideals of Z[zeta_35], and both
+    reject every positive definite Gram matrix perturbed by one symmetric
+    entry; the exact check's witness changes length under zeta.  Rings whose
+    Phi_k has one nonzero low coefficient (k = 8, 12) fail off the diagonal
+    only, so both witness rules, e_i and e_i + e_j, are exercised."""
+    # the check alone: a stubbed enumeration makes every passing check return False
+    monkeypatch.setattr(cyclo, "enumerate_shortest", lambda G: ShortVectorReport(0, (), 0))
+
+    def exact(F, coeffs):
+        """The exact check's witness, or None when it passes."""
+        try:
+            assert verify_principal_ideal_wr(F, element(F, coeffs)) is False
+        except InvariantViolation as exc:
+            return _witness(str(exc))
+        return None
+
+    for F, coeffs in chain(_benchmark_generators(), _zeta_35_seeds()):
+        G = gram_principal(F, element(F, coeffs))
+        assert exact(F, coeffs) is None, (F.k, coeffs)
+        assert rotation_spot_check(F, G.rows, random.Random(20210), 100) is None, (F.k, coeffs)
+    witness_sizes = set()
+    for F, coeffs in [(cyclo_field(k), [1]) for k in (5, 8, 12)] + [next(_benchmark_generators())]:
+        rows = gram_principal(F, element(F, coeffs)).rows
+        for i in range(F.phi):
+            for j in range(i, F.phi):
+                bumped = [list(r) for r in rows]
+                bumped[i][j] += 1
+                bumped[j][i] += i != j
+                try:
+                    G = GramMatrix(bumped)
+                except ValueError:
+                    continue
+                monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: G)
+                w = exact(F, coeffs)
+                assert w is not None and _changes_length(F, G.rows, w), (F.k, i, j)
+                assert rotation_spot_check(F, G.rows, random.Random(20210), 100), (F.k, i, j)
+                witness_sizes.add(sum(w))
+    assert witness_sizes == {1, 2}

@@ -10,6 +10,9 @@ searched for.
 Rationals are kept out too: forms, Gram matrices and lattice minima are
 integers, and no module imports fractions.  cyclo.py reports the Minkowski
 minimum phi(k)/2 as half the integer trace-form minimum, an exact division.
+
+Randomness is kept out as well: no module imports random, so every verdict
+is a function of its input alone.
 """
 
 import ast
@@ -106,18 +109,18 @@ def test_guard_allows_integer_math():
     assert float_uses(source) == []
 
 
-def fraction_imports(source: str) -> list[int]:
-    """Line numbers of the imports of the fractions module in the source."""
+def imports_of(source: str, module: str) -> list[int]:
+    """Line numbers of the imports of the module in the source."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == module
     ]
 
 
 def test_fractions_only_where_the_minimum_is_built():
-    importers = {p.name for p in SRC.glob("*.py") if fraction_imports(p.read_text())}
+    importers = {p.name for p in SRC.glob("*.py") if imports_of(p.read_text(), "fractions")}
     assert importers <= FRACTION_MODULES
 
 
@@ -127,8 +130,22 @@ def test_fractions_only_where_the_minimum_is_built():
      "import math, fractions", "def f():\n    from fractions import Fraction"],
 )
 def test_guard_finds_fraction_imports(source):
-    assert fraction_imports(source)
+    assert imports_of(source, "fractions")
 
 
 def test_guard_ignores_other_imports():
-    assert fraction_imports("import math\nfrom .svp import Fraction\nx = Fraction") == []
+    assert imports_of("import math\nfrom .svp import Fraction\nx = Fraction", "fractions") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_in_package(path):
+    assert imports_of(path.read_text(), "random") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import random", "import random as rnd", "from random import Random",
+     "import math, random", "def f(rng=None):\n    import random"],
+)
+def test_guard_finds_random_imports(source):
+    assert imports_of(source, "random")

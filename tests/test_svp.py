@@ -263,10 +263,12 @@ def _walk_inputs():
 
 
 def test_walk_matches_fraction_oracle(monkeypatch):
-    """The integer walk visits the same vectors in the same order as the walk
-    in fractions, on the LDL factors of the reduced matrix that enumeration
-    gives it as (lam, d) and from the smallest diagonal entry of the reduced
-    matrix.  With g_j the gcd of d[j+1] and column j of lam, its weights
+    """The integer walk keeps the vectors of the walk in fractions whose last
+    nonzero coordinate is positive, in the same order, one of each +- pair,
+    and their closure under negation is the fraction walk's whole list, on
+    the LDL factors of the reduced matrix that enumeration gives it as
+    (lam, d) and from the smallest diagonal entry of the reduced matrix.
+    With g_j the gcd of d[j+1] and column j of lam, its weights
     E_j = Q g_j^2/(d[j] d[j+1]) are integers and reproduce that diagonal as
     sum_j (lam_ij/g_j)^2 E_j with lam_ii = d[i+1]; Q divides the
     lcm_j(d[j] d[j+1]) of the walk without the gcds.  The minimum is the
@@ -301,8 +303,28 @@ def test_walk_matches_fraction_oracle(monkeypatch):
         want_minimum, want_vectors = walk_fraction(mu, lengths, bound)
         assert Fraction(best, q) == rep.minimum == s * want_minimum, label
         assert type(rep.minimum) is int, label
-        assert vectors == want_vectors, label
+        assert vectors == [v for v in want_vectors if _last_nonzero(v) > 0], label
+        assert set(vectors) | {_negated(v) for v in vectors} == set(want_vectors), label
     assert fractional_bounds
+
+
+def _last_nonzero(v):
+    return next(c for c in reversed(v) if c)
+
+
+def _negated(v):
+    return tuple(-c for c in v)
+
+
+def test_enumeration_closes_the_half_walk_under_negation():
+    """enumerate_shortest returns sorted, distinct vectors, closed under
+    negation, and the rank that full elimination over Q gives on all of them,
+    though it ranks only the half the walk found."""
+    for label, G, _ in _lll_inputs():
+        rep = enumerate_shortest(G)
+        assert list(rep.vectors) == sorted(set(rep.vectors)), label
+        assert {_negated(v) for v in rep.vectors} == set(rep.vectors), label
+        assert rep.span_rank == span_rank_fraction(rep.vectors), label
 
 
 def test_enumerate_identity():
