@@ -10,6 +10,11 @@ when the command returns, so a failed command writes nothing.  Survey
 records go through one formatter per output format (_RECORDS); survey
 workers run it on each radicand's rows, so this process only writes
 strings.  Every other output goes through render.
+
+The parser is built once per process, on the first main call; each call
+parses into a fresh namespace, so no argument carries over.  The handlers
+(_cmd_*) are bound at that first build, so a test patches what a handler
+calls (cli.euler_phi, cli.cyclo_field), not the handler.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import shutil
 import sys
@@ -317,7 +323,10 @@ def _cmd_cyclo(args, fh) -> int:
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The wrlat parser, built once per process: every call returns the first
+    call's parser, with the _cmd_* handlers bound at that build."""
     parser = argparse.ArgumentParser(
         prog="wrlat",
         description="exact classification of well-rounded ideal lattices",

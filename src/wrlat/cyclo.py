@@ -3,9 +3,10 @@
 Elements of Z[zeta_k] are integer coefficient vectors on the power basis
 1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
 Traces of root powers come from the closed-form Ramanujan sum
-mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)).  Gram matrices are read off that
-trace table from x * conj(x) taken modulo x^k - 1, with no product reduced
-mod the polynomial; the trace form is twice the Minkowski inner product.
+mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), evaluated once per divisor
+gcd(j,k) of k.  Gram matrices are read off that trace table from
+x * conj(x) taken modulo x^k - 1, with no product reduced mod the
+polynomial; the trace form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ def cyclo_field(k: int) -> CycloField:
         raise ValueError("k must be at least 3")
     poly = cyclotomic_poly(k)
     phi = len(poly) - 1
-    table = []
-    for j in range(k):
-        g = math.gcd(j, k)
-        m = k // g
-        mu = mobius(m)
-        table.append(0 if mu == 0 else mu * (phi // euler_phi(m)))
-    return CycloField(k, phi, poly, tuple(table))
+    by_gcd = {}
+    for g in range(1, k + 1):
+        if k % g == 0:
+            mu = mobius(k // g)
+            by_gcd[g] = mu and mu * (phi // euler_phi(k // g))
+    return CycloField(k, phi, poly, tuple(by_gcd[math.gcd(j, k)] for j in range(k)))
 
 
 @dataclass(frozen=True)

@@ -724,6 +724,48 @@ def test_survey_format_equals_csv_prints_header(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process: nothing carries over from one main call to the next
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_and_format_do_not_carry_over(tmp_path, capsys):
+    target = tmp_path / "cyclo_12.json"
+    assert main(["cyclo", "12", "--format", "json", "--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    # an old mtime, so that a rewrite with the same bytes still shows
+    os.utime(target, ns=(0, 0))
+    assert main(["cyclo", "12"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "cyclo_12.text.stdout").read_text()
+    assert target.stat().st_mtime_ns == 0
+    assert target.read_text() == (GOLDEN / "cyclo_12.json.stdout").read_text()
+
+
+def test_squarefree_does_not_carry_over(capsys):
+    # the golden window has the non-maximal orders D = -12, -8, 8, 12
+    argv = ["survey", "--format", "csv", "--d-min", "-12", "--d-max", "12", "--norm-bound", "6"]
+    assert main([*argv, "--squarefree"]) == EXIT_OK
+    squarefree = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "survey.csv.stdout").read_text()
+    assert out != squarefree
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cyclo"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "required: k" in capsys.readouterr().err
+    assert main(["cyclo", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "cyclo_7.text.stdout").read_text()
+
+
+# ---------------------------------------------------------------------------
 # end to end
 
 # the subprocess imports the same wrlat as these tests, installed or not
