@@ -4,7 +4,8 @@ Z[delta], and the norm and trace of x + y*delta in them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from ._frozen import Frozen
 
 # Largest |D| a quadratic order or a survey window accepts: is_squarefree
 # factors |D| by trial division, which takes 0.06 s for a prime near 10**12.
@@ -62,8 +63,7 @@ def is_valid_radicand(d: int) -> bool:
     return d not in (0, 1) and (d < 0 or math.isqrt(d) ** 2 != d)
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(Frozen):
     """The ring Z[delta] attached to a non-square integer D.
 
     delta = -sqrt(D) when D != 1 (mod 4) and (1 - sqrt(D))/2 when
@@ -71,19 +71,20 @@ class QuadOrder:
     squarefree; `maximal` decides that when read, from D.  delta is a root of
     X^2 - Tr(delta)*X + N(delta), with Tr(delta) = 0 and N(delta) = -D in the
     first case and Tr(delta) = 1 and N(delta) = (1 - D)/4 in the second.
+    Orders are equal when their D are.
     """
 
-    D: int
-    delta_trace: int = field(init=False, repr=False, compare=False)
-    delta_norm: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("D", "delta_trace", "delta_norm")
+    _fields = ("D",)
 
-    def __post_init__(self):
-        if not is_valid_radicand(self.D):
-            raise ValueError(f"invalid radicand {self.D}: need a non-square integer, not 0 or 1")
-        check_radicand_bound(self.D)
-        half = self.D % 4 == 1
+    def __init__(self, D: int):
+        if not is_valid_radicand(D):
+            raise ValueError(f"invalid radicand {D}: need a non-square integer, not 0 or 1")
+        check_radicand_bound(D)
+        half = D % 4 == 1
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "delta_trace", 1 if half else 0)
-        object.__setattr__(self, "delta_norm", (1 - self.D) // 4 if half else -self.D)
+        object.__setattr__(self, "delta_norm", (1 - D) // 4 if half else -D)
 
     @property
     def maximal(self) -> bool:

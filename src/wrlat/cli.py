@@ -297,8 +297,8 @@ def _cmd_family(args, fh) -> int:
 
 
 def _cyclo_row(rep: CycloTheoremReport) -> tuple:
-    return (rep.k, rep.phi, rep.minimum.numerator, rep.minimum.denominator,
-            rep.expected.numerator, rep.expected.denominator,
+    # both minima are integers: minimum_den and expected_den are 1
+    return (rep.k, rep.phi, rep.minimum, 1, rep.expected, 1,
             rep.n_minimal, rep.expected_count, rep.wr, rep.passed)
 
 

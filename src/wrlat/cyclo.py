@@ -4,7 +4,8 @@ Elements of Z[zeta_k] are integer coefficient vectors on the power basis
 1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
 Traces of root powers come from the closed-form Ramanujan sum
 mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), evaluated once per divisor
-gcd(j,k) of k.  Gram matrices are read off that trace table from
+gcd(j,k) of k; mu and phi of every divisor of k are read off one
+factorization of k.  Gram matrices are read off that trace table from
 x * conj(x) taken modulo x^k - 1, with no product reduced mod the
 polynomial; the trace form is twice the Minkowski inner product.
 """
@@ -13,11 +14,26 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
-from .arith import euler_phi, mobius
+from .arith import factorize
 from .errors import InvariantViolation
 from .svp import GramMatrix, enumerate_shortest
+
+
+@lru_cache(maxsize=1)
+def _divisors(k: int) -> tuple[tuple[int, int, int], ...]:
+    """(d, mu(d), phi(d)) for every divisor d of k, ascending, from one
+    factorization of k; cyclotomic_poly and cyclo_field of one k share it."""
+    table = [(1, 1, 1)]
+    for p, e in factorize(k).items():
+        table += [
+            (d * p**i, mu * (-1 if i == 1 else 0), phi * (p - 1) * p ** (i - 1))
+            for d, mu, phi in table
+            for i in range(1, e + 1)
+        ]
+    return tuple(sorted(table))
 
 
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
@@ -32,10 +48,13 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
         raise ValueError("k must be positive")
     if k == 1:
         return (-1, 1)
-    n = euler_phi(k)
+    divisors = _divisors(k)
+    n = divisors[-1][2]
     c = [1] + [0] * n
-    for d in range(1, n + 1):
-        mu = 0 if k % d else mobius(k // d)
+    for e, mu, _ in reversed(divisors):  # d = k/e ascending
+        d = k // e
+        if d > n:
+            break
         if mu == 1:
             for i in range(n, d - 1, -1):
                 c[i] -= c[i - d]
@@ -45,8 +64,7 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class CycloField:
+class CycloField(NamedTuple):
     """Degree, defining polynomial and trace table of Q(zeta_k)."""
 
     k: int
@@ -61,16 +79,11 @@ def cyclo_field(k: int) -> CycloField:
         raise ValueError("k must be at least 3")
     poly = cyclotomic_poly(k)
     phi = len(poly) - 1
-    by_gcd = {}
-    for g in range(1, k + 1):
-        if k % g == 0:
-            mu = mobius(k // g)
-            by_gcd[g] = mu and mu * (phi // euler_phi(k // g))
+    by_gcd = {k // e: mu and mu * (phi // phi_e) for e, mu, phi_e in _divisors(k)}
     return CycloField(k, phi, poly, tuple(by_gcd[math.gcd(j, k)] for j in range(k)))
 
 
-@dataclass(frozen=True)
-class CycloElement:
+class CycloElement(NamedTuple):
     """Integer combination of 1, zeta, ..., zeta^(phi-1)."""
 
     coeffs: tuple[int, ...]
@@ -115,8 +128,7 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class CycloTheoremReport:
+class CycloTheoremReport(NamedTuple):
     k: int
     phi: int
     minimum: int

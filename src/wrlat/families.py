@@ -12,7 +12,7 @@ which family_stream checks against the form computed from the ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import QuadOrder, check_radicand_bound, factorize, is_squarefree
 from .errors import InvariantViolation
@@ -20,8 +20,7 @@ from .ideals import IdealTriple
 from .planar import form_from_ideal, gauss_reduce
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     t: int
     D: int
     triple: IdealTriple

@@ -20,10 +20,10 @@ on ints without checking them again; enumerate_ideals lists every triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from ._frozen import Frozen
 from .arith import QuadOrder, norm_xy
 
 # Largest norm bound enumerate_ideals and a survey accept.  The tables are
@@ -32,18 +32,13 @@ from .arith import QuadOrder, norm_xy
 MAX_NORM_BOUND = 10**5
 
 
-@dataclass(frozen=True)
-class IdealTriple:
+class IdealTriple(Frozen):
     """A valid triple: the constructor raises ValueError for one that does not
     span an ideal, so every IdealTriple is an ideal of norm a*g."""
 
-    a: int
-    b: int
-    g: int
-    order: QuadOrder
+    __slots__ = _fields = ("a", "b", "g", "order")
 
-    def __post_init__(self):
-        a, b, g = self.a, self.b, self.g
+    def __init__(self, a: int, b: int, g: int, order: QuadOrder):
         if a < 1 or g < 1 or b < 0:
             raise ValueError("triple entries must satisfy a >= 1, g >= 1, b >= 0")
         if b >= a:
@@ -54,11 +49,16 @@ class IdealTriple:
             reason = "g does not divide a"
         elif b % g:
             reason = "g does not divide b"
-        elif norm_xy(self.order, b, g) % (g * a):
+        elif norm_xy(order, b, g) % (g * a):
             reason = "g*a does not divide N(b + g*delta)"
         else:
-            return
-        raise ValueError(f"invalid ideal triple: {reason}")
+            reason = None
+        if reason is not None:
+            raise ValueError(f"invalid ideal triple: {reason}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "order", order)
 
 
 def check_norm_bound(norm_bound: int) -> None:

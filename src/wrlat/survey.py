@@ -12,11 +12,11 @@ identical results regardless of worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import imaginary_instance, real_instance
@@ -24,33 +24,36 @@ from .ideals import IdealTriple, check_norm_bound, multipliers, primitive_ideals
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
+class SurveyConfig(Frozen):
     """A survey window; the constructor raises ValueError for an invalid one."""
 
-    d_min: int
-    d_max: int
-    norm_bound: int = 10
-    require_squarefree: bool = False
-    workers: int = 1
+    __slots__ = _fields = ("d_min", "d_max", "norm_bound", "require_squarefree", "workers")
 
-    def __post_init__(self):
-        if self.d_min > self.d_max:
+    def __init__(self, d_min: int, d_max: int, norm_bound: int = 10,
+                 require_squarefree: bool = False, workers: int = 1):
+        if d_min > d_max:
             raise ValueError("d_min must not exceed d_max")
-        check_radicand_bound(self.d_min)
-        check_radicand_bound(self.d_max)
-        check_norm_bound(self.norm_bound)
-        if self.workers < 1:
+        check_radicand_bound(d_min)
+        check_radicand_bound(d_max)
+        check_norm_bound(norm_bound)
+        if workers < 1:
             raise ValueError("workers must be at least 1")
+        object.__setattr__(self, "d_min", d_min)
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "norm_bound", norm_bound)
+        object.__setattr__(self, "require_squarefree", require_squarefree)
+        object.__setattr__(self, "workers", workers)
 
 
-def classify_triple(order: QuadOrder, items):
+def classify_triple(order: QuadOrder, items, maximal: bool | None = None):
     """For each item (a, b, gs), a primitive pair from primitive_ideals or the
     (a/g, b/g) of an IdealTriple, yield the row (D, g*a, g*b, g, norm, minimum,
     n_minimal, wr, hexagonal, order_maximal) of g*I, I = (a, b + delta), for
     each g in gs.  I's norm form (c1, c2, c3) is reduced once: that of g*I is
     g^2 times it, and the reduction commutes with scaling, so g*I has the norm
     g^2*a, the minimum g^2*c1, and I's minimal vector count and flags.
+    order_maximal is `maximal`, or order.maximal when it is None: a caller
+    that already knows |D| is squarefree passes True, and |D| is not factored.
 
     Raises InvariantViolation, naming the replay command, if a row's minimum
     breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
@@ -59,7 +62,9 @@ def classify_triple(order: QuadOrder, items):
     I does: with (a, b) ascending and gs from 1 up, the row raised is the
     least (norm, a, b, g) one that breaks it.
     """
-    D, maximal = order.D, order.maximal
+    D = order.D
+    if maximal is None:
+        maximal = order.maximal
     for a, b, gs in items:
         c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
         # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
@@ -77,13 +82,14 @@ def classify_triple(order: QuadOrder, items):
             yield D, g * a, g * b, g, nrm, minimum, n_minimal, wr, hexagonal, maximal
 
 
-def _survey_radicand(norm_bound: int, emit, D: int) -> tuple:
-    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D.
-    classify_triple yields the rows of one norm N by ascending a = N/g, then
-    b, so a stable sort by norm alone puts them in (norm, a, b, g) order."""
+def _survey_radicand(norm_bound: int, emit, maximal: bool | None, D: int) -> tuple:
+    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D,
+    with `maximal` passed on to classify_triple.  classify_triple yields the
+    rows of one norm N by ascending a = N/g, then b, so a stable sort by norm
+    alone puts them in (norm, a, b, g) order."""
     order, gs = QuadOrder(D), multipliers(norm_bound)
     items = [(a, b, gs[a]) for a, b in primitive_ideals(order, norm_bound)]
-    rows = sorted(classify_triple(order, items), key=itemgetter(4))
+    rows = sorted(classify_triple(order, items, maximal), key=itemgetter(4))
     return emit(rows), len(rows), sum([r[7] for r in rows]), sum([r[8] for r in rows])
 
 
@@ -119,7 +125,8 @@ def run_survey(cfg: SurveyConfig, emit):
         D for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
-    task = partial(_survey_radicand, cfg.norm_bound, emit)
+    # a squarefree window has factored each |D| it keeps: every order is maximal
+    task = partial(_survey_radicand, cfg.norm_bound, emit, cfg.require_squarefree or None)
     # the pool starts all its processes at once, so start no more than there
     # are CPUs or groups of _MIN_RADICANDS radicands
     workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), os.cpu_count() or 1)

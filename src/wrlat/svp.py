@@ -34,26 +34,27 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from ._frozen import Frozen
 
 
 MAX_ENUM_DIM = 24
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Frozen):
     """Symmetric positive definite integer matrix G, given by its ``rows``.
 
     ``ldl`` is the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on G,
-    computed as the positive-definiteness check.
+    computed as the positive-definiteness check.  Matrices are equal when
+    their rows are.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    ldl: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "ldl")
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(tuple, rows))
         n = len(rows)
         if not n:
             raise ValueError("matrix must be non-empty")
@@ -61,6 +62,7 @@ class GramMatrix:
             raise ValueError("matrix must be square")
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ldl", _ldl(rows))  # raises if not positive definite
 
     @property
@@ -68,8 +70,7 @@ class GramMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ShortVectorReport:
+class ShortVectorReport(NamedTuple):
     minimum: int
     vectors: tuple[tuple[int, ...], ...]
     span_rank: int

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,24 @@ def test_order_radicand_cap():
     for d in (MAX_RADICAND + 2, -MAX_RADICAND - 1, -(10**30) - 57):
         with pytest.raises(ValueError, match="MAX_RADICAND"):
             QuadOrder(d)
+
+
+def test_order_is_a_frozen_value():
+    # equal, with equal hashes, exactly when the radicands are; pickling
+    # rebuilds the order through its constructor
+    o = QuadOrder(-15)
+    assert o == QuadOrder(-15) and hash(o) == hash(QuadOrder(-15))
+    assert o != QuadOrder(-3) and o != -15
+    assert repr(o) == "QuadOrder(D=-15)"
+    back = pickle.loads(pickle.dumps(o))
+    assert back == o and (back.delta_trace, back.delta_norm) == (1, 4)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'D'$"):
+        o.D = -3
+    with pytest.raises(AttributeError):
+        o.extra = 1
+    with pytest.raises(AttributeError, match="^cannot delete field 'delta_norm'$"):
+        del o.delta_norm
+    assert (o.D, o.delta_norm) == (-15, 4)
 
 
 @given(radicands)

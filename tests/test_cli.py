@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -482,7 +481,7 @@ def test_family_closed_form_mismatch_exits_three(monkeypatch, capsys):
     def skewed(t):
         inst = real_instance(t)
         c1, c2, c3 = inst.closed_form
-        return dataclasses.replace(inst, closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
+        return inst._replace(closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
 
     monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
     assert main(["family", "imaginary", "--t-max", "7"]) == EXIT_INVARIANT
@@ -570,7 +569,7 @@ def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, j, dropped
 
     def without_zeta_j(G):
         rep = real_enumerate(G)
-        return dataclasses.replace(rep, vectors=tuple(v for v in rep.vectors if v != dropped))
+        return rep._replace(vectors=tuple(v for v in rep.vectors if v != dropped))
 
     monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_j)
     assert main(["cyclo", "5"]) == EXIT_INVARIANT
@@ -587,6 +586,27 @@ def test_cyclo_small_k_rejected(capsys):
 def test_cyclo_dimension_guard(capsys):
     assert main(["cyclo", "105"]) == EXIT_BAD_INPUT
     assert "enumeration guard" in capsys.readouterr().err
+
+
+def test_cyclo_factors_k_once(monkeypatch):
+    # the guard's euler_phi(k) factors k, and so does the table of mu and phi
+    # of k's divisors that the polynomial and the trace table share
+    seen = []
+    factorize = wrlat.arith.factorize
+
+    def counting(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(wrlat.arith, "factorize", counting)
+    monkeypatch.setattr(wrlat.cyclo, "factorize", counting)
+    ks = [k for k in range(3, 91) if euler_phi(k) <= MAX_ENUM_DIM]
+    assert len(ks) == 51
+    for k in ks:
+        wrlat.cyclo._divisors.cache_clear()
+        seen.clear()
+        assert main(["cyclo", str(k)]) == EXIT_OK
+        assert seen == [k, k]
 
 
 GUARD_LINE = f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})\n"
@@ -662,7 +682,7 @@ def _bad_closed_form(monkeypatch):
     def skewed(t):
         inst = imaginary_instance(t)
         c1, c2, c3 = inst.closed_form
-        return dataclasses.replace(inst, closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
+        return inst._replace(closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
 
     monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
 
@@ -799,7 +819,7 @@ def test_import_loads_every_module():
          "import sys, wrlat; print(' '.join(sorted(m for m in sys.modules if m.startswith('wrlat.'))))"],
         capture_output=True, text=True, env=_ENV,
     )
-    modules = ("arith", "cyclo", "errors", "families", "ideals", "planar", "survey", "svp")
+    modules = ("_frozen", "arith", "cyclo", "errors", "families", "ideals", "planar", "survey", "svp")
     assert proc.stdout.split() == [f"wrlat.{m}" for m in modules], proc.stderr
 
 
@@ -815,3 +835,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     import wrlat.survey
 
     assert wrlat.survey.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+
+def test_cli_import_leaves_unneeded_modules_unloaded():
+    # start-up is most of a one-command run: dataclasses alone, with the inspect
+    # module it loads, once took a third of `import wrlat.cli`, and no command
+    # needs it; the pool modules load only when a survey starts workers
+    unneeded = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, wrlat.cli; print(*[m for m in {unneeded!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=_ENV,
+    )
+    assert proc.returncode == 0 and proc.stdout == "\n", (proc.stdout, proc.stderr)

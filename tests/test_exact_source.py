@@ -13,6 +13,9 @@ minimum phi(k)/2 as half the integer trace-form minimum, an exact division.
 
 Randomness is kept out as well: no module imports random, so every verdict
 is a function of its input alone.
+
+No module imports dataclasses either: it loads inspect, ast and dis, which
+made up a third of the time to import the command line interface.
 """
 
 import ast
@@ -149,3 +152,17 @@ def test_no_random_in_package(path):
 )
 def test_guard_finds_random_imports(source):
     assert imports_of(source, "random")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_in_package(path):
+    assert imports_of(path.read_text(), "dataclasses") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import dataclasses", "import dataclasses as dc", "from dataclasses import dataclass, field",
+     "import os, dataclasses", "def f():\n    from dataclasses import replace"],
+)
+def test_guard_finds_dataclasses_imports(source):
+    assert imports_of(source, "dataclasses")

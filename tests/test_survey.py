@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import os
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wrlat.arith
 import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
@@ -116,7 +116,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^workers must be at least 1$"):
             SurveyConfig(d_min=2, d_max=3, workers=workers)
     cfg = SurveyConfig(d_min=2, d_max=3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'workers'$"):
         cfg.workers = 0
 
 
@@ -132,6 +132,24 @@ def test_survey_squarefree_filter():
     ds = {r.D for r in records}
     assert all(is_squarefree(-d) for d in ds)
     assert -15 in ds and -8 not in ds and -12 not in ds
+
+
+def test_squarefree_survey_factors_each_radicand_once(monkeypatch):
+    # the filter factors every valid |D|; the orders it keeps are maximal, so
+    # classifying their ideals factors nothing more
+    seen = []
+    factorize = wrlat.arith.factorize
+
+    def counting(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(wrlat.arith, "factorize", counting)
+    cfg = SurveyConfig(d_min=-200, d_max=200, norm_bound=12, require_squarefree=True)
+    results = list(run_survey(cfg, list))
+    assert sorted(seen) == sorted(abs(D) for D in range(-200, 201) if is_valid_radicand(D))
+    assert len(seen) == 386 and len(results) == 243
+    assert all(row[9] for rows, *_ in results for row in rows)
 
 
 def test_survey_imaginary_window():
@@ -207,12 +225,13 @@ def test_survey_worker_count_is_invisible(monkeypatch):
     # the workers format their own chunks, so each format's chunks are compared
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6)
+    pooled_cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6, workers=2)
     for emit in (list, *_RECORDS.values()):
         serial = list(run_survey(cfg, emit))
-        pooled = list(run_survey(dataclasses.replace(cfg, workers=2), emit))
+        pooled = list(run_survey(pooled_cfg, emit))
         assert serial == pooled, emit
         assert len(pooled) == sum(map(is_valid_radicand, range(-300, 301)))  # one per radicand
-    results = list(run_survey(dataclasses.replace(cfg, workers=2), list))
+    results = list(run_survey(pooled_cfg, list))
     assert all(type(r) is tuple for chunk, *_ in results for r in chunk)
 
 
@@ -221,9 +240,9 @@ def test_survey_classifies_as_it_is_read(monkeypatch):
     seen = []
     classify = wrlat.survey.classify_triple
 
-    def counting(order, items):
+    def counting(order, items, *maximal):
         seen.append(order.D)
-        return classify(order, items)
+        return classify(order, items, *maximal)
 
     monkeypatch.setattr(wrlat.survey, "classify_triple", counting)
     results = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=10), list)
@@ -272,7 +291,8 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
     cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
     results = list(run_survey(cfg, list))
     assert RecordingPool.sizes == ([] if expected is None else [expected])
-    assert results == list(run_survey(dataclasses.replace(cfg, workers=1), list))
+    serial_cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4)
+    assert results == list(run_survey(serial_cfg, list))
     assert all(type(r) is tuple for chunk, *_ in results for r in chunk)
 
 
