@@ -33,23 +33,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
-def mobius(n: int) -> int:
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n."""
-    return mobius(n) != 0
+    return max(factorize(n).values(), default=1) == 1
 
 
 def check_radicand_bound(d: int) -> None:

@@ -14,21 +14,21 @@ strings.  Every other output goes through render.
 The parser is built once per process, on the first main call; each call
 parses into a fresh namespace, so no argument carries over.  The handlers
 (_cmd_*) are bound at that first build, so a test patches what a handler
-calls (cli.euler_phi, cli.cyclo_field), not the handler.
+calls (cli.cyclo_field, cli.verify_cyclotomic_theorem), not the handler.
+json and csv are imported by the functions that use them, so a command in
+the default text format loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import json
 import shutil
 import sys
 import tempfile
 
-from .arith import QuadOrder, euler_phi
+from .arith import QuadOrder
 from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
 from .errors import InvariantViolation
 from .families import family_stream
@@ -80,9 +80,12 @@ def render(fh, fmt, items, columns, text_lines, key=None, *, row=None):
     ending in a newline.
     """
     rows = items if row is None else map(row, items)
-    if fmt == "json" and key is None:
-        fh.writelines((json.dumps(dict(zip(columns, next(iter(rows)))), indent=2), "\n"))
-    elif fmt == "json":
+    if fmt == "json":
+        import json
+
+        if key is None:
+            fh.writelines((json.dumps(dict(zip(columns, next(iter(rows)))), indent=2), "\n"))
+            return
         # the text of json.dumps({key: rows}, indent=2), written row by row
         fh.write(f"{{\n  {json.dumps(key)}: [")
         sep = "\n    "
@@ -91,6 +94,8 @@ def render(fh, fmt, items, columns, text_lines, key=None, *, row=None):
             sep = ",\n    "
         fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
     elif fmt == "csv":
+        import csv
+
         fh.write(",".join(columns) + "\n")
         csv.writer(fh, lineterminator="\n").writerows(
             [_TF[v] if v.__class__ is bool else v for v in r] for r in rows
@@ -159,6 +164,8 @@ def _write_records(fh, fmt, results):
     # classify_triple raises on a violation, so the bound holds for every record
     line = f"{n} ideals: {wr} wr, {hexagonal} hexagonal, bound holds for {n}/{n}\n"
     if fmt == "json":
+        import json
+
         summary = {"records": n, "wr": wr, "hexagonal": hexagonal, "bound_ok": n}
         fh.write(("\n  ],\n" if n else "],\n") + '  "summary": '
                  + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
@@ -172,7 +179,7 @@ def _cmd_classify(args, fh) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
-    (row,) = classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))])
+    (row,) = classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))], t.order.maximal)
     # the integer minimum fills minimum_num and minimum_den = 1
     render(fh, args.format, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
     return EXIT_OK if row[7] else EXIT_NOT_WR
@@ -206,6 +213,8 @@ def _as_int(key: str, v, from_json: bool) -> int:
 
 def load_config(path: str) -> dict:
     """Survey settings from a JSON object or flat key=value lines."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -313,12 +322,11 @@ def _cyclo_lines(reports):
 
 
 def _cmd_cyclo(args, fh) -> int:
-    if args.k < 3:
-        raise ValueError("k must be at least 3")
-    # phi(k) >= sqrt(k/2) for every k, so a larger k is refused without factoring it
-    if args.k > 2 * MAX_ENUM_DIM**2 or euler_phi(args.k) > MAX_ENUM_DIM:
+    # phi(k) >= sqrt(k/2) for every k, so a larger k is refused without
+    # factoring it; cyclo_field refuses k < 3
+    if args.k > 2 * MAX_ENUM_DIM**2 or (F := cyclo_field(args.k)).phi > MAX_ENUM_DIM:
         raise ValueError(f"phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})")
-    rep = verify_cyclotomic_theorem(cyclo_field(args.k))
+    rep = verify_cyclotomic_theorem(F)
     render(fh, args.format, [rep], CYCLO_COLUMNS, _cyclo_lines, row=_cyclo_row)
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 

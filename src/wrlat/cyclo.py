@@ -144,15 +144,16 @@ class CycloTheoremReport(NamedTuple):
 
 def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     """Check the full ring of integers: minimum phi(k)/2, minimal vectors the
-    embedded roots of unity (k of them for even k, 2k for odd k), well-rounded."""
+    embedded roots of unity (k of them for even k, 2k for odd k), well-rounded.
+    For even k, -zeta^j is zeta^(j+k/2), so only odd k looks up -zeta^j."""
     w = element(F, [1])
     rep = enumerate_shortest(gram_principal(F, w))
-    vecs = set(rep.vectors)
+    vecs, odd = set(rep.vectors), F.k % 2
     for j in range(F.k):
-        if w.coeffs not in vecs or tuple(-c for c in w.coeffs) not in vecs:
+        if w.coeffs not in vecs or odd and tuple(-c for c in w.coeffs) not in vecs:
             raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k})")
         w = w.times_zeta()
-    expected_count = F.k if F.k % 2 == 0 else 2 * F.k
+    expected_count = 2 * F.k if odd else F.k
     return CycloTheoremReport(
         F.k,
         F.phi,

@@ -45,15 +45,15 @@ class SurveyConfig(Frozen):
         object.__setattr__(self, "workers", workers)
 
 
-def classify_triple(order: QuadOrder, items, maximal: bool | None = None):
+def classify_triple(order: QuadOrder, items, maximal: bool):
     """For each item (a, b, gs), a primitive pair from primitive_ideals or the
     (a/g, b/g) of an IdealTriple, yield the row (D, g*a, g*b, g, norm, minimum,
     n_minimal, wr, hexagonal, order_maximal) of g*I, I = (a, b + delta), for
     each g in gs.  I's norm form (c1, c2, c3) is reduced once: that of g*I is
     g^2 times it, and the reduction commutes with scaling, so g*I has the norm
     g^2*a, the minimum g^2*c1, and I's minimal vector count and flags.
-    order_maximal is `maximal`, or order.maximal when it is None: a caller
-    that already knows |D| is squarefree passes True, and |D| is not factored.
+    order_maximal is `maximal`, which the caller decides: order.maximal
+    factors |D|, and a caller that already knows |D| is squarefree passes True.
 
     Raises InvariantViolation, naming the replay command, if a row's minimum
     breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
@@ -63,8 +63,6 @@ def classify_triple(order: QuadOrder, items, maximal: bool | None = None):
     least (norm, a, b, g) one that breaks it.
     """
     D = order.D
-    if maximal is None:
-        maximal = order.maximal
     for a, b, gs in items:
         c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
         # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
@@ -82,14 +80,15 @@ def classify_triple(order: QuadOrder, items, maximal: bool | None = None):
             yield D, g * a, g * b, g, nrm, minimum, n_minimal, wr, hexagonal, maximal
 
 
-def _survey_radicand(norm_bound: int, emit, maximal: bool | None, D: int) -> tuple:
-    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D,
-    with `maximal` passed on to classify_triple.  classify_triple yields the
+def _survey_radicand(norm_bound: int, emit, squarefree: bool, D: int) -> tuple:
+    """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D.
+    A squarefree window has found |D| squarefree, so the order is maximal;
+    otherwise order.maximal factors |D|.  classify_triple yields the
     rows of one norm N by ascending a = N/g, then b, so a stable sort by norm
     alone puts them in (norm, a, b, g) order."""
     order, gs = QuadOrder(D), multipliers(norm_bound)
     items = [(a, b, gs[a]) for a, b in primitive_ideals(order, norm_bound)]
-    rows = sorted(classify_triple(order, items, maximal), key=itemgetter(4))
+    rows = sorted(classify_triple(order, items, squarefree or order.maximal), key=itemgetter(4))
     return emit(rows), len(rows), sum([r[7] for r in rows]), sum([r[8] for r in rows])
 
 
@@ -125,8 +124,7 @@ def run_survey(cfg: SurveyConfig, emit):
         D for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
-    # a squarefree window has factored each |D| it keeps: every order is maximal
-    task = partial(_survey_radicand, cfg.norm_bound, emit, cfg.require_squarefree or None)
+    task = partial(_survey_radicand, cfg.norm_bound, emit, cfg.require_squarefree)
     # the pool starts all its processes at once, so start no more than there
     # are CPUs or groups of _MIN_RADICANDS radicands
     workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), os.cpu_count() or 1)
@@ -205,7 +203,8 @@ def reference_tables() -> list[TableRow]:
         trip = inst.triple
         ideal = f"<{trip.a}, {element_str(trip.order, trip.b, trip.g)}>"
         minimal = _minimal_elements_str(trip)
-        maximal = trip.order.maximal
+        # the family decided squarefree |D| from its two coprime factors
+        maximal = inst.squarefree
         match = (
             inst.D == D
             and ideal == ideal_exp

@@ -59,6 +59,13 @@ def squarefree_by_factorization(n: int) -> bool:
     return all(e == 1 for e in naive_factorization(n).values())
 
 
+def phi_by_factorization(n: int) -> int:
+    phi = 1
+    for p, e in naive_factorization(n).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
 def phi_by_count(n: int) -> int:
     return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
 

@@ -13,7 +13,7 @@ Record = namedtuple("Record", "D a b g norm minimum n_minimal wr hexagonal order
 
 def classify_one(order, a, b, g) -> Record:
     """The row of one ideal, as `wrlat classify` gets it."""
-    (row,) = classify_triple(order, [(a // g, b // g, (g,))])
+    (row,) = classify_triple(order, [(a // g, b // g, (g,))], order.maximal)
     return Record._make(row)
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from wrlat.arith import QuadOrder, euler_phi, is_squarefree, is_valid_radicand
+from wrlat.arith import QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cyclo import (
     cyclo_field,
     element,
@@ -32,6 +32,7 @@ from oracles import (
     fraction_gram_schmidt,
     min_bound_holds,
     newton_trace_table,
+    phi_by_factorization,
     rational_entries,
     transform_gram,
     walk_fraction,
@@ -118,7 +119,7 @@ def test_real_subfields_not_wr():
     with criterion(11, "maximal real subfields are not well-rounded"):
         start = time.perf_counter()
         # phi(k) >= sqrt(k/2), so phi(k) <= 48 needs k <= 2 * 48**2
-        ks = [k for k in range(3, 2 * 48**2 + 1) if k % 4 != 2 and 2 < euler_phi(k) <= 48]
+        ks = [k for k in range(3, 2 * 48**2 + 1) if k % 4 != 2 and 2 < phi_by_factorization(k) <= 48]
         assert len(ks) == 65
         for k in ks:
             F = cyclo_field(k)
@@ -193,7 +194,7 @@ def test_cyclotomic_profiles():
     with criterion(6, "cyclotomic minima and minimal-vector counts"):
         start = time.perf_counter()
         for k, rep in theorem_reports().items():
-            assert rep.minimum == Fraction(euler_phi(k), 2)
+            assert rep.minimum == Fraction(phi_by_factorization(k), 2)
             assert rep.n_minimal == (k if k % 2 == 0 else 2 * k)
             assert rep.wr and rep.passed
         assert time.perf_counter() - start < 30.0

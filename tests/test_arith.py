@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from wrlat.arith import (
     MAX_RADICAND,
     QuadOrder,
-    euler_phi,
     is_squarefree,
     is_valid_radicand,
-    mobius,
     norm_xy,
     trace_xy,
 )
 from oracles import (
-    mobius_by_factorization,
-    phi_by_count,
     qd_add,
     qd_from_xy,
     qd_mul,
@@ -47,19 +43,6 @@ def test_is_squarefree_matches_factorization_oracle():
 def test_is_squarefree_rejects_nonpositive():
     with pytest.raises(ValueError, match="nonpositive"):
         is_squarefree(0)
-
-
-def test_euler_phi_matches_count():
-    for n in range(1, 300):
-        assert euler_phi(n) == phi_by_count(n), n
-
-
-def test_mobius_matches_oracle_and_sums():
-    for n in range(1, 1000):
-        assert mobius(n) == mobius_by_factorization(n), n
-    for n in range(1, 500):
-        total = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
-        assert total == (1 if n == 1 else 0), n
 
 
 def test_is_valid_radicand():

@@ -13,10 +13,10 @@ import pytest
 import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
-from wrlat.arith import MAX_RADICAND, euler_phi
+from wrlat.arith import MAX_RADICAND
 from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.svp import MAX_ENUM_DIM
-from oracles import squarefree_by_factorization
+from oracles import phi_by_factorization, squarefree_by_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +558,14 @@ def test_cyclo_pass(capsys):
 
 
 # zeta^j in the power basis of Z[zeta_5]; the first and the last power pin
-# both ends of the walk over the roots of unity
+# both ends of the walk over the roots of unity.  For even k, -zeta^j is
+# zeta^(j+k/2): in Z[zeta_4] the root -1 is named zeta^2, not -zeta^0
 @pytest.mark.parametrize(
-    "j, dropped",
-    [(0, (1, 0, 0, 0)), (3, (0, 0, 0, 1)), (4, (-1, -1, -1, -1))],
-    ids=["zeta^0", "zeta^3", "zeta^4"],
+    "k, j, dropped",
+    [(5, 0, (1, 0, 0, 0)), (5, 3, (0, 0, 0, 1)), (5, 4, (-1, -1, -1, -1)), (4, 2, (-1, 0))],
+    ids=["zeta^0", "zeta^3", "zeta^4", "k4-zeta^2"],
 )
-def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, j, dropped):
+def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, k, j, dropped):
     real_enumerate = wrlat.cyclo.enumerate_shortest
 
     def without_zeta_j(G):
@@ -572,10 +573,10 @@ def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, j, dropped
         return rep._replace(vectors=tuple(v for v in rep.vectors if v != dropped))
 
     monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_j)
-    assert main(["cyclo", "5"]) == EXIT_INVARIANT
+    assert main(["cyclo", str(k)]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"invariant violation: root of unity zeta^{j} missing from the minimal set (k=5)\n"
+    assert err == f"invariant violation: root of unity zeta^{j} missing from the minimal set (k={k})\n"
 
 
 def test_cyclo_small_k_rejected(capsys):
@@ -589,8 +590,8 @@ def test_cyclo_dimension_guard(capsys):
 
 
 def test_cyclo_factors_k_once(monkeypatch):
-    # the guard's euler_phi(k) factors k, and so does the table of mu and phi
-    # of k's divisors that the polynomial and the trace table share
+    # cyclo_field is the one gate for k: the guard reads phi off the field,
+    # whose polynomial and trace table share one table of k's divisors
     seen = []
     factorize = wrlat.arith.factorize
 
@@ -600,13 +601,13 @@ def test_cyclo_factors_k_once(monkeypatch):
 
     monkeypatch.setattr(wrlat.arith, "factorize", counting)
     monkeypatch.setattr(wrlat.cyclo, "factorize", counting)
-    ks = [k for k in range(3, 91) if euler_phi(k) <= MAX_ENUM_DIM]
+    ks = [k for k in range(3, 91) if phi_by_factorization(k) <= MAX_ENUM_DIM]
     assert len(ks) == 51
     for k in ks:
         wrlat.cyclo._divisors.cache_clear()
         seen.clear()
         assert main(["cyclo", str(k)]) == EXIT_OK
-        assert seen == [k, k]
+        assert seen == [k]
 
 
 GUARD_LINE = f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})\n"
@@ -614,9 +615,10 @@ GUARD_LINE = f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})\n"
 
 def test_cyclo_huge_k_refused_without_factoring(capsys, monkeypatch):
     def no_factoring(n):
-        raise AssertionError(f"euler_phi({n}) called")
+        raise AssertionError(f"factorize({n}) called")
 
-    monkeypatch.setattr(cli, "euler_phi", no_factoring)
+    monkeypatch.setattr(wrlat.arith, "factorize", no_factoring)
+    monkeypatch.setattr(wrlat.cyclo, "factorize", no_factoring)
     start = time.perf_counter()
     assert main(["cyclo", "1000000000000000003"]) == EXIT_BAD_INPUT
     assert time.perf_counter() - start < 1.0
@@ -629,17 +631,19 @@ class _Accepted(Exception):
 
 
 def test_cyclo_guard_agrees_with_phi(capsys, monkeypatch):
-    def accepted(k):
-        raise _Accepted(k)
+    # cyclo_field runs for every k up to 2 * MAX_ENUM_DIM**2, so acceptance
+    # is the call that would check the theorem
+    def accepted(F):
+        raise _Accepted(F.k)
 
-    monkeypatch.setattr(cli, "cyclo_field", accepted)
+    monkeypatch.setattr(cli, "verify_cyclotomic_theorem", accepted)
     for k in range(3, 2001):
         try:
             code = main(["cyclo", str(k)])
         except _Accepted:
-            assert euler_phi(k) <= MAX_ENUM_DIM, k
+            assert phi_by_factorization(k) <= MAX_ENUM_DIM, k
             continue
-        assert euler_phi(k) > MAX_ENUM_DIM, k
+        assert phi_by_factorization(k) > MAX_ENUM_DIM, k
         assert code == EXIT_BAD_INPUT
         assert capsys.readouterr().err == GUARD_LINE
 
@@ -840,8 +844,9 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 def test_cli_import_leaves_unneeded_modules_unloaded():
     # start-up is most of a one-command run: dataclasses alone, with the inspect
     # module it loads, once took a third of `import wrlat.cli`, and no command
-    # needs it; the pool modules load only when a survey starts workers
-    unneeded = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    # needs it; the pool modules load only when a survey starts workers, and
+    # json and csv only for their output formats and --config
+    unneeded = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json", "csv")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, wrlat.cli; print(*[m for m in {unneeded!r} if m in sys.modules])"],

@@ -17,7 +17,6 @@ from wrlat.cyclo import (
     verify_cyclotomic_theorem,
     verify_principal_ideal_wr,
 )
-from wrlat.arith import euler_phi
 from wrlat.errors import InvariantViolation
 from wrlat.svp import GramMatrix, ShortVectorReport
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     numeric_cyclo_poly,
     numeric_gram,
     numeric_trace,
+    phi_by_factorization,
     poly_divmod_int,
     rational_entries,
     rotation_spot_check,
@@ -76,7 +76,7 @@ def test_cyclotomic_poly_against_moebius_formula():
 
 def test_cyclotomic_poly_degree_and_product():
     for k in range(2, 41):
-        assert len(cyclotomic_poly(k)) - 1 == euler_phi(k)
+        assert len(cyclotomic_poly(k)) - 1 == phi_by_factorization(k)
         prod = [1]
         for d in range(1, k + 1):
             if k % d == 0:
@@ -226,7 +226,7 @@ def _gram_generators():
     """Full rings with phi(k) <= 24, the seeded principal ideals the benchmark
     uses, and seeded random generators for small k."""
     for k in range(3, 91):
-        if euler_phi(k) <= 24:
+        if phi_by_factorization(k) <= 24:
             F = cyclo_field(k)
             yield F, [1]
     yield from _benchmark_generators()
@@ -255,7 +255,7 @@ def test_verify_cyclotomic_theorem_small():
     for k in SMALL_K:
         rep = verify_cyclotomic_theorem(cyclo_field(k))
         assert rep.passed
-        assert rep.minimum == Fraction(euler_phi(k), 2)
+        assert rep.minimum == Fraction(phi_by_factorization(k), 2)
         assert rep.n_minimal == (k if k % 2 == 0 else 2 * k)
         assert rep.wr
 

@@ -236,5 +236,5 @@ def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
         o = QuadOrder(D)
         items = [(a // g, b // g, (g,)) for a, b, g in enumerate_ideals(o, 40)]
-        for rec in map(Record._make, classify_triple(o, items)):
+        for rec in map(Record._make, classify_triple(o, items, o.maximal)):
             assert min_bound_holds(rec), rec

@@ -85,7 +85,7 @@ def test_classify_real_hexagonal():
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
     order, a, b, g = trip
-    (row,) = classify_triple(order, [(a // g, b // g, (g,))])
+    (row,) = classify_triple(order, [(a // g, b // g, (g,))], order.maximal)
     assert type(row) is tuple and type(row[5]) is int
     rec = classify_one(order, a, b, g)
     assert (rec.D, rec.a, rec.b, rec.g) == (order.D, a, b, g)
@@ -240,9 +240,9 @@ def test_survey_classifies_as_it_is_read(monkeypatch):
     seen = []
     classify = wrlat.survey.classify_triple
 
-    def counting(order, items, *maximal):
+    def counting(order, items, maximal):
         seen.append(order.D)
-        return classify(order, items, *maximal)
+        return classify(order, items, maximal)
 
     monkeypatch.setattr(wrlat.survey, "classify_triple", counting)
     results = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=10), list)

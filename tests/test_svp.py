@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat import svp
-from wrlat.arith import QuadOrder, euler_phi
+from wrlat.arith import QuadOrder
 from wrlat.cyclo import cyclo_field, element, gram_principal
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal
@@ -28,6 +28,7 @@ from oracles import (
     ldl_factor,
     lll_fraction,
     lll_rebuild,
+    phi_by_factorization,
     rational_entries,
     span_rank_fraction,
     transform_gram,
@@ -141,7 +142,7 @@ def _lll_inputs():
     (label, G, s) with G the integer matrix s times a rational one: the trace
     forms with s = 2, so that G/s is the Minkowski Gram matrix."""
     for k in range(3, 91):
-        if euler_phi(k) <= 24:
+        if phi_by_factorization(k) <= 24:
             F = cyclo_field(k)
             yield f"ring k={k}", gram_principal(F, element(F, [1])), 2
     rng = random.Random(0)
@@ -377,7 +378,7 @@ def test_enumerate_planar_agreement():
     # the walk on the doubled Gram matrix finds twice that minimum
     for t in rng.sample(pool, 60):
         c1, c2, c3 = form_from_ideal(t)
-        row = next(classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))]))
+        row = next(classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))], t.order.maximal))
         minimum, n_minimal = row[5], row[6]
         rep = enumerate_shortest(GramMatrix(((2 * c1, c2), (c2, 2 * c3))))
         assert rep.minimum == 2 * minimum
