@@ -3,13 +3,15 @@
 Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 (for classify: well-rounded), 1 classify on a valid but not well-rounded
 ideal, 2 invalid input, 3 internal invariant violation (for classify and
-survey: a minimum below its bound).
+survey: a minimum below its bound; for tables and cyclo: a failed row,
+reported on stderr after the output).
 
 main spools each command's output and copies it to --out or stdout only
-when the command returns, so a failed command writes nothing.  Survey
-records go through one formatter per output format (_RECORDS); survey
-workers run it on each radicand's rows, so this process only writes
-strings.  Every other output goes through render.
+when the command returns, then writes the stderr lines it held back, so a
+failed command writes nothing but its error line.  Survey records go
+through one formatter per output format (_RECORDS); survey workers run it
+on each radicand's rows, so this process only writes strings.  Every other
+output goes through render.
 
 The parser is built once per process, on the first main call; each call
 parses into a fresh namespace, so no argument carries over.  The handlers
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import shutil
 import sys
 import tempfile
@@ -60,13 +63,17 @@ _TF = ("false", "true")
 @contextlib.contextmanager
 def _spool(out):
     """A temporary file for a command's output, copied to the file `out`, or
-    to stdout when `out` is None, when the command returns.  When it raises,
-    the spool is dropped: nothing is written and no file is created."""
+    to stdout when `out` is None, when the command returns; the command's
+    stderr lines are held and written after the copy.  When the command
+    raises, both are dropped: nothing is written and no file is created.
+    When the copy raises, the held lines are dropped."""
     with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        yield spool
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            yield spool
         spool.seek(0)
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             shutil.copyfileobj(spool, fh)
+    sys.stderr.write(err.getvalue())
 
 
 def render(fh, fmt, items, columns, text_lines, key=None, *, row=None):
@@ -328,7 +335,11 @@ def _cmd_cyclo(args, fh) -> int:
         raise ValueError(f"phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})")
     rep = verify_cyclotomic_theorem(F)
     render(fh, args.format, [rep], CYCLO_COLUMNS, _cyclo_lines, row=_cyclo_row)
-    return EXIT_OK if rep.passed else EXIT_INVARIANT
+    if not rep.passed:
+        print(f"invariant violation: cyclotomic profile failed for k={args.k}; "
+              f"replay: wrlat cyclo {args.k}", file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_OK
 
 
 @functools.cache

@@ -2,10 +2,11 @@
 
 Elements of Z[zeta_k] are integer coefficient vectors on the power basis
 1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
-Traces of root powers come from the closed-form Ramanujan sum
+cyclo_field(k) builds that polynomial and the table of traces of root powers
+from one table of k's divisors, with mu and phi of each divisor read off one
+factorization of k.  Traces come from the closed-form Ramanujan sum
 mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), evaluated once per divisor
-gcd(j,k) of k; mu and phi of every divisor of k are read off one
-factorization of k.  Gram matrices are read off that trace table from
+gcd(j,k) of k.  Gram matrices are read off that trace table from
 x * conj(x) taken modulo x^k - 1, with no product reduced mod the
 polynomial; the trace form is twice the Minkowski inner product.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize
@@ -22,10 +22,9 @@ from .errors import InvariantViolation
 from .svp import GramMatrix, enumerate_shortest
 
 
-@lru_cache(maxsize=1)
-def _divisors(k: int) -> tuple[tuple[int, int, int], ...]:
+def _divisors(k: int) -> list[tuple[int, int, int]]:
     """(d, mu(d), phi(d)) for every divisor d of k, ascending, from one
-    factorization of k; cyclotomic_poly and cyclo_field of one k share it."""
+    factorization of k."""
     table = [(1, 1, 1)]
     for p, e in factorize(k).items():
         table += [
@@ -33,21 +32,29 @@ def _divisors(k: int) -> tuple[tuple[int, int, int], ...]:
             for d, mu, phi in table
             for i in range(1, e + 1)
         ]
-    return tuple(sorted(table))
+    return sorted(table)
 
 
-def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """Coefficients of the k-th cyclotomic polynomial, low degree first.
+class CycloField(NamedTuple):
+    """Degree, defining polynomial and trace table of Q(zeta_k)."""
 
-    For k > 1, Phi_k(x) is the product of (1 - x^d)^mu(k/d) over the divisors
-    d of k, taken as a power series modulo x^(phi+1): multiplying by 1 - x^d
-    is one downward pass, dividing by it one upward pass, and a factor with
-    d > phi is 1 at that precision.
+    k: int
+    phi: int
+    poly: tuple[int, ...]
+    trace_table: tuple[int, ...]
+
+
+def cyclo_field(k: int) -> CycloField:
+    """Q(zeta_k) for k >= 3, from one table of k's divisors; trace_table[j]
+    is the integer Tr(zeta^j), 0 <= j < k.
+
+    Phi_k(x) is the product of (1 - x^d)^mu(k/d) over the divisors d of k,
+    taken as a power series modulo x^(phi+1): multiplying by 1 - x^d is one
+    downward pass, dividing by it one upward pass, and a factor with d > phi
+    is 1 at that precision.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k == 1:
-        return (-1, 1)
+    if k < 3:
+        raise ValueError("k must be at least 3")
     divisors = _divisors(k)
     n = divisors[-1][2]
     c = [1] + [0] * n
@@ -61,26 +68,8 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
         elif mu == -1:
             for i in range(d, n + 1):
                 c[i] += c[i - d]
-    return tuple(c)
-
-
-class CycloField(NamedTuple):
-    """Degree, defining polynomial and trace table of Q(zeta_k)."""
-
-    k: int
-    phi: int
-    poly: tuple[int, ...]
-    trace_table: tuple[int, ...]
-
-
-def cyclo_field(k: int) -> CycloField:
-    """Q(zeta_k) for k >= 3; trace_table[j] is the integer Tr(zeta^j), 0 <= j < k."""
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    poly = cyclotomic_poly(k)
-    phi = len(poly) - 1
-    by_gcd = {k // e: mu and mu * (phi // phi_e) for e, mu, phi_e in _divisors(k)}
-    return CycloField(k, phi, poly, tuple(by_gcd[math.gcd(j, k)] for j in range(k)))
+    by_gcd = {k // e: mu and mu * (n // phi_e) for e, mu, phi_e in divisors}
+    return CycloField(k, n, tuple(c), tuple(by_gcd[math.gcd(j, k)] for j in range(k)))
 
 
 class CycloElement(NamedTuple):
@@ -88,9 +77,6 @@ class CycloElement(NamedTuple):
 
     coeffs: tuple[int, ...]
     fld: CycloField
-
-    def times_zeta(self) -> "CycloElement":
-        return element(self.fld, (0,) + self.coeffs)
 
 
 def element(F: CycloField, coeffs) -> CycloElement:
@@ -152,7 +138,7 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     for j in range(F.k):
         if w.coeffs not in vecs or odd and tuple(-c for c in w.coeffs) not in vecs:
             raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k})")
-        w = w.times_zeta()
+        w = element(F, (0, *w.coeffs))
     expected_count = 2 * F.k if odd else F.k
     return CycloTheoremReport(
         F.k,

@@ -5,13 +5,14 @@ division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data, except gram_from_rows, which builds the package's integer
 GramMatrix from a matrix with rational entries, and rotation_spot_check, which
-draws its ring elements with cyclo.element and times_zeta.  Some are the
-package's own former algorithms, kept as references after a faster one
-replaced them (lll_rebuild, lll_fraction, span_rank_fraction, walk_fraction,
-window_minimal_vectors, gram_by_products, rotation_spot_check,
-enumerate_ideals_scan, render_records_reference) or after the package stopped
-needing them (hnf_triple, the canonical triple of an ideal from its
-generators, and is_similar, lattice similarity of two binary forms).
+draws its ring elements, and multiplies them by zeta, with cyclo.element.
+Some are the package's own former algorithms, kept as references after a
+faster one replaced them (lll_rebuild, lll_fraction, span_rank_fraction,
+walk_fraction, window_minimal_vectors, gram_by_products,
+rotation_spot_check, enumerate_ideals_scan, render_records_reference) or
+after the package stopped needing them (hnf_triple, the canonical triple of
+an ideal from its generators, and is_similar, lattice similarity of two
+binary forms).
 """
 
 import csv
@@ -782,7 +783,7 @@ def rotation_spot_check(F, rows, rng, trials):
     """
     for _ in range(trials):
         w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
-        if gram_value(rows, w.times_zeta().coeffs) != gram_value(rows, w.coeffs):
+        if gram_value(rows, element(F, (0, *w.coeffs)).coeffs) != gram_value(rows, w.coeffs):
             return list(w.coeffs)
     return None
 

@@ -14,6 +14,7 @@ import wrlat
 import wrlat.cli as cli
 from wrlat.cli import EXIT_BAD_INPUT, EXIT_INVARIANT, EXIT_NOT_WR, EXIT_OK, load_config, main
 from wrlat.arith import MAX_RADICAND
+from wrlat.cyclo import CycloTheoremReport
 from wrlat.ideals import MAX_NORM_BOUND
 from wrlat.svp import MAX_ENUM_DIM
 from oracles import phi_by_factorization, squarefree_by_factorization
@@ -425,13 +426,17 @@ def test_tables_json(capsys):
     assert all(row["match"] for row in obj["rows"])
 
 
-def test_tables_mismatch_exit_three(monkeypatch, capsys):
+def _mismatched_tables(monkeypatch):
     import wrlat.survey as sv
 
     patched = list(sv._EXPECTED_ROWS)
     family, t, D, ideal, minimal, maximal = patched[3]
     patched[3] = (family, t, D, ideal, minimal, True)  # D=-207 is not maximal
     monkeypatch.setattr(sv, "_EXPECTED_ROWS", tuple(patched))
+
+
+def test_tables_mismatch_exit_three(monkeypatch, capsys):
+    _mismatched_tables(monkeypatch)
     assert main(["tables"]) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.out
@@ -579,6 +584,19 @@ def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, k, j, drop
     assert err == f"invariant violation: root of unity zeta^{j} missing from the minimal set (k={k})\n"
 
 
+def _failing_profile(monkeypatch):
+    monkeypatch.setattr(cli, "verify_cyclotomic_theorem",
+                        lambda F: CycloTheoremReport(F.k, F.phi, 1, F.phi // 2, F.k, F.k, True))
+
+
+def test_cyclo_failed_profile_exits_three_with_replay(monkeypatch, capsys):
+    _failing_profile(monkeypatch)
+    assert main(["cyclo", "12"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "FAIL"
+    assert err == "invariant violation: cyclotomic profile failed for k=12; replay: wrlat cyclo 12\n"
+
+
 def test_cyclo_small_k_rejected(capsys):
     assert main(["cyclo", "2"]) == EXIT_BAD_INPUT
     assert "at least 3" in capsys.readouterr().err
@@ -603,11 +621,12 @@ def test_cyclo_factors_k_once(monkeypatch):
     monkeypatch.setattr(wrlat.cyclo, "factorize", counting)
     ks = [k for k in range(3, 91) if phi_by_factorization(k) <= MAX_ENUM_DIM]
     assert len(ks) == 51
+    # each call factors k afresh: a second call for the same k reuses nothing
     for k in ks:
-        wrlat.cyclo._divisors.cache_clear()
-        seen.clear()
-        assert main(["cyclo", str(k)]) == EXIT_OK
-        assert seen == [k]
+        for _ in range(2):
+            seen.clear()
+            assert main(["cyclo", str(k)]) == EXIT_OK
+            assert seen == [k]
 
 
 GUARD_LINE = f"error: phi(k) exceeds the enumeration guard ({MAX_ENUM_DIM})\n"
@@ -716,6 +735,23 @@ def test_failed_run_leaves_out_alone(monkeypatch, capsys, tmp_path, argv, breaks
         assert capsys.readouterr().out == ""
     assert existing.read_bytes() == b"earlier output\n"
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv, breaks", [
+    pytest.param(["survey", "--d-min", "-5", "--d-max", "-1", "--format", "csv"], None, id="survey-summary"),
+    pytest.param(["tables"], _mismatched_tables, id="tables-mismatch"),
+    pytest.param(["cyclo", "12"], _failing_profile, id="cyclo-fail"),
+])
+def test_unwritable_out_prints_only_the_error(monkeypatch, capsys, tmp_path, argv, breaks):
+    # the command's own stderr lines are dropped with its output
+    if breaks:
+        breaks(monkeypatch)
+    target = tmp_path / "no_such_dir" / "x.out"
+    assert main([*argv, "--out", str(target)]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

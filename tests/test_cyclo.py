@@ -11,7 +11,6 @@ from wrlat import cyclo
 from wrlat.cyclo import (
     CycloElement,
     cyclo_field,
-    cyclotomic_poly,
     element,
     gram_principal,
     verify_cyclotomic_theorem,
@@ -54,40 +53,38 @@ def poly_mul(p, q):
 # cyclotomic polynomials
 
 def test_cyclotomic_poly_known_values():
-    assert cyclotomic_poly(1) == (-1, 1)
-    assert cyclotomic_poly(3) == (1, 1, 1)
-    assert cyclotomic_poly(4) == (1, 0, 1)
-    assert cyclotomic_poly(6) == (1, -1, 1)
-    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    assert cyclo_field(3).poly == (1, 1, 1)
+    assert cyclo_field(4).poly == (1, 0, 1)
+    assert cyclo_field(6).poly == (1, -1, 1)
+    assert cyclo_field(12).poly == (1, 0, -1, 0, 1)
 
 
 def test_cyclotomic_poly_against_numeric_roots():
     # float root products stay exactly roundable up to moderate degree
-    for k in range(1, 31):
-        assert cyclotomic_poly(k) == numeric_cyclo_poly(k), k
+    for k in range(3, 31):
+        assert cyclo_field(k).poly == numeric_cyclo_poly(k), k
 
 
 def test_cyclotomic_poly_against_moebius_formula():
     # up to 210: 105, 165 and 195 have three odd prime factors, the most
     # factors (1 - x^d)^mu(k/d) in the power-series product
-    for k in range(1, 211):
-        assert cyclotomic_poly(k) == moebius_cyclo_poly(k), k
+    for k in range(3, 211):
+        assert cyclo_field(k).poly == moebius_cyclo_poly(k), k
 
 
 def test_cyclotomic_poly_degree_and_product():
-    for k in range(2, 41):
-        assert len(cyclotomic_poly(k)) - 1 == phi_by_factorization(k)
+    # the package builds Phi_k for k >= 3; Phi_1 and Phi_2 come from the oracle
+    def poly(d):
+        return moebius_cyclo_poly(d) if d < 3 else cyclo_field(d).poly
+
+    for k in range(3, 41):
+        assert len(cyclo_field(k).poly) - 1 == phi_by_factorization(k)
         prod = [1]
         for d in range(1, k + 1):
             if k % d == 0:
-                prod = poly_mul(prod, list(cyclotomic_poly(d)))
+                prod = poly_mul(prod, list(poly(d)))
         expect = [-1] + [0] * (k - 1) + [1]
         assert prod == expect, k
-
-
-def test_cyclotomic_poly_guard():
-    with pytest.raises(ValueError):
-        cyclotomic_poly(0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +149,11 @@ def test_times_zeta_is_multiplication(k, ca):
     a = element(F, ca)
     # zeta * a is x * a(x) reduced mod Phi_k, by the long-division oracle
     _, rem = poly_divmod_int([0, *a.coeffs], F.poly)
-    assert a.times_zeta().coeffs == tuple(rem)
+    assert element(F, (0, *a.coeffs)).coeffs == tuple(rem)
     # zeta^k = 1
     w = a
     for _ in range(k):
-        w = w.times_zeta()
+        w = element(F, (0, *w.coeffs))
     assert w == a
 
 
@@ -293,7 +290,7 @@ def _witness(msg):
 
 
 def _changes_length(F, rows, w):
-    return gram_value(rows, element(F, w).times_zeta().coeffs) != gram_value(rows, w)
+    return gram_value(rows, element(F, (0, *w)).coeffs) != gram_value(rows, w)
 
 
 def test_rotation_violation_names_its_witness(monkeypatch):

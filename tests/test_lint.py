@@ -1,7 +1,9 @@
-"""Lint: every top-level function, class and constant of wrlat is named
-somewhere besides its own definition, in its own module, another wrlat
-module or a benchmark script (wrbench/*.py).  A name that nothing reads is
-dead code, kept working by its own tests alone.
+"""Lint: every top-level function, class and constant of wrlat, and every
+method and property of its classes, is named somewhere besides its own
+definition, in its own module, another wrlat module or a benchmark script
+(wrbench/*.py).  A name that nothing reads is dead code, kept working by its
+own tests alone.  NamedTuple fields are left out: render writes TableRow
+through _fields, naming no field.
 """
 
 import ast
@@ -26,6 +28,19 @@ def _defined(tree: ast.Module) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def _members(tree: ast.Module) -> list[str]:
+    """`Class.name` of each method and property defined in a module's
+    classes, dunders aside."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def _named(tree: ast.Module) -> set[str]:
     """Names a module reads: loaded names, attributes, and string constants,
     which is how the benchmark's tracer names the functions it wraps."""
@@ -41,11 +56,17 @@ def _named(tree: ast.Module) -> set[str]:
 
 
 def unreferenced(package: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """`module.name` of each top-level name of the `package` modules that no
-    module of `package` or `readers` names; both map module names to source."""
+    """`module.name` of each top-level name, and `module.Class.name` of each
+    method and property, of the `package` modules that no module of
+    `package` or `readers` names; both map module names to source."""
     trees = {name: ast.parse(src) for name, src in package.items()}
     named = set().union(*map(_named, trees.values()), *(_named(ast.parse(s)) for s in readers.values()))
-    return [f"{mod}.{name}" for mod, tree in trees.items() for name in _defined(tree) if name not in named]
+    return [
+        f"{mod}.{name}"
+        for mod, tree in trees.items()
+        for name in _defined(tree) + _members(tree)
+        if name.rpartition(".")[2] not in named
+    ]
 
 
 def test_every_top_level_name_is_used():
@@ -60,3 +81,15 @@ def test_guard_flags_an_unused_function():
         "        phi *= (p - 1) * p ** (e - 1)\n    return phi\n"
     )
     assert unreferenced(package, _sources(ROOT / "wrbench")) == ["arith.euler_phi"]
+
+
+def test_guard_flags_an_unused_method():
+    # times_zeta as CycloElement defined it while verify_cyclotomic_theorem
+    # called it, put back with no caller
+    package = _sources(ROOT / "src" / "wrlat")
+    old = "    fld: CycloField\n"
+    assert old in package["cyclo"]
+    package["cyclo"] = package["cyclo"].replace(old, old + (
+        "\n    def times_zeta(self):\n        return element(self.fld, (0,) + self.coeffs)\n"
+    ))
+    assert unreferenced(package, _sources(ROOT / "wrbench")) == ["cyclo.CycloElement.times_zeta"]
