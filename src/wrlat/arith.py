@@ -57,11 +57,9 @@ class QuadOrder(Frozen):
     squarefree; `maximal` decides that when read, from D.  delta is a root of
     X^2 - Tr(delta)*X + N(delta), with Tr(delta) = 0 and N(delta) = -D in the
     first case and Tr(delta) = 1 and N(delta) = (1 - D)/4 in the second.
-    Orders are equal when their D are.
     """
 
     __slots__ = ("D", "delta_trace", "delta_norm")
-    _fields = ("D",)
 
     def __init__(self, D: int):
         if not is_valid_radicand(D):

@@ -3,8 +3,9 @@
 Subcommands: classify, survey, tables, family, cyclo.  Exit codes: 0 success
 (for classify: well-rounded), 1 classify on a valid but not well-rounded
 ideal, 2 invalid input, 3 internal invariant violation (for classify and
-survey: a minimum below its bound; for tables and cyclo: a failed row,
-reported on stderr after the output).
+survey: a minimum below its bound; for family: a closed form mismatch; for
+tables and cyclo: a failed row, reported on stderr after the output).  Each
+exit 3 ends stderr with an "invariant violation: ...; replay: wrlat ..." line.
 
 main spools each command's output and copies it to --out or stdout only
 when the command returns, then writes the stderr lines it held back, so a
@@ -286,8 +287,10 @@ def _table_lines(rows):
 def _cmd_tables(args, fh) -> int:
     rows = reference_tables()
     render(fh, args.format, rows, TableRow._fields, _table_lines, key="rows")
-    if not all(row.match for row in rows):
-        print("error: reference table row failed to reproduce", file=sys.stderr)
+    bad = next((row for row in rows if not row.match), None)
+    if bad is not None:
+        print(f"invariant violation: reference table row {bad.family} t={bad.t} (D={bad.D}) "
+              "failed to reproduce; replay: wrlat tables", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

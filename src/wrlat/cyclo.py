@@ -137,7 +137,8 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     vecs, odd = set(rep.vectors), F.k % 2
     for j in range(F.k):
         if w.coeffs not in vecs or odd and tuple(-c for c in w.coeffs) not in vecs:
-            raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k})")
+            raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k}); "
+                                     f"replay: wrlat cyclo {F.k}")
         w = element(F, (0, *w.coeffs))
     expected_count = 2 * F.k if odd else F.k
     return CycloTheoremReport(

@@ -34,7 +34,22 @@ def _piece(imaginary: bool, t: int) -> int:
     return -(3 * t + 2) if imaginary else t - 2
 
 
-def _instance(imaginary: bool, t: int) -> FamilyInstance:
+_FIRST_T = {"imaginary": 1, "real": 5}  # the least odd t of each family
+
+
+def _first_t(kind: str) -> int:
+    if kind not in _FIRST_T:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return _FIRST_T[kind]
+
+
+def family_instance(kind: str, t: int) -> FamilyInstance:
+    """Member t of the "imaginary" (odd t >= 1, ideal of norm t + 1) or
+    "real" (odd t >= 5, ideal of norm t + 2) family."""
+    first = _first_t(kind)
+    if t < first or t % 2 == 0:
+        raise ValueError(f"t must be odd and >= {first}")
+    imaginary = kind == "imaginary"
     piece = _piece(imaginary, t)
     a = t + 1 if imaginary else t + 2
     triple = IdealTriple(a, (t - 1) // 2 if imaginary else (t + 1) // 2, 1, QuadOrder(piece * (t + 2)))
@@ -42,20 +57,6 @@ def _instance(imaginary: bool, t: int) -> FamilyInstance:
     fac = factorize(t + 2)
     squarefree = max(fac.values()) == 1 and is_squarefree(abs(piece))
     return FamilyInstance(t, triple.order.D, triple, form, fac == {t + 2: 1}, squarefree)
-
-
-def imaginary_instance(t: int) -> FamilyInstance:
-    """Family member for odd t >= 1; the ideal has norm a = t + 1."""
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 1")
-    return _instance(True, t)
-
-
-def real_instance(t: int) -> FamilyInstance:
-    """Family member for odd t >= 5; the ideal has norm a = t + 2."""
-    if t < 5 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 5")
-    return _instance(False, t)
 
 
 def family_stream(kind: str, t_max: int, require_squarefree: bool = False):
@@ -67,11 +68,8 @@ def family_stream(kind: str, t_max: int, require_squarefree: bool = False):
     ValueError at the call, before any work, for a kind other than
     "imaginary" and "real", or if the last t has |D| above MAX_RADICAND.
     """
-    if kind not in ("imaginary", "real"):
-        raise ValueError(f"unknown family kind {kind!r}")
+    start = _first_t(kind)
     imaginary = kind == "imaginary"
-    build = imaginary_instance if imaginary else real_instance
-    start = 1 if imaginary else 5
     last = t_max if t_max % 2 else t_max - 1  # |D| grows with t
     if last >= start:
         check_radicand_bound(_piece(imaginary, last) * (last + 2))
@@ -81,8 +79,9 @@ def family_stream(kind: str, t_max: int, require_squarefree: bool = False):
         if not imaginary:
             canon = gauss_reduce(*canon)
         if canon != inst.closed_form:
-            raise InvariantViolation(f"closed form mismatch at t={inst.t}: {canon} != {inst.closed_form}")
+            raise InvariantViolation(f"closed form mismatch at t={inst.t}: {canon} != {inst.closed_form}; "
+                                     f"replay: wrlat family {kind} --t-max {inst.t}")
         return inst
 
-    instances = map(build, range(start, t_max + 1, 2))
+    instances = (family_instance(kind, t) for t in range(start, t_max + 1, 2))
     return map(checked, (inst for inst in instances if inst.squarefree or not require_squarefree))

@@ -36,7 +36,7 @@ class IdealTriple(Frozen):
     """A valid triple: the constructor raises ValueError for one that does not
     span an ideal, so every IdealTriple is an ideal of norm a*g."""
 
-    __slots__ = _fields = ("a", "b", "g", "order")
+    __slots__ = ("a", "b", "g", "order")
 
     def __init__(self, a: int, b: int, g: int, order: QuadOrder):
         if a < 1 or g < 1 or b < 0:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from ._frozen import Frozen
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
-from .families import imaginary_instance, real_instance
+from .families import family_instance
 from .ideals import IdealTriple, check_norm_bound, multipliers, primitive_ideals
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
@@ -27,7 +27,7 @@ from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 class SurveyConfig(Frozen):
     """A survey window; the constructor raises ValueError for an invalid one."""
 
-    __slots__ = _fields = ("d_min", "d_max", "norm_bound", "require_squarefree", "workers")
+    __slots__ = ("d_min", "d_max", "norm_bound", "require_squarefree", "workers")
 
     def __init__(self, d_min: int, d_max: int, norm_bound: int = 10,
                  require_squarefree: bool = False, workers: int = 1):
@@ -199,7 +199,7 @@ def reference_tables() -> list[TableRow]:
     expected rows."""
     rows = []
     for family, t, D, ideal_exp, minimal_exp, maximal_exp in _EXPECTED_ROWS:
-        inst = imaginary_instance(t) if family == "imaginary" else real_instance(t)
+        inst = family_instance(family, t)
         trip = inst.triple
         ideal = f"<{trip.a}, {element_str(trip.order, trip.b, trip.g)}>"
         minimal = _minimal_elements_str(trip)

@@ -46,12 +46,10 @@ class GramMatrix(Frozen):
     """Symmetric positive definite integer matrix G, given by its ``rows``.
 
     ``ldl`` is the integral Gram-Schmidt pair (lam, d) of ``_ldl`` on G,
-    computed as the positive-definiteness check.  Matrices are equal when
-    their rows are.
+    computed as the positive-definiteness check.
     """
 
     __slots__ = ("rows", "ldl")
-    _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(map(tuple, rows))

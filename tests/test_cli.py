@@ -440,7 +440,8 @@ def test_tables_mismatch_exit_three(monkeypatch, capsys):
     assert main(["tables"]) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.out
-    assert "failed to reproduce" in captured.err
+    assert captured.err == ("invariant violation: reference table row imaginary t=7 (D=-207) "
+                            "failed to reproduce; replay: wrlat tables\n")
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +482,12 @@ def test_family_empty_stream(capsys):
 
 
 def test_family_closed_form_mismatch_exits_three(monkeypatch, capsys):
-    real_instance = wrlat.families.imaginary_instance
-
-    def skewed(t):
-        inst = real_instance(t)
-        c1, c2, c3 = inst.closed_form
-        return inst._replace(closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
-
-    monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
+    _bad_closed_form(monkeypatch)
     assert main(["family", "imaginary", "--t-max", "7"]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("invariant violation: closed form mismatch at t=5: ")
+    assert err == ("invariant violation: closed form mismatch at t=5: (36, 30, 36) != (36, 32, 36); "
+                   "replay: wrlat family imaginary --t-max 5\n")
 
 
 def test_family_huge_t_max_refused_at_once():
@@ -510,11 +505,10 @@ def test_family_huge_t_max_refused_at_once():
 
 
 def test_family_t_max_bound_is_the_radicand_cap(capsys, monkeypatch):
-    def accepted(t):
+    def accepted(kind, t):
         raise _Accepted(t)
 
-    monkeypatch.setattr(wrlat.families, "imaginary_instance", accepted)
-    monkeypatch.setattr(wrlat.families, "real_instance", accepted)
+    monkeypatch.setattr(wrlat.families, "family_instance", accepted)
     # the last t whose |D| fits, and the first that does not
     for kind, last_ok in (("imaginary", 577347), ("real", 999999)):
         for t_max in (last_ok, last_ok + 1):
@@ -562,6 +556,17 @@ def test_cyclo_pass(capsys):
     assert "k=5 phi=4" in out and out.splitlines()[-1] == "PASS"
 
 
+def _missing_root(monkeypatch, dropped=(1, 0, 0, 0)):
+    # the minimal set loses one vector, by default 1 in Z[zeta_5]
+    real_enumerate = wrlat.cyclo.enumerate_shortest
+
+    def without_dropped(G):
+        rep = real_enumerate(G)
+        return rep._replace(vectors=tuple(v for v in rep.vectors if v != dropped))
+
+    monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_dropped)
+
+
 # zeta^j in the power basis of Z[zeta_5]; the first and the last power pin
 # both ends of the walk over the roots of unity.  For even k, -zeta^j is
 # zeta^(j+k/2): in Z[zeta_4] the root -1 is named zeta^2, not -zeta^0
@@ -571,17 +576,12 @@ def test_cyclo_pass(capsys):
     ids=["zeta^0", "zeta^3", "zeta^4", "k4-zeta^2"],
 )
 def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, k, j, dropped):
-    real_enumerate = wrlat.cyclo.enumerate_shortest
-
-    def without_zeta_j(G):
-        rep = real_enumerate(G)
-        return rep._replace(vectors=tuple(v for v in rep.vectors if v != dropped))
-
-    monkeypatch.setattr(wrlat.cyclo, "enumerate_shortest", without_zeta_j)
+    _missing_root(monkeypatch, dropped)
     assert main(["cyclo", str(k)]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"invariant violation: root of unity zeta^{j} missing from the minimal set (k={k})\n"
+    assert err == (f"invariant violation: root of unity zeta^{j} missing from the minimal set (k={k}); "
+                   f"replay: wrlat cyclo {k}\n")
 
 
 def _failing_profile(monkeypatch):
@@ -700,14 +700,14 @@ def _bad_survey_reduction(monkeypatch):
 
 def _bad_closed_form(monkeypatch):
     # t = 1 and t = 3 are done when t = 5 fails its cross-check
-    imaginary_instance = wrlat.families.imaginary_instance
+    family_instance = wrlat.families.family_instance
 
-    def skewed(t):
-        inst = imaginary_instance(t)
+    def skewed(kind, t):
+        inst = family_instance(kind, t)
         c1, c2, c3 = inst.closed_form
         return inst._replace(closed_form=(c1, c2 + 2, c3)) if t == 5 else inst
 
-    monkeypatch.setattr(wrlat.families, "imaginary_instance", skewed)
+    monkeypatch.setattr(wrlat.families, "family_instance", skewed)
 
 
 _SURVEY_WINDOW = ["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10", "--format", "csv"]
@@ -752,6 +752,24 @@ def test_unwritable_out_prints_only_the_error(monkeypatch, capsys, tmp_path, arg
     assert out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, breaks", [
+    pytest.param([*_SURVEY_WINDOW, "--workers", "1"], _bad_survey_reduction, id="survey-violation"),
+    pytest.param(["family", "imaginary", "--t-max", "7"], _bad_closed_form, id="family-mismatch"),
+    pytest.param(["tables"], _mismatched_tables, id="tables-mismatch"),
+    pytest.param(["cyclo", "12"], _failing_profile, id="cyclo-fail"),
+    pytest.param(["cyclo", "5"], _missing_root, id="cyclo-missing-root"),
+])
+def test_every_exit_three_names_a_replay_command(monkeypatch, capsys, argv, breaks):
+    # the last stderr line names a command that, run alone, fails the same way
+    breaks(monkeypatch)
+    assert main(argv) == EXIT_INVARIANT
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("invariant violation: ") and "; replay: wrlat " in last
+    replay = last.rpartition("; replay: wrlat ")[2].split()
+    assert main(replay) == EXIT_INVARIANT
+    assert capsys.readouterr().err.splitlines()[-1] == last
 
 
 # ---------------------------------------------------------------------------

@@ -3,31 +3,31 @@ import pytest
 import wrlat.arith
 import wrlat.families
 from wrlat.arith import is_squarefree, norm_xy
-from wrlat.families import family_stream, imaginary_instance, real_instance
+from wrlat.families import family_instance, family_stream
 from wrlat.ideals import IdealTriple
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 from oracles import trial_division_prime
 
 
 def test_imaginary_examples():
-    inst = imaginary_instance(1)
+    inst = family_instance("imaginary", 1)
     assert inst.D == -15
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (2, 0, 1)
     assert inst.closed_form == (4, 2, 4)
-    inst = imaginary_instance(3)
+    inst = family_instance("imaginary", 3)
     assert inst.D == -55
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (4, 1, 1)
     assert inst.closed_form == (16, 12, 16)
-    inst = imaginary_instance(7)
+    inst = family_instance("imaginary", 7)
     assert inst.D == -207 and not inst.squarefree
 
 
 def test_real_examples():
-    inst = real_instance(5)
+    inst = family_instance("real", 5)
     assert inst.D == 21
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (7, 3, 1)
     assert inst.closed_form == (35, 28, 35)
-    inst = real_instance(13)
+    inst = family_instance("real", 13)
     assert inst.D == 165
     assert (inst.triple.a, inst.triple.b, inst.triple.g) == (15, 7, 1)
 
@@ -35,10 +35,12 @@ def test_real_examples():
 def test_parameter_guards():
     for bad in (0, 2, -1, -3):
         with pytest.raises(ValueError):
-            imaginary_instance(bad)
+            family_instance("imaginary", bad)
     for bad in (0, 2, 3, 1, -5):
         with pytest.raises(ValueError):
-            real_instance(bad)
+            family_instance("real", bad)
+    with pytest.raises(ValueError, match="unknown family kind 'complex'"):
+        family_instance("complex", 1)
 
 
 def test_family_invariants_long_prefix():
@@ -49,7 +51,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == -(t + 2) * (3 * t + 2)
-        assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
+        IdealTriple(trip.a, trip.b, trip.g, trip.order)  # revalidates: raises if invalid
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a**2
         assert inst.closed_form == form_from_ideal(trip)
         assert inst.p_prime == trial_division_prime(t + 2)
@@ -58,7 +60,7 @@ def test_family_invariants_long_prefix():
         t = inst.t
         trip = inst.triple
         assert inst.D == (t - 2) * (t + 2)
-        assert IdealTriple(trip.a, trip.b, trip.g, trip.order) == trip  # revalidates
+        IdealTriple(trip.a, trip.b, trip.g, trip.order)  # revalidates: raises if invalid
         assert norm_xy(trip.order, trip.b, trip.g) == trip.a
         assert inst.closed_form == gauss_reduce(*form_from_ideal(trip))
         assert inst.p_prime == trial_division_prime(t + 2)
@@ -97,13 +99,13 @@ def test_family_stream_kind_handling():
 
 def test_family_stream_builds_instances_as_it_is_read(monkeypatch):
     built = []
-    build = wrlat.families.imaginary_instance
+    build = wrlat.families.family_instance
 
-    def counting(t):
+    def counting(kind, t):
         built.append(t)
-        return build(t)
+        return build(kind, t)
 
-    monkeypatch.setattr(wrlat.families, "imaginary_instance", counting)
+    monkeypatch.setattr(wrlat.families, "family_instance", counting)
     stream = family_stream("imaginary", 99)
     assert built == []
     assert next(stream).t == 1
@@ -131,20 +133,20 @@ def test_family_stream_never_factors_the_radicand(monkeypatch, kind):
 
 
 @pytest.mark.parametrize(
-    "build, last, squares",
-    [(imaginary_instance, 577347, (7, 41)), (real_instance, 999999, (11, 7))],
+    "kind, last, squares",
+    [("imaginary", 577347, (7, 41)), ("real", 999999, (11, 7))],
     ids=["imaginary", "real"],
 )
-def test_flags_match_factoring_the_radicand_up_to_the_cap(build, last, squares):
+def test_flags_match_factoring_the_radicand_up_to_the_cap(kind, last, squares):
     # about 100 odd t spread up to the last t under MAX_RADICAND, plus t where
     # a square divides only one factor: 9 | t + 2 (t = 7), 125 | 3t + 2
     # (imaginary t = 41), 9 | t - 2 (real t = 11)
-    first = 1 if build is imaginary_instance else 5
+    first = 1 if kind == "imaginary" else 5
     ts = {first + 2 * ((last - first) // 2 * i // 99) for i in range(100)} | set(squares)
     assert last in ts
     for t in sorted(ts):
-        inst = build(t)
+        inst = family_instance(kind, t)
         assert inst.squarefree == is_squarefree(abs(inst.D)) == inst.triple.order.maximal
         assert inst.p_prime == trial_division_prime(t + 2)
     for t in squares:
-        assert not build(t).squarefree
+        assert not family_instance(kind, t).squarefree

@@ -3,7 +3,9 @@ method and property of its classes, is named somewhere besides its own
 definition, in its own module, another wrlat module or a benchmark script
 (wrbench/*.py).  A name that nothing reads is dead code, kept working by its
 own tests alone.  NamedTuple fields are left out: render writes TableRow
-through _fields, naming no field.
+through _fields, naming no field.  The same rule holds the test oracles
+(tests/oracles.py) to a reader: an oracle that no test and no other oracle
+calls checks nothing.
 """
 
 import ast
@@ -93,3 +95,22 @@ def test_guard_flags_an_unused_method():
         "\n    def times_zeta(self):\n        return element(self.fld, (0,) + self.coeffs)\n"
     ))
     assert unreferenced(package, _sources(ROOT / "wrbench")) == ["cyclo.CycloElement.times_zeta"]
+
+
+def _oracles_and_readers() -> tuple[dict[str, str], dict[str, str]]:
+    """tests/oracles.py, and the other test modules as its readers."""
+    readers = _sources(ROOT / "tests")
+    return {"oracles": readers.pop("oracles")}, readers
+
+
+def test_every_oracle_is_used():
+    assert unreferenced(*_oracles_and_readers()) == []
+
+
+def test_guard_flags_an_unused_oracle():
+    # a gcd count of phi beside phi_by_count, which no test calls
+    oracles, readers = _oracles_and_readers()
+    oracles["oracles"] += (
+        "\n\ndef totient_by_gcd(n):\n    return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)\n"
+    )
+    assert unreferenced(oracles, readers) == ["oracles.totient_by_gcd"]
