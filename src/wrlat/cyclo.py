@@ -2,20 +2,23 @@
 
 Elements of Z[zeta_k] are integer coefficient vectors on the power basis
 1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
-cyclo_field(k) builds that polynomial and the table of traces of root powers
-from one table of k's divisors, with mu and phi of each divisor read off one
-factorization of k.  Traces come from the closed-form Ramanujan sum
-mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), evaluated once per divisor
-gcd(j,k) of k.  Gram matrices are read off that trace table from
-x * conj(x) taken modulo x^k - 1, with no product reduced mod the
-polynomial; the trace form is twice the Minkowski inner product.
+cyclo_field(k) builds that polynomial, the table of traces of root powers and
+the prime powers q || k from one table of k's divisors, with mu and phi of
+each divisor read off one factorization of k.  Traces come from the
+closed-form Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)),
+evaluated once per divisor gcd(j,k) of k.  Gram matrices are read off that
+trace table, with no product reduced mod the polynomial: for an ideal from
+x * conj(x) taken modulo x^k - 1, for a basis of powers zeta^e entry by
+entry.  The full ring is checked in its powerful basis, the tensor product
+of the power bases of the Z[zeta_q], which for a prime power k is the power
+basis.  The trace form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arith import factorize
 from .errors import InvariantViolation
@@ -36,12 +39,14 @@ def _divisors(k: int) -> list[tuple[int, int, int]]:
 
 
 class CycloField(NamedTuple):
-    """Degree, defining polynomial and trace table of Q(zeta_k)."""
+    """Degree, defining polynomial and trace table of Q(zeta_k), and the
+    pairs (q, phi(q)) for the prime powers q || k, by ascending prime."""
 
     k: int
     phi: int
     poly: tuple[int, ...]
     trace_table: tuple[int, ...]
+    prime_powers: tuple[tuple[int, int], ...]
 
 
 def cyclo_field(k: int) -> CycloField:
@@ -69,7 +74,12 @@ def cyclo_field(k: int) -> CycloField:
             for i in range(d, n + 1):
                 c[i] += c[i - d]
     by_gcd = {k // e: mu and mu * (n // phi_e) for e, mu, phi_e in divisors}
-    return CycloField(k, n, tuple(c), tuple(by_gcd[math.gcd(j, k)] for j in range(k)))
+    # the primes p | k are the d with phi(d) = d - 1, and q || k is gcd(k, p^m)
+    # for any p^m > k
+    phis = {d: phi_d for d, _, phi_d in divisors}
+    qs = (math.gcd(k, p ** k.bit_length()) for p, phi_p in phis.items() if phi_p == p - 1)
+    powers = tuple((q, phis[q]) for q in qs)
+    return CycloField(k, n, tuple(c), tuple(by_gcd[math.gcd(j, k)] for j in range(k)), powers)
 
 
 class CycloElement(NamedTuple):
@@ -114,6 +124,47 @@ def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
     return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
 
 
+def gram_powers(F: CycloField, exponents) -> GramMatrix:
+    """Gram matrix of the basis zeta^e, e in ``exponents``: entry (a, b) is
+    Tr(zeta^e_a * conj(zeta^e_b)) = T[(e_a - e_b) mod k]."""
+    k, T = F.k, F.trace_table
+    return GramMatrix([[T[(a - b) % k] for b in exponents] for a in exponents])
+
+
+def _powerful_basis(F: CycloField) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
+    """Exponents of the powerful basis of Z[zeta_k], and the coordinates of
+    zeta^j on it.
+
+    Z[zeta_k] is the tensor product of the Z[zeta_q], zeta_q = zeta^(k/q),
+    over the prime powers q || k, so the zeta^e, e = sum (k/q)*i_q mod k,
+    0 <= i_q < phi(q), are a Z-basis, the first q the most significant
+    (Lyubashevsky, Peikert & Regev, A Toolkit for Ring-LWE Cryptography,
+    2013); for a prime power k it is the power basis.  zeta^j is the product
+    of the zeta_q^(j_q) with (k/q)*j_q = j mod q, so its coordinates are the
+    Kronecker product of theirs in the power basis of each Z[zeta_q]:
+    e_(j_q) for j_q < phi(q), else, as Phi_q(x) is the sum of x^(t*q/p) over
+    0 <= t < p, minus the sum of e_(j_q - t*q/p) over 1 <= t < p.
+    """
+    k, n = F.k, F.phi
+    exponents = [0]
+    for q, phi_q in F.prime_powers:
+        exponents = [e + k // q * i for e in exponents for i in range(phi_q)]
+    parts = [(q, phi_q, pow(k // q, -1, q), q - phi_q) for q, phi_q in F.prime_powers]
+
+    def coords(j: int) -> tuple[int, ...]:
+        terms = [(0, 1)]
+        for q, phi_q, inv, r in parts:
+            jq = j * inv % q
+            factor = [(jq, 1)] if jq < phi_q else [(i, -1) for i in range(jq - r, -1, -r)]
+            terms = [(pos * phi_q + i, c * ci) for pos, c in terms for i, ci in factor]
+        w = [0] * n
+        for pos, c in terms:
+            w[pos] = c
+        return tuple(w)
+
+    return [e % k for e in exponents], coords
+
+
 class CycloTheoremReport(NamedTuple):
     k: int
     phi: int
@@ -129,17 +180,18 @@ class CycloTheoremReport(NamedTuple):
 
 
 def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
-    """Check the full ring of integers: minimum phi(k)/2, minimal vectors the
-    embedded roots of unity (k of them for even k, 2k for odd k), well-rounded.
-    For even k, -zeta^j is zeta^(j+k/2), so only odd k looks up -zeta^j."""
-    w = element(F, [1])
-    rep = enumerate_shortest(gram_principal(F, w))
+    """Check the full ring of integers, in its powerful basis: minimum
+    phi(k)/2, minimal vectors the embedded roots of unity (k of them for even
+    k, 2k for odd k), well-rounded.  For even k, -zeta^j is zeta^(j+k/2), so
+    only odd k looks up -zeta^j."""
+    exponents, coords = _powerful_basis(F)
+    rep = enumerate_shortest(gram_powers(F, exponents))
     vecs, odd = set(rep.vectors), F.k % 2
     for j in range(F.k):
-        if w.coeffs not in vecs or odd and tuple(-c for c in w.coeffs) not in vecs:
+        w = coords(j)
+        if w not in vecs or odd and tuple(-c for c in w) not in vecs:
             raise InvariantViolation(f"root of unity zeta^{j} missing from the minimal set (k={F.k}); "
                                      f"replay: wrlat cyclo {F.k}")
-        w = element(F, (0, *w.coeffs))
     expected_count = 2 * F.k if odd else F.k
     return CycloTheoremReport(
         F.k,

@@ -24,7 +24,9 @@ minimum of G is the integer best/Q.  The walk keeps to the half-space whose
 last nonzero coordinate is positive (Fincke & Pohst 1985; Schnorr & Euchner
 1994), so it finds one vector of each +- pair: the vectors of the walk in
 fractions filtered to that half-space, in the same order.  Only those are
-mapped through U, in one pass over its rows, and their negations appended.
+mapped through U, each as the sum of the columns of U at its nonzero
+coordinates (short vectors of a reduced basis are sparse), and their
+negations appended.
 Whether they span the space is decided by an integer echelon built one vector
 at a time, which stops as soon as the rank is full.  Dimensions are capped at
 MAX_ENUM_DIM: this is a verification tool, not a general SVP solver.
@@ -197,13 +199,6 @@ def _walk(lam, d):
 
     def descend(j, partial, top):
         nonlocal best
-        if j < 0:
-            if not top:
-                if partial < best:
-                    best = partial
-                    found.clear()
-                found.append(tuple(x))
-            return
         m, e = den[j], weight[j]
         c = sum(map(operator.mul, cols[j], x[j + 1:]))
         start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
@@ -215,7 +210,13 @@ def _walk(lam, d):
                 if total > best:
                     break
                 x[j] = k
-                descend(j - 1, total, top and not k)
+                if j:
+                    descend(j - 1, total, top and not k)
+                elif k or not top:  # a nonzero vector, recorded in place
+                    if total < best:
+                        best = total
+                        found.clear()
+                    found.append(tuple(x))
                 k += dk
         x[j] = 0
 
@@ -224,8 +225,18 @@ def _walk(lam, d):
 
 
 def _apply(u, vecs):
-    """U @ w for every w in vecs, in one pass over the rows of U."""
-    return zip(*([sum(map(operator.mul, row, w)) for w in vecs] for row in u))
+    """U @ w for every w in vecs, in order, as the sum of w_i times column i
+    of U over the nonzero w_i only: short vectors of a reduced basis are sparse."""
+    cols = tuple(zip(*u))
+    out = []
+    for w in vecs:
+        v = None
+        for col, wi in zip(cols, w):
+            if wi:
+                term = col if wi == 1 else [wi * a for a in col]
+                v = term if v is None else list(map(operator.add, v, term))
+        out.append(tuple(v))
+    return out
 
 
 def _span_rank(vectors) -> int:
@@ -262,6 +273,6 @@ def enumerate_shortest(G: GramMatrix) -> ShortVectorReport:
         raise ValueError(f"dimension {G.n} exceeds the enumeration guard ({MAX_ENUM_DIM})")
     lam, d, u = lll_reduce(G)
     best, q, half = _walk(lam, d)
-    mapped = list(_apply(u, half))
+    mapped = _apply(u, half)
     vectors = sorted(mapped + [tuple(-c for c in v) for v in mapped])
     return ShortVectorReport(best // q, tuple(vectors), _span_rank(mapped))

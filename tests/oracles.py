@@ -8,7 +8,7 @@ GramMatrix from a matrix with rational entries, and rotation_spot_check, which
 draws its ring elements, and multiplies them by zeta, with cyclo.element.
 Some are the package's own former algorithms, kept as references after a
 faster one replaced them (lll_rebuild, lll_fraction, span_rank_fraction,
-walk_fraction, window_minimal_vectors, gram_by_products,
+walk_fraction, apply_by_rows, window_minimal_vectors, gram_by_products,
 rotation_spot_check, enumerate_ideals_scan, render_records_reference) or
 after the package stopped needing them (hnf_triple, the canonical triple of
 an ideal from its generators, and is_similar, lattice similarity of two
@@ -346,6 +346,15 @@ def span_rank_fraction(vectors) -> int:
         if rank == ncols:
             break
     return rank
+
+
+def apply_by_rows(u, vecs):
+    """U @ w for every w in vecs, in one pass over the rows of U.
+
+    The package's former map-back of the walk's vectors, replaced by a sum
+    over the nonzero coordinates of each w.
+    """
+    return list(zip(*([sum(map(operator.mul, row, w)) for w in vecs] for row in u)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+from wrlat import svp
 from wrlat.arith import QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cyclo import (
     cyclo_field,
@@ -109,6 +110,23 @@ def real_subfield_gram(F) -> GramMatrix:
         return T[(i + j) % k] + T[(i - j) % k]
 
     return GramMatrix(tuple(tuple(entry(i, j) for j in range(h)) for i in range(h)))
+
+
+def test_composite_rings_beyond_the_guard(monkeypatch):
+    # In the powerful basis, the tensor product of the Z[zeta_q] over the
+    # prime powers q || k, the full rings of these composite k check in
+    # seconds; the enumeration guard of the command is raised for this test
+    # only
+    with criterion(12, "composite rings beyond the enumeration guard"):
+        monkeypatch.setattr(svp, "MAX_ENUM_DIM", 120)
+        start = time.perf_counter()
+        for k, phi in ((105, 48), (165, 80), (195, 96), (231, 120), (420, 96)):
+            assert phi_by_factorization(k) == phi
+            rep = verify_cyclotomic_theorem(cyclo_field(k))
+            assert (rep.phi, rep.minimum) == (phi, phi // 2), k
+            assert rep.n_minimal == (k if k % 2 == 0 else 2 * k), k
+            assert rep.wr and rep.passed, k
+        assert time.perf_counter() - start < 10.0
 
 
 def test_real_subfields_not_wr():

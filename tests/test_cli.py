@@ -569,11 +569,17 @@ def _missing_root(monkeypatch, dropped=(1, 0, 0, 0)):
 
 # zeta^j in the power basis of Z[zeta_5]; the first and the last power pin
 # both ends of the walk over the roots of unity.  For even k, -zeta^j is
-# zeta^(j+k/2): in Z[zeta_4] the root -1 is named zeta^2, not -zeta^0
+# zeta^(j+k/2): in Z[zeta_4] the root -1 is named zeta^2, not -zeta^0.
+# Composite k is checked in the powerful basis, zeta^e for e = 3*i_4 + 4*i_3
+# (k = 12) and 5*i_3 + 3*i_5 (k = 15), where zeta_q^(j_q) with j_q >= phi(q)
+# is minus a sum of lower powers: zeta^2 = zeta_4^2 * zeta_3^2 = 1 + zeta^4
+# in Z[zeta_12], and zeta^7 = zeta_3^2 * zeta_5^4 is the sum of the whole
+# basis in Z[zeta_15], whose -zeta^7 is looked up as well
 @pytest.mark.parametrize(
     "k, j, dropped",
-    [(5, 0, (1, 0, 0, 0)), (5, 3, (0, 0, 0, 1)), (5, 4, (-1, -1, -1, -1)), (4, 2, (-1, 0))],
-    ids=["zeta^0", "zeta^3", "zeta^4", "k4-zeta^2"],
+    [(5, 0, (1, 0, 0, 0)), (5, 3, (0, 0, 0, 1)), (5, 4, (-1, -1, -1, -1)), (4, 2, (-1, 0)),
+     (12, 2, (1, 1, 0, 0)), (15, 7, (1,) * 8), (15, 7, (-1,) * 8)],
+    ids=["zeta^0", "zeta^3", "zeta^4", "k4-zeta^2", "k12-zeta^2", "k15-zeta^7", "k15-minus-zeta^7"],
 )
 def test_cyclo_missing_root_of_unity_exits_three(monkeypatch, capsys, k, j, dropped):
     _missing_root(monkeypatch, dropped)

@@ -12,6 +12,7 @@ from wrlat.cyclo import (
     CycloElement,
     cyclo_field,
     element,
+    gram_powers,
     gram_principal,
     verify_cyclotomic_theorem,
     verify_principal_ideal_wr,
@@ -243,6 +244,34 @@ def test_gram_matches_product_oracle():
         assert rational_entries(gram_principal(F, x), 2) == gram_by_products(F, x), (F.k, coeffs)
         count += 1
     assert count > 140
+
+
+def test_powerful_basis_matches_power_basis():
+    """For every ring with phi <= 24, with P the matrix whose column i holds
+    the power-basis coordinates of the i-th powerful basis element
+    zeta^(e_i): the powerful Gram is P^T G P for the power-basis Gram G, and
+    P maps the powerful coordinates of zeta^j to element(F, zeta^j), j < k."""
+    rings = [cyclo_field(k) for k in range(3, 91) if phi_by_factorization(k) <= 24]
+    assert len(rings) == 51
+    for F in rings:
+        n = F.phi
+        exponents, coords = cyclo._powerful_basis(F)
+        assert sorted(exponents) == sorted(set(exponents)), F.k
+        cols = [element(F, [0] * e + [1]).coeffs for e in exponents]
+        power = gram_principal(F, element(F, [1])).rows
+        want = tuple(
+            tuple(sum(a * power[r][s] * b for r, a in enumerate(cols[i]) for s, b in enumerate(cols[j]))
+                  for j in range(n))
+            for i in range(n)
+        )
+        assert gram_powers(F, exponents).rows == want, F.k
+        for j in range(F.k):
+            w = coords(j)
+            assert tuple(sum(col[r] * c for col, c in zip(cols, w)) for r in range(n)) == (
+                element(F, [0] * j + [1]).coeffs
+            ), (F.k, j)
+    # a prime power k keeps the power basis
+    assert cyclo._powerful_basis(cyclo_field(27))[0] == list(range(18))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,18 @@ the exit code with the files under ``tests/golden/``: ``<case>.stdout``,
 ``--out`` case, and ``exit_codes.json``.  The goldens pin the exact bytes of
 every output format, so a change to any renderer shows up here.
 
-To record the goldens again after an intended change of output:
+``test_cyclo_rings_digest`` pins, beyond those files, one SHA-256 over the
+exit code, stdout and stderr of ``wrlat cyclo K`` for each of the 51 rings with
+phi(k) <= MAX_ENUM_DIM, in json, csv and text.
+
+To record the goldens again after an intended change of output (the script
+prints the new ring digest, which CYCLO_RINGS_SHA256 then takes):
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -20,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from wrlat.cli import main
+from wrlat.svp import MAX_ENUM_DIM
+from oracles import phi_by_factorization
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -46,6 +54,8 @@ CASES = {
     for name, argv in COMMANDS.items()
     for fmt in ("text", "csv", "json")
 }
+RING_KS = [k for k in range(3, 2 * MAX_ENUM_DIM**2) if phi_by_factorization(k) <= MAX_ENUM_DIM]
+CYCLO_RINGS_SHA256 = "d31840bae4c3612e6570ecb60b643e24ac584b247bd7e50dbf385a8054414df7"
 OUT_CASE = "tables.json.out"
 OUT_ARGV = ["tables", "--format", "json", "--out"]
 
@@ -81,6 +91,20 @@ def test_golden_out_file(tmp_path):
     assert code == _exit_codes()[OUT_CASE]
 
 
+def cyclo_rings_digest() -> str:
+    h = hashlib.sha256()
+    for k in RING_KS:
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(["cyclo", "--format", fmt, str(k)])
+            h.update(f"{k} {fmt} {code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+    return h.hexdigest()
+
+
+def test_cyclo_rings_digest():
+    assert len(RING_KS) == 51
+    assert cyclo_rings_digest() == CYCLO_RINGS_SHA256
+
+
 def record():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -92,6 +116,7 @@ def record():
     target = GOLDEN / f"{OUT_CASE}.file"
     codes[OUT_CASE], _, _ = run(OUT_ARGV + [str(target)])
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    print(f"CYCLO_RINGS_SHA256 = {cyclo_rings_digest()!r}")
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wrlat import svp
+from wrlat import cyclo, svp
 from wrlat.arith import QuadOrder
-from wrlat.cyclo import cyclo_field, element, gram_principal
+from wrlat.cyclo import cyclo_field, element, gram_principal, gram_powers
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal
 from wrlat.survey import classify_triple
@@ -20,6 +20,7 @@ from wrlat.svp import (
     lll_reduce,
 )
 from oracles import (
+    apply_by_rows,
     box_gram_minimum,
     box_gram_within,
     fraction_gram_schmidt,
@@ -334,6 +335,52 @@ def test_enumeration_closes_the_half_walk_under_negation():
         assert list(rep.vectors) == sorted(set(rep.vectors)), label
         assert {_negated(v) for v in rep.vectors} == set(rep.vectors), label
         assert rep.span_rank == span_rank_fraction(rep.vectors), label
+
+
+def _map_back_inputs():
+    """The 51 rings in the powerful basis that verify_cyclotomic_theorem
+    checks, the 13 principal ideals of _lll_inputs and the three hard
+    principal ideals of Z[zeta_35]."""
+    for k in range(3, 91):
+        if phi_by_factorization(k) <= 24:
+            F = cyclo_field(k)
+            yield f"ring k={k}", gram_powers(F, cyclo._powerful_basis(F)[0])
+    for label, G, _ in _lll_inputs():
+        if label.startswith("ideal"):
+            yield label, G
+    F = cyclo_field(35)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        yield f"zeta_35 seed {seed}", gram_principal(F, element(F, [rng.randint(-3, 3) for _ in range(F.phi)]))
+
+
+def _sparse_map_back_agrees(G):
+    """The walk's vectors mapped through U by their nonzero coordinates equal,
+    in the same order, the former pass over the rows of U."""
+    lam, d, u = lll_reduce(G)
+    half = svp._walk(lam, d)[2]
+    return svp._apply(u, half) == apply_by_rows(u, half)
+
+
+def test_sparse_map_back_matches_row_oracle():
+    inputs = list(_map_back_inputs())
+    assert len(inputs) == 51 + 13 + 3
+    for label, G in inputs:
+        assert _sparse_map_back_agrees(G), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_sparse_map_back_matches_row_oracle_on_drawn_grams(b):
+    n = len(b)
+    rows = tuple(tuple(sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)) for i in range(n))
+    try:
+        G = GramMatrix(rows)
+    except ValueError:  # B is singular
+        assume(False)
+    assert _sparse_map_back_agrees(G)
 
 
 def test_enumerate_identity():
