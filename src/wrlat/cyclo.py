@@ -6,12 +6,12 @@ cyclo_field(k) builds that polynomial, the table of traces of root powers and
 the prime powers q || k from one table of k's divisors, with mu and phi of
 each divisor read off one factorization of k.  Traces come from the
 closed-form Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)),
-evaluated once per divisor gcd(j,k) of k.  Gram matrices are read off that
-trace table, with no product reduced mod the polynomial: for an ideal from
-x * conj(x) taken modulo x^k - 1, for a basis of powers zeta^e entry by
-entry.  The full ring is checked in its powerful basis, the tensor product
-of the power bases of the Z[zeta_q], which for a prime power k is the power
-basis.  The trace form is twice the Minkowski inner product.
+evaluated once per divisor gcd(j,k) of k.  The Gram matrix of a basis
+x*zeta^s of an ideal (x) is read off that table, with no product reduced mod
+the polynomial: entry (a, b) is Tr(y*zeta^(s_a - s_b)), y = x * conj(x) mod
+x^k - 1.  The full ring is the ideal (1), checked in its powerful basis, the
+tensor product of the power bases of the Z[zeta_q] (for a prime power k, the
+power basis).  The trace form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
@@ -102,33 +102,32 @@ def element(F: CycloField, coeffs) -> CycloElement:
     return CycloElement(tuple(c[:n]), F)
 
 
-def gram_principal(F: CycloField, x: CycloElement) -> GramMatrix:
-    """Gram matrix of the ideal lattice generated by x, basis x*zeta^i.
+def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
+    """Gram matrix of the ideal lattice generated by x, basis x*zeta^s, s in
+    ``shifts``, each 0 <= s < k (by default 0, ..., phi-1, the power basis).
 
-    Entry (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) = Tr(y*zeta^|i-j|), twice the
-    Minkowski inner product, with y = x*conj(x), which is real.  Tr is linear
-    and zeta^k = 1, so y is formed modulo x^k - 1, y_s the sum of x_a * x_b
-    over a - b = s (mod k), and Tr(y*zeta^m) is the sum of y_l * T[(l+m) mod k].
+    Entry (a, b) is Tr(x*zeta^s_a * conj(x*zeta^s_b)) = Tr(y*zeta^(s_a-s_b)),
+    twice the Minkowski inner product, with y = x*conj(x) formed modulo
+    x^k - 1 (Tr is linear and zeta^k = 1): y_d sums x_a * x_b over a - b = d.
+    Tr(y*zeta^m) sums y_l * T[(l+m) mod k] over the nonzero y_l, for m <= k/2
+    only: y is real, so Tr(y*zeta^m) = Tr(y*zeta^(k-m)).
     """
     if x.fld.k != F.k:
         raise ValueError("mismatched cyclotomic fields")
     if not any(x.coeffs):
         raise ValueError("zero element generates no lattice")
-    k, n, T = F.k, F.phi, F.trace_table
+    k, T = F.k, F.trace_table
     y = [0] * k
     for a, xa in enumerate(x.coeffs):
         if xa:
             for b, xb in enumerate(x.coeffs):
                 y[(a - b) % k] += xa * xb
-    diag = [sum(c * T[(l + m) % k] for l, c in enumerate(y) if c) for m in range(n)]
-    return GramMatrix(tuple(tuple(diag[abs(i - j)] for j in range(n)) for i in range(n)))
-
-
-def gram_powers(F: CycloField, exponents) -> GramMatrix:
-    """Gram matrix of the basis zeta^e, e in ``exponents``: entry (a, b) is
-    Tr(zeta^e_a * conj(zeta^e_b)) = T[(e_a - e_b) mod k]."""
-    k, T = F.k, F.trace_table
-    return GramMatrix([[T[(a - b) % k] for b in exponents] for a in exponents])
+    tr = [0] * (k // 2 + 1)
+    for l, c in filter(operator.itemgetter(1), enumerate(y)):
+        tr = [t + c * u for t, u in zip(tr, T[l:] + T)]  # u = T[(l+m) mod k]
+    tr += tr[(k - 1) // 2:0:-1]  # tr[m] = tr[k - m] = tr[-m]: no index needs reducing mod k
+    s = range(F.phi) if shifts is None else shifts
+    return GramMatrix([[tr[a - b] for b in s] for a in s])
 
 
 def _powerful_basis(F: CycloField) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
@@ -180,12 +179,12 @@ class CycloTheoremReport(NamedTuple):
 
 
 def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
-    """Check the full ring of integers, in its powerful basis: minimum
-    phi(k)/2, minimal vectors the embedded roots of unity (k of them for even
-    k, 2k for odd k), well-rounded.  For even k, -zeta^j is zeta^(j+k/2), so
-    only odd k looks up -zeta^j."""
+    """Check the full ring of integers, the ideal (1), in its powerful
+    basis: minimum phi(k)/2, minimal vectors the embedded roots of unity (k
+    of them for even k, 2k for odd k), well-rounded.  For even k, -zeta^j is
+    zeta^(j+k/2), so only odd k looks up -zeta^j."""
     exponents, coords = _powerful_basis(F)
-    rep = enumerate_shortest(gram_powers(F, exponents))
+    rep = enumerate_shortest(gram_principal(F, element(F, (1,)), exponents))
     vecs, odd = set(rep.vectors), F.k % 2
     for j in range(F.k):
         w = coords(j)

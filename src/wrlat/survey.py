@@ -126,8 +126,9 @@ def run_survey(cfg: SurveyConfig, emit):
     ]
     task = partial(_survey_radicand, cfg.norm_bound, emit, cfg.require_squarefree)
     # the pool starts all its processes at once, so start no more than there
-    # are CPUs or groups of _MIN_RADICANDS radicands
-    workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), os.cpu_count() or 1)
+    # are CPUs this process may run on or groups of _MIN_RADICANDS radicands
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 

@@ -201,7 +201,7 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
     # (3, 1, 1) in D = -5, is made to report the minimum 2 < N(I) = 3; the
     # failed survey writes nothing, and with --out it creates no file.  With
     # two workers the violation is raised in a worker and re-raised here.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
@@ -232,7 +232,7 @@ def test_survey_violation_names_primitive_before_its_multiple(monkeypatch, capsy
     # multiple (4, 2, 2) of norm 8; made to report the minimum 1 < N(I) = 2,
     # the reduction breaks both rows, and the one named is the least in
     # (norm, a, b, g) order: the primitive
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
@@ -694,7 +694,7 @@ def test_cyclo_csv(capsys):
 def _bad_survey_reduction(monkeypatch):
     # D = -5 lies inside the window, so earlier radicands are done when the
     # reduction of (3, 1, 1) reports the minimum 2 < N(I) = 3
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):

@@ -12,7 +12,6 @@ from wrlat.cyclo import (
     CycloElement,
     cyclo_field,
     element,
-    gram_powers,
     gram_principal,
     verify_cyclotomic_theorem,
     verify_principal_ideal_wr,
@@ -249,22 +248,26 @@ def test_gram_matches_product_oracle():
 def test_powerful_basis_matches_power_basis():
     """For every ring with phi <= 24, with P the matrix whose column i holds
     the power-basis coordinates of the i-th powerful basis element
-    zeta^(e_i): the powerful Gram is P^T G P for the power-basis Gram G, and
+    zeta^(e_i): for x = 1 and one seeded generator x, the Gram of the ideal
+    (x) on the basis x*zeta^(e_i) is P^T G P for its power-basis Gram G, and
     P maps the powerful coordinates of zeta^j to element(F, zeta^j), j < k."""
     rings = [cyclo_field(k) for k in range(3, 91) if phi_by_factorization(k) <= 24]
     assert len(rings) == 51
+    rng = random.Random(32)
     for F in rings:
         n = F.phi
         exponents, coords = cyclo._powerful_basis(F)
         assert sorted(exponents) == sorted(set(exponents)), F.k
         cols = [element(F, [0] * e + [1]).coeffs for e in exponents]
-        power = gram_principal(F, element(F, [1])).rows
-        want = tuple(
-            tuple(sum(a * power[r][s] * b for r, a in enumerate(cols[i]) for s, b in enumerate(cols[j]))
-                  for j in range(n))
-            for i in range(n)
-        )
-        assert gram_powers(F, exponents).rows == want, F.k
+        seeded = element(F, [rng.randint(-3, 3) for _ in range(n)])
+        for x in (element(F, [1]), seeded):
+            power = gram_principal(F, x).rows
+            want = tuple(
+                tuple(sum(a * power[r][s] * b for r, a in enumerate(cols[i]) for s, b in enumerate(cols[j]))
+                      for j in range(n))
+                for i in range(n)
+            )
+            assert gram_principal(F, x, exponents).rows == want, (F.k, x.coeffs)
         for j in range(F.k):
             w = coords(j)
             assert tuple(sum(col[r] * c for col, c in zip(cols, w)) for r in range(n)) == (

@@ -223,7 +223,7 @@ def test_survey_records_match_oracles_random(d_min, width, norm_bound):
 def test_survey_worker_count_is_invisible(monkeypatch):
     # a window of many tasks, and two CPUs so that the pool starts on any host;
     # the workers format their own chunks, so each format's chunks are compared
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6)
     pooled_cfg = SurveyConfig(d_min=-300, d_max=300, norm_bound=6, workers=2)
     for emit in (list, *_RECORDS.values()):
@@ -282,12 +282,21 @@ class RecordingPool:
         ((-60, -1), 5000, 3, 3),         # no more workers than CPUs
         ((-60, -1), 2, 64, 2),           # nor more than asked for
         ((-60, -1), 5000, None, None),   # unknown CPU count: serial
+        ((-60, -1), 5000, (8, {0}), None),  # 8 CPUs, but this process may use one: serial
+        ((-60, -1), 5000, (3, None), 3),    # no affinity to read: the CPU count caps
     ],
 )
 def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expected):
+    # cpus is (os.cpu_count(), the affinity set), or n for (n, range(n));
+    # an affinity of None stands for an os module without sched_getaffinity
+    count, affinity = cpus if isinstance(cpus, tuple) else (cpus, cpus and range(cpus))
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
     cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
     results = list(run_survey(cfg, list))
     assert RecordingPool.sizes == ([] if expected is None else [expected])
@@ -394,7 +403,7 @@ def test_survey_output_matches_reference_renderer(monkeypatch, capsys, tmp_path,
     """On real and imaginary fields, the non-maximal orders D = -27, -12, 12,
     45 and the hexagonal ideals of D = -3, -12, -27; two CPUs, so that two
     workers start the pool on any host."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = SurveyConfig(d_min=-30, d_max=50, norm_bound=20, workers=workers)
     records, _ = survey(cfg)
     assert {r.D > 0 for r in records} == {True, False}
@@ -407,7 +416,7 @@ def test_survey_output_matches_reference_renderer(monkeypatch, capsys, tmp_path,
 @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 def test_empty_survey_matches_reference_renderer(monkeypatch, capsys, tmp_path, fmt, workers):
     # 0 and 1 are no radicands, so the window has no record
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = SurveyConfig(d_min=0, d_max=1, norm_bound=20, workers=workers)
     assert survey(cfg) == ([], {"records": 0, "wr": 0, "hexagonal": 0, "bound_ok": 0})
     assert_survey_matches_reference(capsys, tmp_path, cfg, fmt)

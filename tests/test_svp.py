@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wrlat import cyclo, svp
 from wrlat.arith import QuadOrder
-from wrlat.cyclo import cyclo_field, element, gram_principal, gram_powers
+from wrlat.cyclo import cyclo_field, element, gram_principal
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal
 from wrlat.survey import classify_triple
@@ -344,7 +344,7 @@ def _map_back_inputs():
     for k in range(3, 91):
         if phi_by_factorization(k) <= 24:
             F = cyclo_field(k)
-            yield f"ring k={k}", gram_powers(F, cyclo._powerful_basis(F)[0])
+            yield f"ring k={k}", gram_principal(F, element(F, [1]), cyclo._powerful_basis(F)[0])
     for label, G, _ in _lll_inputs():
         if label.startswith("ideal"):
             yield label, G
