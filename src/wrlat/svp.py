@@ -9,15 +9,16 @@ Gram-Schmidt lengths d[i+1]/d[i].  Every entry is an integer and every division
 is exact; the factorization is also the positive-definiteness check (every
 d[i] > 0).
 
-LLL (delta = 3/4) starts from (lam, d) and updates both in place after each
-size reduction and swap.  It rounds as floor(mu + 1/2) and runs the Lovasz
-test in integers, so it makes the decisions, and returns the basis change U,
-of the same LLL in fractions; it never forms U^T G U, as enumeration reads
-its walk and starting bound off lam and d.  A depth-first Fincke-Pohst walk
-then enumerates every vector attaining the minimum, with integer level
-weights E_j = Q g_j^2/(d[j] d[j+1]), g_j the common factor of column j, Q the
-least that makes them integers: its bound starts at Q times the smallest
-diagonal entry of the reduced matrix and tightens to the best value seen.
+LLL (delta = 99/100, for every caller) starts from (lam, d) and updates both
+in place after each size reduction and swap.  It rounds as floor(mu + 1/2),
+runs the Lovasz test in integers and size reduces in Cohen's order, so it
+makes the decisions, and returns the basis change U, of the same LLL in
+fractions; it never forms U^T G U, as enumeration reads its walk and starting
+bound off lam and d.  A depth-first Fincke-Pohst walk then enumerates every
+vector attaining the minimum, with integer level weights
+E_j = Q g_j^2/(d[j] d[j+1]), g_j the common factor of column j, Q the least
+that makes them integers: its bound starts at Q times the smallest diagonal
+entry of the reduced matrix and tightens to the best value seen.
 Every comparison is Q times the rational one, so the visiting order, the
 minimum and the vectors are exactly those of the walk in fractions, and the
 minimum of G is the integer best/Q.  The walk keeps to the half-space whose
@@ -119,16 +120,23 @@ def _swap(t, lam, d, k):
 
 
 def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
-    """LLL reduction (delta = 3/4) of the Gram matrix, on integers.
+    """LLL reduction (delta = 99/100) of the Gram matrix, on integers.
 
     Returns (lam, d, U): U is unimodular, lam and d are the integral
     Gram-Schmidt pair of the reduced matrix U^T G U, and a vector with
     coordinates w in the reduced basis has coordinates U @ w in the original
-    one.  Row k is size reduced against j = k-1, ..., 0 with
-    q = floor(mu_kj + 1/2) = (2 lam_kj + d[j+1]) // (2 d[j+1]), then the
-    Lovasz test d[k+1]/d[k] >= (3/4 - mu^2) d[k]/d[k-1], mu = lam_k,k-1/d[k],
-    is read as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_k,k-1^2: the decisions,
-    and so U, are those of the same LLL in fractions.
+    one.  Row k is size reduced against j with
+    q = floor(mu_kj + 1/2) = (2 lam_kj + d[j+1]) // (2 d[j+1]).  The Lovasz
+    test d[k+1]/d[k] >= (99/100 - mu^2) d[k]/d[k-1], mu = lam_k,k-1/d[k], is
+    read as 100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam_k,k-1^2: the decisions
+    are those of the same LLL in fractions.  In Cohen's order (Alg. 2.6.7)
+    row k is reduced against j = k-1 alone before the test, and against
+    j = k-2, ..., 0 only once the test passes.  Reducing against those j
+    changes neither lam_k,k-1 nor d, and a row swapped down to k-1 differs
+    from the fully reduced one by a combination of rows 0..k-2, which moves
+    mu_k-1,k-2 by an integer and which its own size reduction removes, so
+    the decisions, U and (lam, d) are those of reducing the whole row before
+    every test.
     """
     n = G.n
     t = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -146,12 +154,12 @@ def lll_reduce(G: GramMatrix) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
                 for i in range(j):
                     lk[i] -= q * lj[i]
                 lk[j] -= q * dj
-        m = lk[k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
-            k += 1
+            if j == k - 1 and 100 * d[k + 1] * d[j] < 99 * dj * dj - 100 * lk[j] ** 2:
+                _swap(t, lam, d, k)
+                k = max(k - 1, 1)
+                break
         else:
-            _swap(t, lam, d, k)
-            k = max(k - 1, 1)
+            k += 1
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))  # transpose
     return lam, d, u
 
@@ -170,13 +178,14 @@ def _walk(lam, d):
     squared Gram-Schmidt length d[j+1]/d[j] over M_j^2 is g_j^2/(d[j] d[j+1]),
     so with Q the common denominator of these fractions in lowest terms the
     level weights E_j = Q g_j^2/(d[j] d[j+1]) are integers.  At level j the
-    centre is -C/M_j with C = sum (lam_ij/g_j)*x_i, and x_j = k adds
-    E_j*(M_j*k + C)^2, Q times the rational step.  The walk starts from Q
-    times the smallest diagonal entry, min_i sum_j (lam_ij/g_j)^2*E_j with
-    lam_ii = d[i+1], which a basis vector attains; the bound then tightens to
-    the best value seen, so the vectors kept are exactly those attaining the
-    minimum.  Every value is Q times the rational one, so the visiting order,
-    the minimum and the vector list are those of the same walk in fractions.
+    centre is -C/M_j with C = sum (lam_ij/g_j)*x_i, and x_j = k adds E_j*v^2,
+    v = M_j*k + C, Q times the rational step; v moves by M_j as k moves by 1.
+    The walk starts from Q times the smallest diagonal entry,
+    min_i sum_j (lam_ij/g_j)^2*E_j with lam_ii = d[i+1], which a basis vector
+    attains; the bound then tightens to the best value seen, so the vectors
+    kept are exactly those attaining the minimum.  Every value is Q times the
+    rational one, so the visiting order, the minimum and the vector list are
+    those of the same walk in fractions.
 
     While every coordinate above level j is 0, only x_j >= 0 is tried.  A
     branch x_j = -k left out mirrors x_j = k, visited earlier under a bound no
@@ -197,27 +206,38 @@ def _walk(lam, d):
     x = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def descend(j, partial, top):
+    def record(total):
         nonlocal best
+        if total < best:
+            best = total
+            found.clear()
+        found.append(tuple(x))
+
+    def descend(j, partial, top):
         m, e = den[j], weight[j]
         c = sum(map(operator.mul, cols[j], x[j + 1:]))
         start = (m - 2 * c) // (2 * m)  # nearest integer to -c/m, ties upwards
-        # upwards from the nearest integer, then downwards from the one below it;
-        # while every coordinate above j is 0, c = 0 and only x_j >= 0 is tried
-        for k, dk in ((start, 1),) if top else ((start, 1), (start - 1, -1)):
-            while True:
-                total = partial + e * (m * k + c) ** 2
-                if total > best:
-                    break
-                x[j] = k
-                if j:
-                    descend(j - 1, total, top and not k)
-                elif k or not top:  # a nonzero vector, recorded in place
-                    if total < best:
-                        best = total
-                        found.clear()
-                    found.append(tuple(x))
-                k += dk
+        # upwards from the nearest integer, v = m*x_j + c stepping by m, then
+        # downwards from the one below it; while every coordinate above j is 0,
+        # c = 0 and only x_j >= 0 is tried
+        k, v = start, m * start + c
+        while (total := partial + e * v * v) <= best:
+            x[j] = k
+            if j:
+                descend(j - 1, total, top and not k)
+            elif k or not top:  # a nonzero vector
+                record(total)
+            k += 1
+            v += m
+        k, v = start - 1, m * start + c - m
+        while not top and (total := partial + e * v * v) <= best:
+            x[j] = k
+            if j:
+                descend(j - 1, total, False)
+            else:
+                record(total)
+            k -= 1
+            v -= m
         x[j] = 0
 
     descend(n - 1, 0, True)

@@ -396,7 +396,7 @@ def transform_gram(entries, u):
 
 
 def lll_rebuild(entries):
-    """LLL (delta = 3/4) on a Gram matrix, recomputing mu and d by a full LDL
+    """LLL (delta = 99/100) on a Gram matrix, recomputing mu and d by a full LDL
     after every size reduction and swap.
 
     Returns (reduced entries, U) with the conventions of ``svp.lll_reduce``:
@@ -418,7 +418,7 @@ def lll_rebuild(entries):
                         g[row][k] -= q * g[row][j]
                     t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
                     mu, d = ldl_factor(g)
-            if d[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * d[k - 1]:
+            if d[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * d[k - 1]:
                 k += 1
             else:
                 g[k - 1], g[k] = g[k], g[k - 1]
@@ -477,7 +477,7 @@ def _fraction_swap(t, mu, d, k):
 
 
 def lll_fraction(entries):
-    """LLL (delta = 3/4) on a Gram matrix in fractions.
+    """LLL (delta = 99/100) on a Gram matrix in fractions.
 
     Returns (mu, d, U): U is unimodular, mu and d are the LDL factors of the
     reduced matrix U^T G U (mu with ones on its diagonal), and a vector with
@@ -500,7 +500,7 @@ def lll_fraction(entries):
                 for i in range(j):
                     mk[i] -= q * mj[i]
                 mk[j] -= q
-        if d[k] >= (Fraction(3, 4) - mk[k - 1] ** 2) * d[k - 1]:
+        if d[k] >= (Fraction(99, 100) - mk[k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             _fraction_swap(t, mu, d, k)

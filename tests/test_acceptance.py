@@ -231,9 +231,11 @@ def test_principal_cyclotomic_ideals():
 
 
 def test_hard_principal_ideals_of_zeta_35():
-    # for these generators the LLL bound lies far above the Minkowski minimum
-    # (1134 against 935 for seed 2), so the walk visits many nodes; the trace
-    # form that gram_principal gives has twice these minima
+    # for these generators LLL at delta = 3/4 left the walk's starting bound
+    # far above the Minkowski minimum (1134 against 935 for seed 2); at
+    # delta = 99/100 a reduced basis vector attains the minimum for all three
+    # seeds, and the walk's nodes go to proving it; the trace form that
+    # gram_principal gives has twice these minima
     with criterion(10, "hard principal ideals of Z[zeta_35]"):
         F = cyclo_field(35)
         for seed, minimum in ((1, 859), (2, 935), (3, 856)):
@@ -254,6 +256,25 @@ def test_hard_principal_ideals_of_zeta_35():
                     for w in ovecs
                 )
                 assert tuple(mapped) == rep.vectors
+
+
+def test_principal_ideals_beyond_the_guard(monkeypatch):
+    # one principal ideal each of Z[zeta_37] and Z[zeta_41] (phi = 36 and
+    # 40), generators drawn from random.Random(1) in [-3, 3]; the minima and
+    # counts were computed with LLL at delta = 3/4, so they pin that the
+    # reduction changes only the work; the enumeration guard of the command
+    # is raised for this test only
+    with criterion(13, "principal ideals beyond the enumeration guard"):
+        monkeypatch.setattr(svp, "MAX_ENUM_DIM", 120)
+        start = time.perf_counter()
+        for k, minimum, count in ((37, 3201, 74), (41, 4034, 82)):
+            F = cyclo_field(k)
+            rng = random.Random(1)
+            x = element(F, [rng.randint(-3, 3) for _ in range(F.phi)])
+            rep = enumerate_shortest(gram_principal(F, x))
+            assert (rep.minimum, len(rep.vectors), rep.span_rank) == (2 * minimum, count, F.phi), k
+            assert verify_principal_ideal_wr(F, x), k
+        assert time.perf_counter() - start < 10.0
 
 
 def test_oracle_equivalence():

@@ -180,16 +180,16 @@ def test_lll_matches_rebuilding_oracle():
 
 def test_lll_conditions():
     """The returned lam and d are size reduced, |2 lam_kj| <= d[j+1], and
-    satisfy the Lovasz condition with delta = 3/4 in its integer form
-    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam_k,k-1^2, checked directly rather than
-    against an oracle."""
+    satisfy the Lovasz condition with delta = 99/100 in its integer form
+    100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam_k,k-1^2, checked directly rather
+    than against an oracle."""
     for label, G, _ in _lll_inputs():
         lam, d, _ = lll_reduce(G)
         for i in range(G.n):
             assert all(abs(2 * lam[i][j]) <= d[j + 1] for j in range(i)), label
         for k in range(1, G.n):
             m = lam[k][k - 1]
-            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m, label
+            assert 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * m * m, label
 
 
 def test_integer_lll_matches_fraction_lll():
