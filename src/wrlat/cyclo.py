@@ -1,17 +1,18 @@
 """Cyclotomic integers and the Gram matrices of embedded principal ideals.
 
-Elements of Z[zeta_k] are integer coefficient vectors on the power basis
-1, zeta, ..., zeta^(phi(k)-1), reduced modulo the k-th cyclotomic polynomial.
-cyclo_field(k) builds that polynomial, the table of traces of root powers and
-the prime powers q || k from one table of k's divisors, with mu and phi of
-each divisor read off one factorization of k.  Traces come from the
-closed-form Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)),
+Elements of Z[zeta_k] are integer coefficient vectors on 1, zeta, zeta^2, ...,
+of any length and never reduced: every product is formed modulo x^k - 1, and
+traces are read off a table.  cyclo_field(k) builds the table of traces of
+root powers and the prime powers q || k from one table of k's divisors, with
+mu and phi of each divisor read off one factorization of k.  Traces come from
+the closed-form Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)),
 evaluated once per divisor gcd(j,k) of k.  The Gram matrix of a basis
-x*zeta^s of an ideal (x) is read off that table, with no product reduced mod
-the polynomial: entry (a, b) is Tr(y*zeta^(s_a - s_b)), y = x * conj(x) mod
-x^k - 1.  The full ring is the ideal (1), checked in its powerful basis, the
-tensor product of the power bases of the Z[zeta_q] (for a prime power k, the
-power basis).  The trace form is twice the Minkowski inner product.
+x*zeta^s of an ideal (x) is read off that table: entry (a, b) is
+Tr(y*zeta^(s_a - s_b)), y = x * conj(x) mod x^k - 1.  Every lattice is
+checked in the powerful basis, the tensor product of the power bases of the
+Z[zeta_q] (for a prime power k, the power basis): the ring as the ideal (1),
+and an ideal (x) on the basis x*zeta^e, e a powerful exponent.  The trace
+form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
@@ -39,67 +40,41 @@ def _divisors(k: int) -> list[tuple[int, int, int]]:
 
 
 class CycloField(NamedTuple):
-    """Degree, defining polynomial and trace table of Q(zeta_k), and the
-    pairs (q, phi(q)) for the prime powers q || k, by ascending prime."""
+    """Degree and trace table of Q(zeta_k), and the pairs (q, phi(q)) for the
+    prime powers q || k, by ascending prime."""
 
     k: int
     phi: int
-    poly: tuple[int, ...]
     trace_table: tuple[int, ...]
     prime_powers: tuple[tuple[int, int], ...]
 
 
 def cyclo_field(k: int) -> CycloField:
     """Q(zeta_k) for k >= 3, from one table of k's divisors; trace_table[j]
-    is the integer Tr(zeta^j), 0 <= j < k.
-
-    Phi_k(x) is the product of (1 - x^d)^mu(k/d) over the divisors d of k,
-    taken as a power series modulo x^(phi+1): multiplying by 1 - x^d is one
-    downward pass, dividing by it one upward pass, and a factor with d > phi
-    is 1 at that precision.
-    """
+    is the integer Tr(zeta^j), 0 <= j < k."""
     if k < 3:
         raise ValueError("k must be at least 3")
     divisors = _divisors(k)
     n = divisors[-1][2]
-    c = [1] + [0] * n
-    for e, mu, _ in reversed(divisors):  # d = k/e ascending
-        d = k // e
-        if d > n:
-            break
-        if mu == 1:
-            for i in range(n, d - 1, -1):
-                c[i] -= c[i - d]
-        elif mu == -1:
-            for i in range(d, n + 1):
-                c[i] += c[i - d]
     by_gcd = {k // e: mu and mu * (n // phi_e) for e, mu, phi_e in divisors}
     # the primes p | k are the d with phi(d) = d - 1, and q || k is gcd(k, p^m)
     # for any p^m > k
     phis = {d: phi_d for d, _, phi_d in divisors}
     qs = (math.gcd(k, p ** k.bit_length()) for p, phi_p in phis.items() if phi_p == p - 1)
     powers = tuple((q, phis[q]) for q in qs)
-    return CycloField(k, n, tuple(c), tuple(by_gcd[math.gcd(j, k)] for j in range(k)), powers)
+    return CycloField(k, n, tuple(by_gcd[math.gcd(j, k)] for j in range(k)), powers)
 
 
 class CycloElement(NamedTuple):
-    """Integer combination of 1, zeta, ..., zeta^(phi-1)."""
+    """Integer combination of 1, zeta, zeta^2, ..., unreduced."""
 
     coeffs: tuple[int, ...]
     fld: CycloField
 
 
 def element(F: CycloField, coeffs) -> CycloElement:
-    """Element from a coefficient list of any length, reduced mod the polynomial
-    by clearing each c_i, i >= phi, from the top down with c_i * x^(i-phi) * Phi_k."""
-    n, poly = F.phi, F.poly
-    c = list(coeffs) + [0] * (n - len(coeffs))
-    for i in range(len(c) - 1, n - 1, -1):
-        top = c[i]
-        if top:
-            for j in range(n):
-                c[i - n + j] -= top * poly[j]
-    return CycloElement(tuple(c[:n]), F)
+    """Element from a coefficient list of any length, kept as given."""
+    return CycloElement(tuple(coeffs), F)
 
 
 def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
@@ -110,12 +85,11 @@ def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
     twice the Minkowski inner product, with y = x*conj(x) formed modulo
     x^k - 1 (Tr is linear and zeta^k = 1): y_d sums x_a * x_b over a - b = d.
     Tr(y*zeta^m) sums y_l * T[(l+m) mod k] over the nonzero y_l, for m <= k/2
-    only: y is real, so Tr(y*zeta^m) = Tr(y*zeta^(k-m)).
+    only: y is real, so Tr(y*zeta^m) = Tr(y*zeta^(k-m)).  Tr(x*conj(x)) =
+    tr[0] is 0 only for x = 0, however x is written.
     """
     if x.fld.k != F.k:
         raise ValueError("mismatched cyclotomic fields")
-    if not any(x.coeffs):
-        raise ValueError("zero element generates no lattice")
     k, T = F.k, F.trace_table
     y = [0] * k
     for a, xa in enumerate(x.coeffs):
@@ -125,6 +99,8 @@ def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
     tr = [0] * (k // 2 + 1)
     for l, c in filter(operator.itemgetter(1), enumerate(y)):
         tr = [t + c * u for t, u in zip(tr, T[l:] + T)]  # u = T[(l+m) mod k]
+    if not tr[0]:
+        raise ValueError("zero element generates no lattice")
     tr += tr[(k - 1) // 2:0:-1]  # tr[m] = tr[k - m] = tr[-m]: no index needs reducing mod k
     s = range(F.phi) if shifts is None else shifts
     return GramMatrix([[tr[a - b] for b in s] for a in s])
@@ -204,19 +180,31 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
 
 
 def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
-    """Well-roundedness of the lattice of the principal ideal (x).
+    """Well-roundedness of the lattice of the principal ideal (x), on its
+    basis x*zeta^e over the powerful exponents e.
 
     Also checks, exactly, that multiplication by zeta is an isometry of the
-    trace form G: with Z its matrix on the power basis, Z e_i = e_(i+1) for
-    i < phi-1 and Z e_(phi-1) = v = -(poly[0], ..., poly[phi-1]), it tests
-    Z^T G Z = G, which by polarization is |zeta*w| = |w| for every w.  A
-    failed diagonal entry i names the witness w = e_i, else the first failed
-    entry (i, j) names e_i + e_j.  ``rng`` is unused.
+    trace form G: with Z its matrix on that basis, whose column i holds the
+    powerful coordinates of zeta^(e_i + 1), it tests Z^T G Z = G, which by
+    polarization is |zeta*w| = |w| for every w.  A failed diagonal entry i
+    names the witness w = e_i, else the first failed entry (i, j) names
+    e_i + e_j.  ``rng`` is unused.
     """
-    G = gram_principal(F, x)
-    n, rows, v = F.phi, G.rows, [-c for c in F.poly[:-1]]
-    gz = [row[1:] + (sum(map(operator.mul, row, v)),) for row in rows]  # G Z
-    ztgz = (*gz[1:], tuple(sum(map(operator.mul, v, col)) for col in zip(*gz)))
+    exponents, coords = _powerful_basis(F)
+    G = gram_principal(F, x, exponents)
+    n, rows = F.phi, G.rows
+    cols = [[(r, c) for r, c in enumerate(coords((e + 1) % F.k)) if c] for e in exponents]
+
+    def zt(m):
+        """Z^T m, m given by its rows: row i sums the rows of m scaled by the
+        nonzero entries of column i of Z, and copies one row for a unit column."""
+        return tuple(
+            m[col[0][0]] if col[0][1] == 1 and len(col) == 1
+            else tuple(map(sum, zip(*([c * v for v in m[r]] for r, c in col))))
+            for col in cols
+        )
+
+    ztgz = zt(tuple(zip(*zt(rows))))  # Z^T (Z^T G)^T = Z^T G Z, as G is symmetric
     if ztgz != rows:
         _, i, j = min((i != j, i, j) for i in range(n) for j in range(i, n) if ztgz[i][j] != rows[i][j])
         raise InvariantViolation(

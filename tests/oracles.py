@@ -16,6 +16,7 @@ binary forms).
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -25,7 +26,6 @@ from itertools import product
 
 import numpy as np
 
-from wrlat.cyclo import element
 from wrlat.svp import GramMatrix
 
 
@@ -396,8 +396,12 @@ def transform_gram(entries, u):
 
 
 def lll_rebuild(entries):
-    """LLL (delta = 99/100) on a Gram matrix, recomputing mu and d by a full LDL
-    after every size reduction and swap.
+    """LLL (delta = 99/100) on a Gram matrix, reading mu and d off the LDL of
+    the current matrix after every size reduction and swap.
+
+    The LDL is rebuilt lazily, row by row as the loop reads it, each row from
+    the current matrix as ``ldl_factor`` computes it.  A step that changes
+    rows k and beyond keeps rows 0..k-1, those of the unchanged leading block.
 
     Returns (reduced entries, U) with the conventions of ``svp.lll_reduce``:
     reduced = U^T G U.
@@ -405,28 +409,41 @@ def lll_rebuild(entries):
     n = len(entries)
     g = [list(row) for row in entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n > 1:
-        mu, d = ldl_factor(g)
-        k = 1
-        while k < n:
-            for j in range(k - 1, -1, -1):
-                q = math.floor(mu[k][j] + Fraction(1, 2))
-                if q:
-                    for col in range(n):
-                        g[k][col] -= q * g[j][col]
-                    for row in range(n):
-                        g[row][k] -= q * g[row][j]
-                    t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
-                    mu, d = ldl_factor(g)
-            if d[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * d[k - 1]:
-                k += 1
-            else:
-                g[k - 1], g[k] = g[k], g[k - 1]
-                for row in g:
-                    row[k - 1], row[k] = row[k], row[k - 1]
-                t[k - 1], t[k] = t[k], t[k - 1]
-                mu, d = ldl_factor(g)
-                k = max(k - 1, 1)
+    mu, d = [], []
+
+    def rows_through(k):
+        """Extend mu and d to rows 0..k of the LDL of g."""
+        for i in range(len(d), k + 1):
+            row, r = [], []  # r[m] = row[m] * d[m]
+            for j in range(i):
+                s = Fraction(g[i][j]) - sum(map(operator.mul, r, mu[j]))
+                r.append(s)
+                row.append(s / d[j])
+            d.append(Fraction(g[i][i]) - sum(map(operator.mul, r, row)))
+            mu.append(row + [Fraction(1)])
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            rows_through(k)
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                for col in range(n):
+                    g[k][col] -= q * g[j][col]
+                for row in range(n):
+                    g[row][k] -= q * g[row][j]
+                t[k] = [t[k][i] - q * t[j][i] for i in range(n)]
+                del mu[k:], d[k:]
+        rows_through(k)
+        if d[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            t[k - 1], t[k] = t[k], t[k - 1]
+            del mu[k - 1:], d[k - 1:]
+            k = max(k - 1, 1)
     u = tuple(tuple(t[i][r] for i in range(n)) for r in range(n))
     return tuple(tuple(row) for row in g), u
 
@@ -657,23 +674,6 @@ def coset_index(a: int, b: int, g: int) -> int:
 # ---------------------------------------------------------------------------
 # cyclotomic oracles
 
-def numeric_cyclo_poly(k: int) -> tuple[int, ...]:
-    """Coefficients of Phi_k (low degree first) from its complex roots.
-
-    Float rounding limits this to moderate k; the Moebius-formula oracle below
-    covers the full test range exactly.
-    """
-    roots = [np.exp(2j * np.pi * m / k) for m in range(1, k + 1) if math.gcd(m, k) == 1]
-    coeffs = np.poly(roots)
-    out = []
-    for c in coeffs:
-        r = round(c.real)
-        assert abs(c - r) < 1e-6, f"rounding failed for k={k}"
-        out.append(int(r))
-    out.reverse()
-    return tuple(out)
-
-
 def poly_mul_int(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -698,6 +698,7 @@ def poly_divmod_int(num, den):
     return q, num[:dn]
 
 
+@functools.cache
 def moebius_cyclo_poly(k: int) -> tuple[int, ...]:
     """Phi_k exactly, via the product formula over (x^d - 1)^mu(k/d)."""
     num = [1]
@@ -714,6 +715,36 @@ def moebius_cyclo_poly(k: int) -> tuple[int, ...]:
     q, r = poly_divmod_int(num, den)
     assert not any(r)
     return tuple(q)
+
+
+def reduce_cyclo(k: int, coeffs) -> tuple[int, ...]:
+    """Power-basis coordinates of sum coeffs[i] * zeta_k^i: the remainder of
+    long division by Phi_k, padded to phi(k) entries."""
+    poly = moebius_cyclo_poly(k)
+    _, rem = poly_divmod_int(coeffs, poly)
+    return tuple(rem) + (0,) * (len(poly) - 1 - len(rem))
+
+
+def zeta_on_basis(k: int, exponents):
+    """The integer matrix of multiplication by zeta_k on the basis
+    zeta_k^e, e in ``exponents``, as rows: column i solves P c = zeta^(e_i + 1)
+    exactly, P the matrix whose columns are the power-basis coordinates of
+    the basis.  Fails unless the basis is a Z-basis of Z[zeta_k]."""
+    n = len(exponents)
+    cols = [reduce_cyclo(k, [0] * e + [1]) for e in exponents]
+    images = [reduce_cyclo(k, [0] * (e + 1) + [1]) for e in exponents]
+    # Gauss-Jordan on [P | images] in fractions
+    aug = [[Fraction(cols[c][r]) for c in range(n)] + [Fraction(v[r]) for v in images] for r in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    assert all(v.denominator == 1 for row in aug for v in row[n:]), "not a Z-basis"
+    return tuple(tuple(int(v) for v in row[n:]) for row in aug)
 
 
 def newton_power_sums(poly, count: int) -> list[int]:
@@ -751,29 +782,25 @@ def gram_by_products(F, x):
     """Gram entries of the ideal lattice of x, basis x*zeta^i, with one element
     product per entry: (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2.
 
-    Uses only the plain data of the field (k, phi, poly, trace table) and the
-    coefficients of x; products are reduced mod the polynomial here.
+    Uses only the plain data of the field (k, phi, trace table) and the
+    coefficients of x; products are reduced mod Phi_k here (reduce_cyclo).
     """
-    k, phi, poly, table = F.k, F.phi, list(F.poly), F.trace_table
-
-    def reduce(coeffs):
-        _, rem = poly_divmod_int(coeffs, poly)
-        return rem + [0] * (phi - len(rem))
+    k, phi, table = F.k, F.phi, F.trace_table
 
     def conj(c):
         acc = [0] * k
         for i, v in enumerate(c):
             acc[(k - i) % k] += v
-        return reduce(acc)
+        return reduce_cyclo(k, acc)
 
-    us = [reduce(list(x.coeffs))]
+    us = [reduce_cyclo(k, x.coeffs)]
     for _ in range(phi - 1):
-        us.append(reduce([0] + us[-1]))
+        us.append(reduce_cyclo(k, (0, *us[-1])))
     vs = [conj(u) for u in us]
     rows = [[Fraction(0)] * phi for _ in range(phi)]
     for i in range(phi):
         for j in range(i + 1):
-            prod = reduce(poly_mul_int(us[i], vs[j]))
+            prod = reduce_cyclo(k, poly_mul_int(us[i], vs[j]))
             rows[i][j] = rows[j][i] = Fraction(sum(c * t for c, t in zip(prod, table)), 2)
     return tuple(map(tuple, rows))
 
@@ -783,17 +810,18 @@ def gram_value(rows, c) -> int:
     return sum(ci * sum(map(operator.mul, row, c)) for ci, row in zip(c, rows) if ci)
 
 
-def rotation_spot_check(F, rows, rng, trials):
-    """The first of ``trials`` random ring vectors w, coefficients in [-9, 9],
-    whose length under the form ``rows`` changes when w is multiplied by zeta,
-    as a list, or None when every trial keeps its length.
+def rotation_spot_check(rows, zeta, rng, trials):
+    """The first of ``trials`` random vectors w, coordinates in [-9, 9], whose
+    length under the form ``rows`` changes when w is multiplied by zeta, whose
+    matrix on the same basis is ``zeta`` (rows, see zeta_on_basis), as a
+    list, or None when every trial keeps its length.
 
     The package's former rotation check, replaced by the exact Z^T G Z = G.
     """
     for _ in range(trials):
-        w = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
-        if gram_value(rows, element(F, (0, *w.coeffs)).coeffs) != gram_value(rows, w.coeffs):
-            return list(w.coeffs)
+        w = [rng.randint(-9, 9) for _ in range(len(rows))]
+        if gram_value(rows, [sum(map(operator.mul, row, w)) for row in zeta]) != gram_value(rows, w):
+            return w
     return None
 
 

@@ -4,8 +4,6 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wrlat import cyclo
 from wrlat.cyclo import (
@@ -17,20 +15,19 @@ from wrlat.cyclo import (
     verify_principal_ideal_wr,
 )
 from wrlat.errors import InvariantViolation
-from wrlat.svp import GramMatrix, ShortVectorReport
+from wrlat.svp import GramMatrix, ShortVectorReport, enumerate_shortest
 from oracles import (
     gram_by_products,
     gram_value,
     is_similar,
-    moebius_cyclo_poly,
     newton_trace_table,
-    numeric_cyclo_poly,
     numeric_gram,
     numeric_trace,
     phi_by_factorization,
-    poly_divmod_int,
     rational_entries,
+    reduce_cyclo,
     rotation_spot_check,
+    zeta_on_basis,
 )
 
 SMALL_K = (3, 4, 5, 6, 7, 8, 9, 12)
@@ -39,52 +36,6 @@ SMALL_K = (3, 4, 5, 6, 7, 8, 9, 12)
 def trace(u):
     """Tr(u) from the field's trace table, linear in the coefficients."""
     return sum(c * t for c, t in zip(u.coeffs, u.fld.trace_table))
-
-
-def poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials
-
-def test_cyclotomic_poly_known_values():
-    assert cyclo_field(3).poly == (1, 1, 1)
-    assert cyclo_field(4).poly == (1, 0, 1)
-    assert cyclo_field(6).poly == (1, -1, 1)
-    assert cyclo_field(12).poly == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_poly_against_numeric_roots():
-    # float root products stay exactly roundable up to moderate degree
-    for k in range(3, 31):
-        assert cyclo_field(k).poly == numeric_cyclo_poly(k), k
-
-
-def test_cyclotomic_poly_against_moebius_formula():
-    # up to 210: 105, 165 and 195 have three odd prime factors, the most
-    # factors (1 - x^d)^mu(k/d) in the power-series product
-    for k in range(3, 211):
-        assert cyclo_field(k).poly == moebius_cyclo_poly(k), k
-
-
-def test_cyclotomic_poly_degree_and_product():
-    # the package builds Phi_k for k >= 3; Phi_1 and Phi_2 come from the oracle
-    def poly(d):
-        return moebius_cyclo_poly(d) if d < 3 else cyclo_field(d).poly
-
-    for k in range(3, 41):
-        assert len(cyclo_field(k).poly) - 1 == phi_by_factorization(k)
-        prod = [1]
-        for d in range(1, k + 1):
-            if k % d == 0:
-                prod = poly_mul(prod, list(poly(d)))
-        expect = [-1] + [0] * (k - 1) + [1]
-        assert prod == expect, k
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +79,6 @@ def test_trace_matches_numeric_embeddings():
             assert abs(trace(u) - numeric_trace(k, u.coeffs)) < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# ring arithmetic
-
-def test_element_reduction():
-    F = cyclo_field(5)
-    # zeta^5 = 1 and 1 + zeta + ... + zeta^4 = 0
-    assert element(F, [0] * 5 + [1]).coeffs == (1, 0, 0, 0)
-    assert element(F, [1, 1, 1, 1, 1]).coeffs == (0, 0, 0, 0)
-    assert element(F, [0] * 4 + [1]).coeffs == (-1, -1, -1, -1)
-    assert element(F, [0] * 7 + [1]).coeffs == element(F, [0] * 2 + [1]).coeffs
-
-
-small_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
-
-
-@given(st.sampled_from(SMALL_K), small_coeffs)
-def test_times_zeta_is_multiplication(k, ca):
-    F = cyclo_field(k)
-    a = element(F, ca)
-    # zeta * a is x * a(x) reduced mod Phi_k, by the long-division oracle
-    _, rem = poly_divmod_int([0, *a.coeffs], F.poly)
-    assert element(F, (0, *a.coeffs)).coeffs == tuple(rem)
-    # zeta^k = 1
-    w = a
-    for _ in range(k):
-        w = element(F, (0, *w.coeffs))
-    assert w == a
-
-
 def test_mismatched_fields_rejected():
     # a generator from another field is refused before any work, also when
     # the two fields have the same degree
@@ -187,10 +109,17 @@ def test_gram_examples():
             assert entries[i][j] == (2 if i == j else Fraction(-1, 2))
 
 
+# zero, and zero written unreduced as 1 + zeta + ... + zeta^(p-1) for a prime
+# p: elements are never reduced mod Phi_k, so Tr(x*conj(x)) = 0 refuses both
+ZEROS = ((5, [0]), (5, [1] * 5), (7, [1] * 7))
+
+
 def test_gram_rejects_zero():
-    F = cyclo_field(5)
-    with pytest.raises(ValueError, match="zero element"):
-        gram_principal(F, element(F, [0]))
+    for k, coeffs in ZEROS:
+        F = cyclo_field(k)
+        assert not any(reduce_cyclo(k, coeffs))
+        with pytest.raises(ValueError, match="zero element generates no lattice"):
+            gram_principal(F, element(F, coeffs))
 
 
 def test_gram_matches_numeric_embeddings():
@@ -232,7 +161,7 @@ def _gram_generators():
         F = cyclo_field(k)
         for _ in range(3):
             coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 2 * F.phi))]
-            if any(element(F, coeffs).coeffs):
+            if any(reduce_cyclo(k, coeffs)):
                 yield F, coeffs
 
 
@@ -248,9 +177,10 @@ def test_gram_matches_product_oracle():
 def test_powerful_basis_matches_power_basis():
     """For every ring with phi <= 24, with P the matrix whose column i holds
     the power-basis coordinates of the i-th powerful basis element
-    zeta^(e_i): for x = 1 and one seeded generator x, the Gram of the ideal
-    (x) on the basis x*zeta^(e_i) is P^T G P for its power-basis Gram G, and
-    P maps the powerful coordinates of zeta^j to element(F, zeta^j), j < k."""
+    zeta^(e_i), reduced mod Phi_k by the oracle: for x = 1 and one seeded
+    generator x, the Gram of the ideal (x) on the basis x*zeta^(e_i) is
+    P^T G P for its power-basis Gram G, and P maps the powerful coordinates
+    of zeta^j to those of zeta^j in the power basis, j < k."""
     rings = [cyclo_field(k) for k in range(3, 91) if phi_by_factorization(k) <= 24]
     assert len(rings) == 51
     rng = random.Random(32)
@@ -258,7 +188,7 @@ def test_powerful_basis_matches_power_basis():
         n = F.phi
         exponents, coords = cyclo._powerful_basis(F)
         assert sorted(exponents) == sorted(set(exponents)), F.k
-        cols = [element(F, [0] * e + [1]).coeffs for e in exponents]
+        cols = [reduce_cyclo(F.k, [0] * e + [1]) for e in exponents]
         seeded = element(F, [rng.randint(-3, 3) for _ in range(n)])
         for x in (element(F, [1]), seeded):
             power = gram_principal(F, x).rows
@@ -271,10 +201,33 @@ def test_powerful_basis_matches_power_basis():
         for j in range(F.k):
             w = coords(j)
             assert tuple(sum(col[r] * c for col, c in zip(cols, w)) for r in range(n)) == (
-                element(F, [0] * j + [1]).coeffs
+                reduce_cyclo(F.k, [0] * j + [1])
             ), (F.k, j)
     # a prime power k keeps the power basis
     assert cyclo._powerful_basis(cyclo_field(27))[0] == list(range(18))
+
+
+def _zeta_35_seeds():
+    F = cyclo_field(35)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        yield F, [rng.randint(-3, 3) for _ in range(F.phi)]
+
+
+def test_power_and_powerful_bases_give_the_same_lattice():
+    """The 13 benchmark ideals and the hard ideals of Z[zeta_35] have the same
+    minimum, minimal vector count and span rank on the power basis and on
+    the powerful basis that verify_principal_ideal_wr reads."""
+    count = 0
+    for F, coeffs in chain(_benchmark_generators(), _zeta_35_seeds()):
+        x = element(F, coeffs)
+        power = enumerate_shortest(gram_principal(F, x))
+        powerful = enumerate_shortest(gram_principal(F, x, cyclo._powerful_basis(F)[0]))
+        assert (power.minimum, len(power.vectors), power.span_rank) == (
+            powerful.minimum, len(powerful.vectors), powerful.span_rank
+        ), (F.k, coeffs)
+        count += 1
+    assert count == 16
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +264,10 @@ def test_verify_principal_ideal_examples():
 
 
 def test_verify_principal_rejects_zero():
-    F = cyclo_field(5)
-    with pytest.raises(ValueError, match="zero element"):
-        verify_principal_ideal_wr(F, element(F, [0]))
+    for k, coeffs in ZEROS:
+        F = cyclo_field(k)
+        with pytest.raises(ValueError, match="zero element generates no lattice"):
+            verify_principal_ideal_wr(F, element(F, coeffs))
 
 
 def _witness(msg):
@@ -321,8 +275,14 @@ def _witness(msg):
     return [int(c) for c in re.search(r"w=\[([^\]]*)\]", msg).group(1).split(",")]
 
 
-def _changes_length(F, rows, w):
-    return gram_value(rows, element(F, (0, *w)).coeffs) != gram_value(rows, w)
+def _changes_length(zeta, rows, w):
+    """Whether w, in the coordinates of the basis on which ``zeta`` is the
+    matrix of multiplication by zeta, changes length under the form ``rows``."""
+    return gram_value(rows, [sum(a * b for a, b in zip(row, w)) for row in zeta]) != gram_value(rows, w)
+
+
+def _zeta_on_powerful_basis(F):
+    return zeta_on_basis(F.k, cyclo._powerful_basis(F)[0])
 
 
 def test_rotation_violation_names_its_witness(monkeypatch):
@@ -332,30 +292,27 @@ def test_rotation_violation_names_its_witness(monkeypatch):
     # first diagonal entry already fails, Q(zeta e_0) = Q(e_1) = 2 != 1, so
     # the witness is e_0 whatever rng is passed
     skewed = GramMatrix(tuple(tuple(i + 1 if i == j else 0 for j in range(4)) for i in range(4)))
-    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: skewed)
+    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts=None: skewed)
     with pytest.raises(InvariantViolation) as info:
         verify_principal_ideal_wr(F, element(F, gen), rng=random.Random(31))
     msg = str(info.value)
     assert "k=5" in msg
     assert f"generator={gen}" in msg
     assert _witness(msg) == [1, 0, 0, 0]
-    assert _changes_length(F, skewed.rows, _witness(msg))
-
-
-def _zeta_35_seeds():
-    F = cyclo_field(35)
-    for seed in (1, 2, 3):
-        rng = random.Random(seed)
-        yield F, [rng.randint(-3, 3) for _ in range(F.phi)]
+    assert _changes_length(_zeta_on_powerful_basis(F), skewed.rows, _witness(msg))
 
 
 def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
     """The exact Z^T G Z = G check and the former 100 random spot checks both
-    accept the benchmark's ideals and the hard ideals of Z[zeta_35], and both
-    reject every positive definite Gram matrix perturbed by one symmetric
-    entry; the exact check's witness changes length under zeta.  Rings whose
-    Phi_k has one nonzero low coefficient (k = 8, 12) fail off the diagonal
-    only, so both witness rules, e_i and e_i + e_j, are exercised."""
+    accept the benchmark's ideals and the hard ideals of Z[zeta_35] on the
+    powerful basis, and both reject every positive definite Gram matrix
+    perturbed by one symmetric entry; the exact check's witness changes
+    length under zeta.  The spot checks and the witness test move zeta
+    through the basis by an exact solve against the power basis (the
+    oracle's zeta_on_basis), not by the package's coordinates.  In the rings
+    k = 8 and 12, 6 and 4 of the 10 perturbations keep every diagonal entry
+    of Z^T G Z and fail off the diagonal only, so both witness rules, e_i and
+    e_i + e_j, are exercised."""
     # the check alone: a stubbed enumeration makes every passing check return False
     monkeypatch.setattr(cyclo, "enumerate_shortest", lambda G: ShortVectorReport(0, (), 0))
 
@@ -368,12 +325,14 @@ def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
         return None
 
     for F, coeffs in chain(_benchmark_generators(), _zeta_35_seeds()):
-        G = gram_principal(F, element(F, coeffs))
+        G = gram_principal(F, element(F, coeffs), cyclo._powerful_basis(F)[0])
         assert exact(F, coeffs) is None, (F.k, coeffs)
-        assert rotation_spot_check(F, G.rows, random.Random(20210), 100) is None, (F.k, coeffs)
+        zeta = _zeta_on_powerful_basis(F)
+        assert rotation_spot_check(G.rows, zeta, random.Random(20210), 100) is None, (F.k, coeffs)
     witness_sizes = set()
     for F, coeffs in [(cyclo_field(k), [1]) for k in (5, 8, 12)] + [next(_benchmark_generators())]:
-        rows = gram_principal(F, element(F, coeffs)).rows
+        rows = gram_principal(F, element(F, coeffs), cyclo._powerful_basis(F)[0]).rows
+        zeta = _zeta_on_powerful_basis(F)
         for i in range(F.phi):
             for j in range(i, F.phi):
                 bumped = [list(r) for r in rows]
@@ -383,9 +342,9 @@ def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
                     G = GramMatrix(bumped)
                 except ValueError:
                     continue
-                monkeypatch.setattr(cyclo, "gram_principal", lambda F, x: G)
+                monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts=None: G)
                 w = exact(F, coeffs)
-                assert w is not None and _changes_length(F, G.rows, w), (F.k, i, j)
-                assert rotation_spot_check(F, G.rows, random.Random(20210), 100), (F.k, i, j)
+                assert w is not None and _changes_length(zeta, G.rows, w), (F.k, i, j)
+                assert rotation_spot_check(G.rows, zeta, random.Random(20210), 100), (F.k, i, j)
                 witness_sizes.add(sum(w))
     assert witness_sizes == {1, 2}
