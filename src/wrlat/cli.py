@@ -120,11 +120,15 @@ def _add_common(sub):
 # one formatter per output format: a list of classify_triple rows to one
 # string, one f-string per record
 
+# the tail "1,n_minimal,wr,hexagonal,order_maximal" of a CSV record, indexed
+# [order_maximal][n_minimal]: the minimum is an int, so minimum_den is 1, and
+# classify_triple's n_minimal decides wr (4 or 6) and hexagonal (6)
+_CSV_TAIL = tuple({n: f"1,{n},{_TF[n > 2]},{_TF[n == 6]},{tf}\n" for n in (2, 4, 6)} for tf in _TF)
+
+
 def _records_csv(rows) -> str:
-    # the minimum is an int, so minimum_den is 1
     return "".join([
-        f"{D},{a},{b},{g},{norm},{minimum},1,{n_minimal},"
-        f"{_TF[wr]},{_TF[hexagonal]},{_TF[maximal]}\n"
+        f"{D},{a},{b},{g},{norm},{minimum},{_CSV_TAIL[maximal][n_minimal]}"
         for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
     ])
 

@@ -139,7 +139,9 @@ def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]
     4*N(delta).  Each root r modulo p^(e-1) lifts by testing r + k*p^(e-1)
     for k < p, which covers the repeated roots of p | disc too.  Modulo
     a = q*m, q the full power of a's smallest prime, they are the CRT
-    combinations of the roots modulo q and m.  Raises ValueError for a bound
+    combinations of the roots modulo q and m, none when either has none.
+    As f(-Tr(delta) - b) = f(b), the roots come in pairs b, (-Tr(delta) - b)
+    mod a: an ideal and its conjugate.  Raises ValueError for a bound
     outside [1, MAX_NORM_BOUND].
     """
     check_norm_bound(norm_bound)
@@ -148,6 +150,9 @@ def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]
     roots: list[list[int]] = [[], [0]]
     for p, q, m, inv in _splits(norm_bound):
         if m > 1:  # a = q*m with gcd(q, m) = 1
+            if not (roots[q] and roots[m]):  # no root modulo q or m, so none modulo a
+                roots.append([])
+                continue
             rs = [s + m * ((r - s) * inv % q) for r in roots[q] for s in roots[m]]
         elif q == p:
             rs = _roots_mod_prime(p, tr, nm, disc)

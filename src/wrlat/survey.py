@@ -2,9 +2,10 @@
 
 A survey task is one radicand: build its order, enumerate its primitive
 ideals, classify each one and its multiples g*I within the norm bound in
-one loop (classify_triple: one reduction per primitive ideal, the multiples
-by scaling), sort the rows and hand them to the caller's `emit`, in a
-worker process or in this one alike.  Survey results are deterministic:
+one loop (classify_triple: one reduction per conjugate pair I, conj(I) of
+primitive ideals, whose lattices are congruent for either sign of D, the
+multiples by scaling), sort the rows and hand them to the caller's `emit`,
+in a worker process or in this one alike.  Survey results are deterministic:
 rows come in (D, norm, a, b, g) order, so identical configurations give
 identical results regardless of worker count.
 """
@@ -55,6 +56,14 @@ def classify_triple(order: QuadOrder, items, maximal: bool):
     order_maximal is `maximal`, which the caller decides: order.maximal
     factors |D|, and a caller that already knows |D| is squarefree passes True.
 
+    The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, and
+    its lattice is I's under an isometry: complex conjugation for D < 0, the
+    swap of the two real embeddings for D > 0.  So the two reduced forms
+    differ at most in the sign of c2 and share the minimum, the minimal vector
+    count and both flags (Buchmann & Vollmer).  The first of a pair to come
+    is reduced and its shape kept under its partner's key until the partner
+    comes: a shape is reused only for its own conjugate, in any item order.
+
     Raises InvariantViolation, naming the replay command, if a row's minimum
     breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
     ints).  Scaling multiplies both sides by g^2 for D < 0, and the minimum
@@ -62,13 +71,18 @@ def classify_triple(order: QuadOrder, items, maximal: bool):
     I does: with (a, b) ascending and gs from 1 up, the row raised is the
     least (norm, a, b, g) one that breaks it.
     """
-    D = order.D
+    D, tr = order.D, order.delta_trace
+    shapes = {}  # (a, b') -> the shape of (a, b), until (a, b') comes
     for a, b, gs in items:
-        c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
-        # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
-        wr = c1 == c3
-        hexagonal = wr and c1 == c2
-        n_minimal = 6 if hexagonal else 4 if wr else 2
+        shape = shapes.pop((a, b), None)
+        if shape is None:
+            c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
+            # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
+            wr = c1 == c3
+            hexagonal = wr and c1 == c2
+            shape = c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal
+            shapes[a, (-tr - b) % a] = shape
+        c1, n_minimal, wr, hexagonal = shape
         for g in gs:
             gg = g * g
             minimum, nrm = gg * c1, gg * a

@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import os
+import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ import wrlat.arith
 import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
-from wrlat.ideals import IdealTriple, enumerate_ideals
+from wrlat.ideals import IdealTriple, enumerate_ideals, multipliers, primitive_ideals
+from wrlat.planar import gauss_reduce, norm_form
 from wrlat.survey import (
     SurveyConfig,
     classify_triple,
@@ -20,6 +23,7 @@ from wrlat.survey import (
 )
 from oracles import (
     enumerate_ideals_scan,
+    hnf_triple,
     min_bound_holds,
     qd_from_xy,
     qd_mul,
@@ -218,6 +222,96 @@ def test_survey_records_match_oracles():
 def test_survey_records_match_oracles_random(d_min, width, norm_bound):
     records, _ = survey(SurveyConfig(d_min=d_min, d_max=d_min + width, norm_bound=norm_bound))
     assert_records_match_oracles(records, d_min, d_min + width, norm_bound)
+
+
+# ---------------------------------------------------------------------------
+# conjugate ideals: classify_triple reduces one ideal of each pair
+
+def conjugate_classes(order, norm_bound):
+    """The classes {(a, b), (a, b')} of the primitive pairs with a <= norm_bound,
+    b' = (-Tr(delta) - b) mod a, each named by its least member."""
+    tr = order.delta_trace
+    return {(a, min(b, (-tr - b) % a)) for a, b in primitive_ideals(order, norm_bound)}
+
+
+def test_conjugate_ideals_share_their_shape():
+    # the conjugate of I = (a, b + delta) is (a, b' + delta), and its lattice is
+    # I's under complex conjugation (D < 0) or the swap of the real embeddings
+    # (D > 0): the reduced forms agree up to the sign of c2
+    rng = random.Random(7)
+    seen = set()
+    sampled = 0
+    for D in range(-300, 301):
+        if not is_valid_radicand(D):
+            continue
+        order = QuadOrder(D)
+        tr = order.delta_trace
+        pairs = primitive_ideals(order, 60)
+        for a, b in pairs:
+            conj = (-tr - b) % a
+            # conj(b + delta) = (b + Tr(delta)) - delta
+            assert hnf_triple(D, (a, 0), (b + tr, -1)) == (a, conj, 1)
+            assert (a, conj) in pairs
+            c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
+            k1, k2, k3 = gauss_reduce(*norm_form(order, a, conj, 1))
+            assert (c1, abs(c2), c3) == (k1, abs(k2), k3), (D, a, b)
+            seen.add((D > 0, tr, order.maximal, conj == b, c2 == k2))
+            if rng.random() < 0.03:
+                n_minimal = 6 if c1 == c2 == c3 else 4 if c1 == c3 else 2
+                for bb in (b, conj):
+                    minimum, vecs = window_minimal_vectors(*oracle_norm_form(D, a, bb, 1))
+                    assert (minimum, len(vecs)) == (c1, n_minimal), (D, a, bb)
+                sampled += 1
+    # both signs, both traces, non-maximal orders, self-conjugate ideals and
+    # pairs whose reduced c2 differ in sign
+    assert {(s, t, m) for s, t, m, _, _ in seen} == {
+        (s, t, m) for s in (False, True) for t in (0, 1) for m in (False, True)
+    }
+    assert {(c, e) for *_, c, e in seen} == {(True, True), (False, True), (False, False)}
+    assert sampled > 500
+
+
+def rows_per_item(order, items):
+    """classify_triple's rows over `items`, split into each item's rows."""
+    rows = iter(classify_triple(order, items, order.maximal))
+    out = [list(islice(rows, len(gs))) for _, _, gs in items]
+    assert next(rows, None) is None
+    return out
+
+
+@pytest.mark.parametrize("D", (-207, -15, -12, -5, -3, -1, 3, 5, 12, 21, 60, 99, 165))
+def test_conjugate_sharing_never_borrows_a_shape(D):
+    # each item gets the rows of a call on it alone, whatever the order of
+    # the items, and with items repeated
+    order = QuadOrder(D)
+    gs = multipliers(150)
+    items = [(a, b, gs[a]) for a, b in primitive_ideals(order, 150)]
+    shuffled = random.Random(D).sample(items, len(items))
+    by_norm = [(a // g, b // g, (g,)) for a, b, g in enumerate_ideals(order, 150)]
+    for seq in (items, shuffled, by_norm, items + items[::-1]):
+        assert rows_per_item(order, seq) == [list(classify_triple(order, [it], order.maximal)) for it in seq]
+
+
+@pytest.mark.parametrize("cfg, totals", [
+    (SurveyConfig(d_min=-200, d_max=200, norm_bound=500, require_squarefree=True),
+     (45_883, 147_437, 3_005, 326)),
+    (SurveyConfig(d_min=-60, d_max=60, norm_bound=100), None),
+])
+def test_survey_reduces_each_conjugate_class_once(monkeypatch, cfg, totals):
+    calls = []
+    reduce = wrlat.survey.gauss_reduce
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", lambda *c: calls.append(c) or reduce(*c))
+    ds = [D for D in range(cfg.d_min, cfg.d_max + 1)
+          if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))]
+    seen = (0, 0, 0, 0)
+    # one worker classifies each radicand when its result is read
+    for D, (_, n, w, h) in zip(ds, run_survey(cfg, list), strict=True):
+        classes = len(conjugate_classes(QuadOrder(D), cfg.norm_bound))
+        assert len(calls) == classes, D
+        calls.clear()
+        seen = tuple(map(sum, zip(seen, (classes, n, w, h))))
+    if totals is not None:
+        assert seen == totals
 
 
 def test_survey_worker_count_is_invisible(monkeypatch):
