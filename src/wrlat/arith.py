@@ -13,7 +13,7 @@ MAX_RADICAND = 10**12
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, as {prime: exponent}."""
+    """Prime factorization by trial division, as {prime: exponent}, primes ascending."""
     if n < 1:
         raise ValueError("nonpositive input")
     out: dict[int, int] = {}

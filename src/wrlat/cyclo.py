@@ -1,18 +1,18 @@
 """Cyclotomic integers and the Gram matrices of embedded principal ideals.
 
-Elements of Z[zeta_k] are integer coefficient vectors on 1, zeta, zeta^2, ...,
-of any length and never reduced: every product is formed modulo x^k - 1, and
-traces are read off a table.  cyclo_field(k) builds the table of traces of
-root powers and the prime powers q || k from one table of k's divisors, with
-mu and phi of each divisor read off one factorization of k.  Traces come from
-the closed-form Ramanujan sum mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)),
-evaluated once per divisor gcd(j,k) of k.  The Gram matrix of a basis
-x*zeta^s of an ideal (x) is read off that table: entry (a, b) is
-Tr(y*zeta^(s_a - s_b)), y = x * conj(x) mod x^k - 1.  Every lattice is
-checked in the powerful basis, the tensor product of the power bases of the
-Z[zeta_q] (for a prime power k, the power basis): the ring as the ideal (1),
-and an ideal (x) on the basis x*zeta^e, e a powerful exponent.  The trace
-form is twice the Minkowski inner product.
+Elements of Z[zeta_k] are integer coefficient sequences on 1, zeta, zeta^2,
+..., of any length and never reduced: every product is formed modulo
+x^k - 1, and traces are read off a table.  cyclo_field(k) builds the table
+of traces of root powers and the prime powers q || k from one factorization
+of k, with mu and phi of each divisor of k read off the same factorization.
+Traces come from the closed-form Ramanujan sum
+mu(k/gcd(j,k)) * phi(k) / phi(k/gcd(j,k)), evaluated once per divisor
+gcd(j,k) of k.  The Gram matrix of a basis x*zeta^s of an ideal (x) is read
+off that table: entry (a, b) is Tr(y*zeta^(s_a - s_b)), y = x * conj(x) mod
+x^k - 1.  Every lattice is checked in the powerful basis, the tensor product
+of the power bases of the Z[zeta_q] (for a prime power k, the power basis):
+the ring as the ideal (1), and an ideal (x) on the basis x*zeta^e, e a
+powerful exponent.  The trace form is twice the Minkowski inner product.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from .errors import InvariantViolation
 from .svp import GramMatrix, enumerate_shortest
 
 
-def _divisors(k: int) -> list[tuple[int, int, int]]:
-    """(d, mu(d), phi(d)) for every divisor d of k, ascending, from one
-    factorization of k."""
+def _divisors(factors: dict[int, int]) -> list[tuple[int, int, int]]:
+    """(d, mu(d), phi(d)) for every divisor d of the number factored as
+    ``factors``, ascending."""
     table = [(1, 1, 1)]
-    for p, e in factorize(k).items():
+    for p, e in factors.items():
         table += [
             (d * p**i, mu * (-1 if i == 1 else 0), phi * (p - 1) * p ** (i - 1))
             for d, mu, phi in table
@@ -50,36 +50,27 @@ class CycloField(NamedTuple):
 
 
 def cyclo_field(k: int) -> CycloField:
-    """Q(zeta_k) for k >= 3, from one table of k's divisors; trace_table[j]
+    """Q(zeta_k) for k >= 3, from one factorization of k; trace_table[j]
     is the integer Tr(zeta^j), 0 <= j < k."""
     if k < 3:
         raise ValueError("k must be at least 3")
-    divisors = _divisors(k)
+    factors = factorize(k)
+    divisors = _divisors(factors)
     n = divisors[-1][2]
     by_gcd = {k // e: mu and mu * (n // phi_e) for e, mu, phi_e in divisors}
-    # the primes p | k are the d with phi(d) = d - 1, and q || k is gcd(k, p^m)
-    # for any p^m > k
-    phis = {d: phi_d for d, _, phi_d in divisors}
-    qs = (math.gcd(k, p ** k.bit_length()) for p, phi_p in phis.items() if phi_p == p - 1)
-    powers = tuple((q, phis[q]) for q in qs)
+    powers = tuple((p**e, (p - 1) * p ** (e - 1)) for p, e in factors.items())
     return CycloField(k, n, tuple(by_gcd[math.gcd(j, k)] for j in range(k)), powers)
 
 
-class CycloElement(NamedTuple):
-    """Integer combination of 1, zeta, zeta^2, ..., unreduced."""
-
-    coeffs: tuple[int, ...]
-    fld: CycloField
-
-
-def element(F: CycloField, coeffs) -> CycloElement:
-    """Element from a coefficient list of any length, kept as given."""
-    return CycloElement(tuple(coeffs), F)
+def element(F: CycloField, coeffs) -> tuple[int, ...]:
+    """The coefficient tuple of sum coeffs[i] * zeta^i; F is unused.  Kept while
+    wrbench's cyclo_ideals workload calls it (until ROADMAP item 1b)."""
+    return tuple(coeffs)
 
 
-def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
-    """Gram matrix of the ideal lattice generated by x, basis x*zeta^s, s in
-    ``shifts``, each 0 <= s < k (by default 0, ..., phi-1, the power basis).
+def gram_principal(F: CycloField, x, shifts) -> GramMatrix:
+    """Gram matrix of the ideal lattice generated by x, a coefficient sequence
+    on 1, zeta, zeta^2, ..., basis x*zeta^s, s in ``shifts``, each 0 <= s < k.
 
     Entry (a, b) is Tr(x*zeta^s_a * conj(x*zeta^s_b)) = Tr(y*zeta^(s_a-s_b)),
     twice the Minkowski inner product, with y = x*conj(x) formed modulo
@@ -88,13 +79,11 @@ def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
     only: y is real, so Tr(y*zeta^m) = Tr(y*zeta^(k-m)).  Tr(x*conj(x)) =
     tr[0] is 0 only for x = 0, however x is written.
     """
-    if x.fld.k != F.k:
-        raise ValueError("mismatched cyclotomic fields")
     k, T = F.k, F.trace_table
     y = [0] * k
-    for a, xa in enumerate(x.coeffs):
+    for a, xa in enumerate(x):
         if xa:
-            for b, xb in enumerate(x.coeffs):
+            for b, xb in enumerate(x):
                 y[(a - b) % k] += xa * xb
     tr = [0] * (k // 2 + 1)
     for l, c in filter(operator.itemgetter(1), enumerate(y)):
@@ -102,8 +91,7 @@ def gram_principal(F: CycloField, x: CycloElement, shifts=None) -> GramMatrix:
     if not tr[0]:
         raise ValueError("zero element generates no lattice")
     tr += tr[(k - 1) // 2:0:-1]  # tr[m] = tr[k - m] = tr[-m]: no index needs reducing mod k
-    s = range(F.phi) if shifts is None else shifts
-    return GramMatrix([[tr[a - b] for b in s] for a in s])
+    return GramMatrix([[tr[a - b] for b in shifts] for a in shifts])
 
 
 def _powerful_basis(F: CycloField) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
@@ -160,7 +148,7 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     of them for even k, 2k for odd k), well-rounded.  For even k, -zeta^j is
     zeta^(j+k/2), so only odd k looks up -zeta^j."""
     exponents, coords = _powerful_basis(F)
-    rep = enumerate_shortest(gram_principal(F, element(F, (1,)), exponents))
+    rep = enumerate_shortest(gram_principal(F, (1,), exponents))
     vecs, odd = set(rep.vectors), F.k % 2
     for j in range(F.k):
         w = coords(j)
@@ -179,9 +167,10 @@ def verify_cyclotomic_theorem(F: CycloField) -> CycloTheoremReport:
     )
 
 
-def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
-    """Well-roundedness of the lattice of the principal ideal (x), on its
-    basis x*zeta^e over the powerful exponents e.
+def verify_principal_ideal_wr(F: CycloField, x, rng=None) -> bool:
+    """Well-roundedness of the lattice of the principal ideal (x), x a
+    coefficient sequence on 1, zeta, zeta^2, ..., on its basis x*zeta^e over
+    the powerful exponents e.
 
     Also checks, exactly, that multiplication by zeta is an isometry of the
     trace form G: with Z its matrix on that basis, whose column i holds the
@@ -209,6 +198,6 @@ def verify_principal_ideal_wr(F: CycloField, x: CycloElement, rng=None) -> bool:
         _, i, j = min((i != j, i, j) for i in range(n) for j in range(i, n) if ztgz[i][j] != rows[i][j])
         raise InvariantViolation(
             f"rotation by zeta changed a vector length "
-            f"(k={F.k}, generator={list(x.coeffs)}, w={[int(m in (i, j)) for m in range(n)]})"
+            f"(k={F.k}, generator={list(x)}, w={[int(m in (i, j)) for m in range(n)]})"
         )
     return enumerate_shortest(G).span_rank == F.phi

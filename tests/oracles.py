@@ -4,8 +4,8 @@ Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data, except gram_from_rows, which builds the package's integer
-GramMatrix from a matrix with rational entries, and rotation_spot_check, which
-draws its ring elements, and multiplies them by zeta, with cyclo.element.
+GramMatrix from a matrix with rational entries.  rotation_spot_check takes the
+matrix of multiplication by zeta from zeta_on_basis, not from the package.
 Some are the package's own former algorithms, kept as references after a
 faster one replaced them (lll_rebuild, lll_fraction, span_rank_fraction,
 walk_fraction, apply_by_rows, window_minimal_vectors, gram_by_products,
@@ -778,9 +778,10 @@ def newton_trace_table(k: int) -> tuple[int, ...]:
     return (phi, *sums)
 
 
-def gram_by_products(F, x):
-    """Gram entries of the ideal lattice of x, basis x*zeta^i, with one element
-    product per entry: (i, j) is Tr(x*zeta^i * conj(x*zeta^j)) / 2.
+def gram_by_products(F, coeffs):
+    """Gram entries of the ideal lattice of x = sum coeffs[i] * zeta^i, basis
+    x*zeta^i, with one element product per entry: (i, j) is
+    Tr(x*zeta^i * conj(x*zeta^j)) / 2.
 
     Uses only the plain data of the field (k, phi, trace table) and the
     coefficients of x; products are reduced mod Phi_k here (reduce_cyclo).
@@ -793,7 +794,7 @@ def gram_by_products(F, x):
             acc[(k - i) % k] += v
         return reduce_cyclo(k, acc)
 
-    us = [reduce_cyclo(k, x.coeffs)]
+    us = [reduce_cyclo(k, coeffs)]
     for _ in range(phi - 1):
         us.append(reduce_cyclo(k, (0, *us[-1])))
     vs = [conj(u) for u in us]

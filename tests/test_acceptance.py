@@ -17,7 +17,6 @@ from wrlat import svp
 from wrlat.arith import QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cyclo import (
     cyclo_field,
-    element,
     gram_principal,
     verify_cyclotomic_theorem,
     verify_principal_ideal_wr,
@@ -227,7 +226,7 @@ def test_principal_cyclotomic_ideals():
                 coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
                 while not any(coeffs):
                     coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
-                assert verify_principal_ideal_wr(F, element(F, coeffs), rng=rng)
+                assert verify_principal_ideal_wr(F, coeffs, rng=rng)
 
 
 def test_hard_principal_ideals_of_zeta_35():
@@ -240,8 +239,8 @@ def test_hard_principal_ideals_of_zeta_35():
         F = cyclo_field(35)
         for seed, minimum in ((1, 859), (2, 935), (3, 856)):
             rng = random.Random(seed)
-            x = element(F, [rng.randint(-3, 3) for _ in range(F.phi)])
-            G = gram_principal(F, x)
+            x = [rng.randint(-3, 3) for _ in range(F.phi)]
+            G = gram_principal(F, x, range(F.phi))
             rep = enumerate_shortest(G)
             assert (rep.minimum, len(rep.vectors), rep.span_rank) == (2 * minimum, 70, 24), seed
             assert verify_principal_ideal_wr(F, x, rng=rng), seed
@@ -270,8 +269,8 @@ def test_principal_ideals_beyond_the_guard(monkeypatch):
         for k, minimum, count in ((37, 3201, 74), (41, 4034, 82)):
             F = cyclo_field(k)
             rng = random.Random(1)
-            x = element(F, [rng.randint(-3, 3) for _ in range(F.phi)])
-            rep = enumerate_shortest(gram_principal(F, x))
+            x = [rng.randint(-3, 3) for _ in range(F.phi)]
+            rep = enumerate_shortest(gram_principal(F, x, range(F.phi)))
             assert (rep.minimum, len(rep.vectors), rep.span_rank) == (2 * minimum, count, F.phi), k
             assert verify_principal_ideal_wr(F, x), k
         assert time.perf_counter() - start < 10.0

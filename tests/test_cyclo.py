@@ -7,7 +7,6 @@ import pytest
 
 from wrlat import cyclo
 from wrlat.cyclo import (
-    CycloElement,
     cyclo_field,
     element,
     gram_principal,
@@ -20,6 +19,7 @@ from oracles import (
     gram_by_products,
     gram_value,
     is_similar,
+    naive_factorization,
     newton_trace_table,
     numeric_gram,
     numeric_trace,
@@ -33,9 +33,9 @@ from oracles import (
 SMALL_K = (3, 4, 5, 6, 7, 8, 9, 12)
 
 
-def trace(u):
-    """Tr(u) from the field's trace table, linear in the coefficients."""
-    return sum(c * t for c, t in zip(u.coeffs, u.fld.trace_table))
+def trace(F, u):
+    """Tr(u) from the trace table of F, linear in the coefficients of u."""
+    return sum(c * t for c, t in zip(u, F.trace_table))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,13 @@ def test_cyclo_field_guard():
     for k in (0, 1, 2):
         with pytest.raises(ValueError, match="at least 3"):
             cyclo_field(k)
+
+
+def test_prime_powers_match_factorization():
+    # every k up to the cap of wrlat cyclo, 2 * 24**2
+    for k in range(3, 1153):
+        want = tuple((p**e, phi_by_factorization(p**e)) for p, e in sorted(naive_factorization(k).items()))
+        assert cyclo_field(k).prime_powers == want, k
 
 
 def test_trace_table_symmetry():
@@ -75,19 +82,8 @@ def test_trace_matches_numeric_embeddings():
     for k in SMALL_K:
         F = cyclo_field(k)
         for _ in range(20):
-            u = element(F, [rng.randint(-9, 9) for _ in range(F.phi)])
-            assert abs(trace(u) - numeric_trace(k, u.coeffs)) < 1e-6
-
-
-def test_mismatched_fields_rejected():
-    # a generator from another field is refused before any work, also when
-    # the two fields have the same degree
-    for k, other in ((5, 8), (5, 10), (3, 4)):
-        F, x = cyclo_field(k), element(cyclo_field(other), [1, 1])
-        with pytest.raises(ValueError, match="mismatched cyclotomic fields"):
-            gram_principal(F, x)
-        with pytest.raises(ValueError, match="mismatched cyclotomic fields"):
-            verify_principal_ideal_wr(F, x)
+            u = [rng.randint(-9, 9) for _ in range(F.phi)]
+            assert abs(trace(F, u) - numeric_trace(k, u)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +91,15 @@ def test_mismatched_fields_rejected():
 
 def test_gram_examples():
     F = cyclo_field(4)
-    G = gram_principal(F, element(F, [1]))
+    G = gram_principal(F, [1], range(F.phi))
     assert rational_entries(G, 2) == ((1, 0), (0, 1))
     # the integer traces, twice the Minkowski Gram matrix
     assert G.rows == ((2, 0), (0, 2))
     F = cyclo_field(3)
     h = Fraction(-1, 2)
-    assert rational_entries(gram_principal(F, element(F, [1])), 2) == ((1, h), (h, 1))
+    assert rational_entries(gram_principal(F, [1], range(F.phi)), 2) == ((1, h), (h, 1))
     F = cyclo_field(5)
-    entries = rational_entries(gram_principal(F, element(F, [1])), 2)
+    entries = rational_entries(gram_principal(F, [1], range(F.phi)), 2)
     for i in range(4):
         for j in range(4):
             assert entries[i][j] == (2 if i == j else Fraction(-1, 2))
@@ -119,7 +115,7 @@ def test_gram_rejects_zero():
         F = cyclo_field(k)
         assert not any(reduce_cyclo(k, coeffs))
         with pytest.raises(ValueError, match="zero element generates no lattice"):
-            gram_principal(F, element(F, coeffs))
+            gram_principal(F, coeffs, range(F.phi))
 
 
 def test_gram_matches_numeric_embeddings():
@@ -130,11 +126,24 @@ def test_gram_matches_numeric_embeddings():
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
             if not any(coeffs):
                 coeffs[0] = 1
-            entries = rational_entries(gram_principal(F, element(F, coeffs)), 2)
+            entries = rational_entries(gram_principal(F, coeffs, range(F.phi)), 2)
             N = numeric_gram(k, coeffs)
             for i in range(F.phi):
                 for j in range(F.phi):
                     assert abs(float(entries[i][j]) - N[i, j]) < 1e-6
+
+
+def test_elements_are_coefficient_sequences():
+    """A generator is any sequence of coefficients on 1, zeta, zeta^2, ...:
+    a list and the same coefficients as a tuple with trailing zeros give the
+    same Gram matrix, and element(F, c) is the tuple of c."""
+    for k, coeffs in ((5, [2, -1, 0, 3]), (12, [1, 2, 0, -1]), (15, [1, 0, 1])):
+        F = cyclo_field(k)
+        exponents = cyclo._powerful_basis(F)[0]
+        padded = tuple(coeffs) + (0,) * 3
+        assert gram_principal(F, coeffs, exponents).rows == gram_principal(F, padded, exponents).rows
+        assert verify_principal_ideal_wr(F, coeffs) is verify_principal_ideal_wr(F, padded)
+        assert element(F, coeffs) == tuple(coeffs)
 
 
 def _benchmark_generators():
@@ -168,8 +177,9 @@ def _gram_generators():
 def test_gram_matches_product_oracle():
     count = 0
     for F, coeffs in _gram_generators():
-        x = element(F, coeffs)
-        assert rational_entries(gram_principal(F, x), 2) == gram_by_products(F, x), (F.k, coeffs)
+        assert rational_entries(gram_principal(F, coeffs, range(F.phi)), 2) == gram_by_products(F, coeffs), (
+            F.k, coeffs
+        )
         count += 1
     assert count > 140
 
@@ -189,15 +199,15 @@ def test_powerful_basis_matches_power_basis():
         exponents, coords = cyclo._powerful_basis(F)
         assert sorted(exponents) == sorted(set(exponents)), F.k
         cols = [reduce_cyclo(F.k, [0] * e + [1]) for e in exponents]
-        seeded = element(F, [rng.randint(-3, 3) for _ in range(n)])
-        for x in (element(F, [1]), seeded):
-            power = gram_principal(F, x).rows
+        seeded = [rng.randint(-3, 3) for _ in range(n)]
+        for x in ([1], seeded):
+            power = gram_principal(F, x, range(F.phi)).rows
             want = tuple(
                 tuple(sum(a * power[r][s] * b for r, a in enumerate(cols[i]) for s, b in enumerate(cols[j]))
                       for j in range(n))
                 for i in range(n)
             )
-            assert gram_principal(F, x, exponents).rows == want, (F.k, x.coeffs)
+            assert gram_principal(F, x, exponents).rows == want, (F.k, x)
         for j in range(F.k):
             w = coords(j)
             assert tuple(sum(col[r] * c for col, c in zip(cols, w)) for r in range(n)) == (
@@ -220,9 +230,8 @@ def test_power_and_powerful_bases_give_the_same_lattice():
     the powerful basis that verify_principal_ideal_wr reads."""
     count = 0
     for F, coeffs in chain(_benchmark_generators(), _zeta_35_seeds()):
-        x = element(F, coeffs)
-        power = enumerate_shortest(gram_principal(F, x))
-        powerful = enumerate_shortest(gram_principal(F, x, cyclo._powerful_basis(F)[0]))
+        power = enumerate_shortest(gram_principal(F, coeffs, range(F.phi)))
+        powerful = enumerate_shortest(gram_principal(F, coeffs, cyclo._powerful_basis(F)[0]))
         assert (power.minimum, len(power.vectors), power.span_rank) == (
             powerful.minimum, len(powerful.vectors), powerful.span_rank
         ), (F.k, coeffs)
@@ -244,22 +253,22 @@ def test_verify_cyclotomic_theorem_small():
 
 def test_verify_principal_ideal_examples():
     F = cyclo_field(8)
-    assert verify_principal_ideal_wr(F, element(F, [1, 1]))
+    assert verify_principal_ideal_wr(F, [1, 1])
     # <2> in the third cyclotomic field is similar to the full ring
     F = cyclo_field(3)
-    assert verify_principal_ideal_wr(F, element(F, [2]))
-    g2 = rational_entries(gram_principal(F, element(F, [2])), 2)
-    g1 = rational_entries(gram_principal(F, element(F, [1])), 2)
+    assert verify_principal_ideal_wr(F, [2])
+    g2 = rational_entries(gram_principal(F, [2], range(F.phi)), 2)
+    g1 = rational_entries(gram_principal(F, [1], range(F.phi)), 2)
     f2 = (g2[0][0], 2 * g2[0][1], g2[1][1])
     f1 = (g1[0][0], 2 * g1[0][1], g1[1][1])
     assert is_similar(f2, f1)
     # a unit multiple is literally the same lattice
     F = cyclo_field(5)
-    assert verify_principal_ideal_wr(F, element(F, [0, 1]))
+    assert verify_principal_ideal_wr(F, [0, 1])
     rep1 = verify_cyclotomic_theorem(F)
     from wrlat.svp import enumerate_shortest
 
-    rep2 = enumerate_shortest(gram_principal(F, element(F, [0, 1])))
+    rep2 = enumerate_shortest(gram_principal(F, [0, 1], range(F.phi)))
     assert Fraction(rep2.minimum, 2) == rep1.minimum
 
 
@@ -267,7 +276,7 @@ def test_verify_principal_rejects_zero():
     for k, coeffs in ZEROS:
         F = cyclo_field(k)
         with pytest.raises(ValueError, match="zero element generates no lattice"):
-            verify_principal_ideal_wr(F, element(F, coeffs))
+            verify_principal_ideal_wr(F, coeffs)
 
 
 def _witness(msg):
@@ -292,9 +301,9 @@ def test_rotation_violation_names_its_witness(monkeypatch):
     # first diagonal entry already fails, Q(zeta e_0) = Q(e_1) = 2 != 1, so
     # the witness is e_0 whatever rng is passed
     skewed = GramMatrix(tuple(tuple(i + 1 if i == j else 0 for j in range(4)) for i in range(4)))
-    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts=None: skewed)
+    monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts: skewed)
     with pytest.raises(InvariantViolation) as info:
-        verify_principal_ideal_wr(F, element(F, gen), rng=random.Random(31))
+        verify_principal_ideal_wr(F, gen, rng=random.Random(31))
     msg = str(info.value)
     assert "k=5" in msg
     assert f"generator={gen}" in msg
@@ -319,19 +328,19 @@ def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
     def exact(F, coeffs):
         """The exact check's witness, or None when it passes."""
         try:
-            assert verify_principal_ideal_wr(F, element(F, coeffs)) is False
+            assert verify_principal_ideal_wr(F, coeffs) is False
         except InvariantViolation as exc:
             return _witness(str(exc))
         return None
 
     for F, coeffs in chain(_benchmark_generators(), _zeta_35_seeds()):
-        G = gram_principal(F, element(F, coeffs), cyclo._powerful_basis(F)[0])
+        G = gram_principal(F, coeffs, cyclo._powerful_basis(F)[0])
         assert exact(F, coeffs) is None, (F.k, coeffs)
         zeta = _zeta_on_powerful_basis(F)
         assert rotation_spot_check(G.rows, zeta, random.Random(20210), 100) is None, (F.k, coeffs)
     witness_sizes = set()
     for F, coeffs in [(cyclo_field(k), [1]) for k in (5, 8, 12)] + [next(_benchmark_generators())]:
-        rows = gram_principal(F, element(F, coeffs), cyclo._powerful_basis(F)[0]).rows
+        rows = gram_principal(F, coeffs, cyclo._powerful_basis(F)[0]).rows
         zeta = _zeta_on_powerful_basis(F)
         for i in range(F.phi):
             for j in range(i, F.phi):
@@ -342,7 +351,7 @@ def test_exact_rotation_check_agrees_with_spot_checks(monkeypatch):
                     G = GramMatrix(bumped)
                 except ValueError:
                     continue
-                monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts=None: G)
+                monkeypatch.setattr(cyclo, "gram_principal", lambda F, x, shifts: G)
                 w = exact(F, coeffs)
                 assert w is not None and _changes_length(zeta, G.rows, w), (F.k, i, j)
                 assert rotation_spot_check(G.rows, zeta, random.Random(20210), 100), (F.k, i, j)

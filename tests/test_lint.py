@@ -86,15 +86,15 @@ def test_guard_flags_an_unused_function():
 
 
 def test_guard_flags_an_unused_method():
-    # times_zeta as CycloElement defined it while verify_cyclotomic_theorem
-    # called it, put back with no caller
+    # a method of CycloField that nothing calls: the trace of zeta^j, which
+    # the field's callers read off trace_table directly
     package = _sources(ROOT / "src" / "wrlat")
-    old = "    fld: CycloField\n"
+    old = "    prime_powers: tuple[tuple[int, int], ...]\n"
     assert old in package["cyclo"]
     package["cyclo"] = package["cyclo"].replace(old, old + (
-        "\n    def times_zeta(self):\n        return element(self.fld, (0,) + self.coeffs)\n"
+        "\n    def trace_of_power(self, j):\n        return self.trace_table[j % self.k]\n"
     ))
-    assert unreferenced(package, _sources(ROOT / "wrbench")) == ["cyclo.CycloElement.times_zeta"]
+    assert unreferenced(package, _sources(ROOT / "wrbench")) == ["cyclo.CycloField.trace_of_power"]
 
 
 def _oracles_and_readers() -> tuple[dict[str, str], dict[str, str]]:

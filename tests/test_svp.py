@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wrlat import cyclo, svp
 from wrlat.arith import QuadOrder
-from wrlat.cyclo import cyclo_field, element, gram_principal
+from wrlat.cyclo import cyclo_field, gram_principal
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal
 from wrlat.survey import classify_triple
@@ -104,7 +104,8 @@ def test_lll_examples():
     assert red[0][0] < 15
     # power-basis Gram of the fifth cyclotomic field: diagonal cannot drop
     # below the lattice minimum 2 (half the trace form)
-    G = gram_principal(cyclo_field(5), element(cyclo_field(5), [1]))
+    F = cyclo_field(5)
+    G = gram_principal(F, [1], range(F.phi))
     red = transform_gram(rational_entries(G, 2), lll_reduce(G)[2])
     assert all(red[i][i] >= 2 for i in range(G.n))
 
@@ -139,14 +140,14 @@ def _lll_inputs():
     for k in range(3, 91):
         if phi_by_factorization(k) <= 24:
             F = cyclo_field(k)
-            yield f"ring k={k}", gram_principal(F, element(F, [1])), 2
+            yield f"ring k={k}", gram_principal(F, [1], range(F.phi)), 2
     rng = random.Random(0)
     for k in (13, 17, 19, 21, 25, 27, 28, 32, 36, 40, 44, 48, 60):
         F = cyclo_field(k)
         coeffs = [0]
         while not any(coeffs):
             coeffs = [rng.randint(-3, 3) for _ in range(F.phi)]
-        yield f"ideal k={k} {coeffs}", gram_principal(F, element(F, coeffs)), 2
+        yield f"ideal k={k} {coeffs}", gram_principal(F, coeffs, range(F.phi)), 2
     rng = random.Random(2024)
     for n in range(2, 9):
         for i in range(4):
@@ -230,7 +231,7 @@ def test_lll_rounds_exact_ties_upwards():
 
 def test_enumeration_reuses_stored_ldl(monkeypatch):
     F = cyclo_field(12)
-    G = gram_principal(F, element(F, [1, 2, 0, -1]))
+    G = gram_principal(F, [1, 2, 0, -1], range(F.phi))
     assert fraction_gram_schmidt(*G.ldl) == ldl_factor(G.rows)
     calls = []
     real_ldl = svp._ldl
@@ -344,14 +345,14 @@ def _map_back_inputs():
     for k in range(3, 91):
         if phi_by_factorization(k) <= 24:
             F = cyclo_field(k)
-            yield f"ring k={k}", gram_principal(F, element(F, [1]), cyclo._powerful_basis(F)[0])
+            yield f"ring k={k}", gram_principal(F, [1], cyclo._powerful_basis(F)[0])
     for label, G, _ in _lll_inputs():
         if label.startswith("ideal"):
             yield label, G
     F = cyclo_field(35)
     for seed in (1, 2, 3):
         rng = random.Random(seed)
-        yield f"zeta_35 seed {seed}", gram_principal(F, element(F, [rng.randint(-3, 3) for _ in range(F.phi)]))
+        yield f"zeta_35 seed {seed}", gram_principal(F, [rng.randint(-3, 3) for _ in range(F.phi)], range(F.phi))
 
 
 def _sparse_map_back_agrees(G):
@@ -401,11 +402,11 @@ def test_enumerate_simple_cases():
 
 def test_enumerate_cyclotomic_examples():
     F = cyclo_field(5)
-    rep = enumerate_shortest(gram_principal(F, element(F, [1])))
+    rep = enumerate_shortest(gram_principal(F, [1], range(F.phi)))
     # the trace-form minimum, twice the Minkowski minimum phi/2 = 2
     assert rep.minimum == 4 and len(rep.vectors) == 10 and rep.span_rank == 4
     F = cyclo_field(8)
-    G = gram_principal(F, element(F, [1]))
+    G = gram_principal(F, [1], range(F.phi))
     assert enumerate_shortest(G).span_rank == G.n
 
 
