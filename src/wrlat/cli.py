@@ -118,31 +118,51 @@ def _add_common(sub):
 
 
 # one formatter per output format: a list of classify_triple rows to one
-# string, one f-string per record
+# string, one f-string per record.  The survey calls them on one radicand's
+# rows, never none (every radicand has the unit ideal), so the CSV and JSON
+# ones read D and order_maximal once, from the first row
 
 # the tail "1,n_minimal,wr,hexagonal,order_maximal" of a CSV record, indexed
 # [order_maximal][n_minimal]: the minimum is an int, so minimum_den is 1, and
 # classify_triple's n_minimal decides wr (4 or 6) and hexagonal (6)
 _CSV_TAIL = tuple({n: f"1,{n},{_TF[n > 2]},{_TF[n == 6]},{tf}\n" for n in (2, 4, 6)} for tf in _TF)
 
+# _DECIMALS[i] is str(i): the survey formatters read a, b, g and the norm from
+# it, and a radicand's rows come sorted by norm, g <= a <= norm and b < a, so
+# its last norm bounds every index.  SurveyConfig caps the norm bound, so the
+# list holds at most MAX_NORM_BOUND + 1 strings; _records_text, which formats
+# classify's row of unbounded norm, does not use it.
+_DECIMALS: list[str] = []
+
+
+def _decimals(rows) -> list[str]:
+    """_DECIMALS, grown to the last norm of one radicand's `rows`."""
+    n = rows[-1][4] + 1
+    if len(_DECIMALS) < n:
+        _DECIMALS.extend(map(str, range(len(_DECIMALS), n)))
+    return _DECIMALS
+
 
 def _records_csv(rows) -> str:
+    dec, head, tail = _decimals(rows), f"{rows[0][0]},", _CSV_TAIL[rows[0][9]]
     return "".join([
-        f"{D},{a},{b},{g},{norm},{minimum},{_CSV_TAIL[maximal][n_minimal]}"
-        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
+        f"{head}{dec[a]},{dec[b]},{dec[g]},{dec[norm]},{minimum},{tail[n_minimal]}"
+        for _, a, b, g, norm, minimum, n_minimal, _, _, _ in rows
     ])
 
 
 def _records_json(rows) -> str:
     # the record objects of json.dumps({"records": [...]}, indent=2), joined
     # by ",\n": the json module's indented encoder is pure Python
+    dec, maximal = _decimals(rows), _TF[rows[0][9]]
+    head = f'    {{\n      "D": {rows[0][0]},\n      "a": '
     return ",\n".join([
-        f'    {{\n      "D": {D},\n      "a": {a},\n      "b": {b},\n'
-        f'      "g": {g},\n      "norm": {norm},\n      "minimum_num": {minimum},\n'
+        f'{head}{dec[a]},\n      "b": {dec[b]},\n'
+        f'      "g": {dec[g]},\n      "norm": {dec[norm]},\n      "minimum_num": {minimum},\n'
         f'      "minimum_den": 1,\n      "n_minimal": {n_minimal},\n'
         f'      "wr": {_TF[wr]},\n      "hexagonal": {_TF[hexagonal]},\n'
-        f'      "order_maximal": {_TF[maximal]}\n    }}'
-        for D, a, b, g, norm, minimum, n_minimal, wr, hexagonal, maximal in rows
+        f'      "order_maximal": {maximal}\n    }}'
+        for _, a, b, g, norm, minimum, n_minimal, wr, hexagonal, _ in rows
     ])
 
 

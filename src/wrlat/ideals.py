@@ -6,10 +6,12 @@ g*a | N(b + g*delta); the ideal then has norm a*g.  Since
 N(b + g*delta) = g^2 * N(b/g + delta), (a, b, g) is an ideal exactly when the
 primitive triple (a/g, b/g, 1) is one.  The primitive triples of a given a
 are the roots b of f(b) = N(b + delta) = b^2 + Tr(delta)*b + N(delta) modulo
-a, so enumeration roots f modulo each prime (Tonelli-Shanks), lifts the roots
-to prime powers, combines them by the Chinese remainder theorem (Cohen, A
-Course in Computational Algebraic Number Theory, 1.5-1.6) and scales each
-primitive triple by g.  Norm bounds are capped at MAX_NORM_BOUND.
+a, so enumeration roots f modulo each prime (Tonelli-Shanks, one pow per
+prime from constants kept with the sieve, which also decides residuosity),
+lifts the roots to prime powers, combines them by the Chinese remainder
+theorem (Cohen, A Course in Computational Algebraic Number Theory, 1.5-1.6)
+and scales each primitive triple by g.  Norm bounds are capped at
+MAX_NORM_BOUND.
 
 IdealTriple is the gate for user input (wrlat classify, the families and the
 tables): its constructor checks the conditions above.  primitive_ideals
@@ -70,11 +72,13 @@ def check_norm_bound(norm_bound: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """For a = 2..n, the tuple (p, q, m, inv): p the smallest prime factor of
-    a, q its full power in a, m = a // q and inv the inverse of m modulo q (0
-    when m = 1).  None of it depends on the order, and a survey enumerates
-    every radicand with one bound, so the last table is kept."""
+def _splits(n: int) -> tuple[tuple[int, int, int, int, tuple[int, int, int] | None], ...]:
+    """For a = 2..n, the tuple (p, q, m, inv, ts): p the smallest prime factor
+    of a, q its full power in a, m = a // q, inv the inverse of m modulo q (0
+    when m = 1), and for an odd prime a = p, ts = (e, u, c) with p - 1 = 2^e*u,
+    u odd, and c = z^u mod p for the least non-residue z (None otherwise).
+    None of it depends on the order, and a survey enumerates every radicand
+    with one bound, so the last table is kept."""
     spf = list(range(n + 1))
     # descending, so a smaller divisor overwrites a larger one; the smallest
     # divisor p > 1 of a composite k is prime and has p*p <= k
@@ -87,45 +91,53 @@ def _splits(n: int) -> tuple[tuple[int, int, int, int], ...]:
         while m % p == 0:
             q *= p
             m //= p
-        out.append((p, q, m, pow(m, -1, q) if m > 1 else 0))
+        ts = None
+        if a == p > 2:
+            e = ((p - 1) & (1 - p)).bit_length() - 1  # 2^e is the largest power of 2 dividing p - 1
+            u = (p - 1) >> e
+            if e == 1:  # z^u = z^((p-1)/2) = -1 for every non-residue z
+                ts = 1, u, p - 1
+            else:
+                z = 2
+                while pow(z, (p - 1) // 2, p) != p - 1:
+                    z += 1
+                ts = e, u, pow(z, u, p)
+        out.append((p, q, m, pow(m, -1, q) if m > 1 else 0, ts))
     return tuple(out)
 
 
-def _sqrt_mod_prime(n: int, p: int) -> int:
-    """A square root of the quadratic residue n modulo the odd prime p
-    (Tonelli-Shanks)."""
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
-    if t == 1:  # always so for p = 3 (mod 4)
-        return r
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
+def _roots_mod_prime(p: int, ts, tr: int, nm: int, disc: int) -> list[int]:
+    """The roots of b^2 + tr*b + nm modulo the prime p; disc = tr^2 - 4*nm and
+    ts = (e, u, c) is _splits' entry for an odd p.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number Theory,
+    1.5.1) from one pow: w = n^((u-1)/2), r = w*n and t = w*r = n^u for
+    n = disc mod p, so that r^2 = t*n.  t has order 2^i dividing 2^e, and n is
+    a residue exactly when t^(2^(e-1)) = n^((p-1)/2) = 1, i < e; each step
+    multiplies r by b = c^(2^(e-i-1)) and t by b^2, an element of order 2^i,
+    so t's order falls until t = 1 and r^2 = n."""
+    if p == 2:
+        return [b for b in (0, 1) if (b * (b + tr) + nm) % 2 == 0]
+    half = (p + 1) // 2  # the inverse of 2 modulo p
+    n = disc % p
+    if n == 0:
+        return [-tr * half % p]
+    e, u, c = ts
+    w = pow(n, (u - 1) // 2, p)
+    r = w * n % p
+    t = w * r % p
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _roots_mod_prime(p: int, tr: int, nm: int, disc: int) -> list[int]:
-    """The roots of b^2 + tr*b + nm modulo the prime p; disc = tr^2 - 4*nm."""
-    if p == 2:
-        return [b for b in (0, 1) if (b * (b + tr) + nm) % 2 == 0]
-    half = (p + 1) // 2  # the inverse of 2 modulo p
-    if disc % p == 0:
-        return [-tr * half % p]
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return []
-    s = _sqrt_mod_prime(disc % p, p)
-    return [(s - tr) * half % p, (-s - tr) * half % p]
+        if i == e:  # t^(2^(e-1)) != 1: n is a non-residue
+            return []
+        for _ in range(e - i - 1):
+            c = c * c % p
+        e, r, c = i, r * c % p, c * c % p
+        t = t * c % p
+    return [(r - tr) * half % p, (-r - tr) * half % p]
 
 
 def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]:
@@ -135,27 +147,27 @@ def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]
     The b are the roots of f(b) = b*(b + Tr(delta)) + N(delta) modulo a, for
     a = 1..norm_bound along a smallest-prime-factor sieve.  Modulo a prime p
     they are both residues tested for p = 2, the double root -Tr(delta)/2 for
-    p | disc and (-Tr(delta) +- sqrt(disc))/2 otherwise, disc = Tr(delta)^2 -
-    4*N(delta).  Each root r modulo p^(e-1) lifts by testing r + k*p^(e-1)
-    for k < p, which covers the repeated roots of p | disc too.  Modulo
-    a = q*m, q the full power of a's smallest prime, they are the CRT
-    combinations of the roots modulo q and m, none when either has none.
-    As f(-Tr(delta) - b) = f(b), the roots come in pairs b, (-Tr(delta) - b)
-    mod a: an ideal and its conjugate.  Raises ValueError for a bound
-    outside [1, MAX_NORM_BOUND].
+    p | disc and (-Tr(delta) +- sqrt(disc))/2 otherwise (none when disc is no
+    square modulo p), disc = Tr(delta)^2 - 4*N(delta).  Each root r modulo
+    p^(e-1) lifts by testing r + k*p^(e-1) for k < p, which covers the
+    repeated roots of p | disc too.  Modulo a = q*m, q the full power of a's
+    smallest prime, they are the CRT combinations of the roots modulo q and
+    m, none when either has none.  As f(-Tr(delta) - b) = f(b), the roots
+    come in pairs b, (-Tr(delta) - b) mod a: an ideal and its conjugate.
+    Raises ValueError for a bound outside [1, MAX_NORM_BOUND].
     """
     check_norm_bound(norm_bound)
     tr, nm = order.delta_trace, order.delta_norm
     disc = tr * tr - 4 * nm
     roots: list[list[int]] = [[], [0]]
-    for p, q, m, inv in _splits(norm_bound):
+    for p, q, m, inv, ts in _splits(norm_bound):
         if m > 1:  # a = q*m with gcd(q, m) = 1
             if not (roots[q] and roots[m]):  # no root modulo q or m, so none modulo a
                 roots.append([])
                 continue
             rs = [s + m * ((r - s) * inv % q) for r in roots[q] for s in roots[m]]
         elif q == p:
-            rs = _roots_mod_prime(p, tr, nm, disc)
+            rs = _roots_mod_prime(p, ts, tr, nm, disc)
         else:
             step = q // p
             rs = [b for r in roots[step] for b in range(r, q, step) if (b * (b + tr) + nm) % q == 0]

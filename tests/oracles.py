@@ -9,10 +9,10 @@ matrix of multiplication by zeta from zeta_on_basis, not from the package.
 Some are the package's own former algorithms, kept as references after a
 faster one replaced them (lll_rebuild, lll_fraction, span_rank_fraction,
 walk_fraction, apply_by_rows, window_minimal_vectors, gram_by_products,
-rotation_spot_check, enumerate_ideals_scan, render_records_reference) or
-after the package stopped needing them (hnf_triple, the canonical triple of
-an ideal from its generators, and is_similar, lattice similarity of two
-binary forms).
+rotation_spot_check, enumerate_ideals_scan, roots_mod_prime_legendre,
+render_records_reference) or after the package stopped needing them
+(hnf_triple, the canonical triple of an ideal from its generators, and
+is_similar, lattice similarity of two binary forms).
 """
 
 import csv
@@ -609,6 +609,50 @@ def enumerate_ideals_scan(order, norm_bound: int) -> list[tuple[int, int, int]]:
                     g += 1
     out.sort(key=lambda t: (t[0] * t[2], t[0], t[1], t[2]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# roots of b^2 + Tr(delta)*b + N(delta) modulo a prime, one Legendre test first
+
+def sqrt_mod_prime_tonelli(n: int, p: int) -> int:
+    """A square root of the quadratic residue n modulo the odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
+    if t == 1:  # always so for p = 3 (mod 4)
+        return r
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def roots_mod_prime_legendre(p: int, tr: int, nm: int, disc: int) -> list[int]:
+    """The roots of b^2 + tr*b + nm modulo the prime p; disc = tr^2 - 4*nm.
+
+    The package's former root finder: Euler's criterion decides whether disc
+    is a residue, then Tonelli-Shanks searches its own non-residue and takes
+    the square root."""
+    if p == 2:
+        return [b for b in (0, 1) if (b * (b + tr) + nm) % 2 == 0]
+    half = (p + 1) // 2  # the inverse of 2 modulo p
+    if disc % p == 0:
+        return [-tr * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = sqrt_mod_prime_tonelli(disc % p, p)
+    return [(s - tr) * half % p, (-s - tr) * half % p]
 
 
 # ---------------------------------------------------------------------------

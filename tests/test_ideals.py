@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder, is_valid_radicand, norm_xy
-from wrlat.ideals import MAX_NORM_BOUND, IdealTriple, _sqrt_mod_prime, enumerate_ideals, primitive_ideals
-from oracles import coset_index, enumerate_ideals_scan, hnf_triple
+from wrlat.ideals import (
+    MAX_NORM_BOUND, IdealTriple, _roots_mod_prime, _splits, enumerate_ideals, primitive_ideals,
+)
+from oracles import coset_index, enumerate_ideals_scan, hnf_triple, roots_mod_prime_legendre
 
 radicands = st.integers(-60, 60).filter(is_valid_radicand)
 
@@ -229,13 +231,39 @@ def test_primitive_ideals_match_scan():
             assert primitive_ideals(o, bound) == want, (D, bound)
 
 
+def tonelli_constants(p):
+    """_splits' (e, u, c) for the odd prime p."""
+    *_, ts = _splits(p)[p - 2]
+    return ts
+
+
 def test_sqrt_mod_prime_with_deep_two_power_in_p_minus_1():
-    # 2^s | p - 1 with s up to 16, so Tonelli-Shanks runs its inner loop
+    # 2^s | p - 1 with s up to 16, so Tonelli-Shanks runs its inner loop; the
+    # roots of b^2 - n are the square roots of n, and a non-residue has none
     for p in (17, 97, 193, 257, 7681, 12289, 65537):
+        ts = tonelli_constants(p)
         for n in range(1, min(p, 400)):
+            roots = _roots_mod_prime(p, ts, 0, -n, 4 * n)
             if pow(n, (p - 1) // 2, p) == 1:
-                r = _sqrt_mod_prime(n, p)
-                assert 0 <= r < p and r * r % p == n
+                assert len(roots) == 2 and all(0 <= r < p and r * r % p == n for r in roots)
+            else:
+                assert roots == []
+
+
+def test_roots_mod_prime_match_legendre_and_tonelli():
+    # every odd prime p < 2000 with its Tonelli-Shanks constants from the table,
+    # every N(delta) mod p and both traces: the root finder's one pow agrees
+    # with a Legendre test followed by Tonelli-Shanks
+    for p, *_, ts in _splits(1999):
+        if ts is None:  # 2 or no prime
+            continue
+        for tr in (0, 1):
+            for nm in range(p):
+                disc = tr * tr - 4 * nm
+                got = sorted(_roots_mod_prime(p, ts, tr, nm, disc))
+                assert got == sorted(roots_mod_prime_legendre(p, tr, nm, disc)), (p, tr, nm)
+                if pow(disc, (p - 1) // 2, p) == p - 1:
+                    assert got == [], (p, tr, nm)
 
 
 def test_enumerated_ideals_closed_under_conjugation():

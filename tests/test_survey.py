@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wrlat.arith
+import wrlat.cli
 import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
@@ -514,6 +515,49 @@ def test_empty_survey_matches_reference_renderer(monkeypatch, capsys, tmp_path, 
     cfg = SurveyConfig(d_min=0, d_max=1, norm_bound=20, workers=workers)
     assert survey(cfg) == ([], {"records": 0, "wr": 0, "hexagonal": 0, "bound_ok": 0})
     assert_survey_matches_reference(capsys, tmp_path, cfg, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("D", [-3, -5, 21])
+def test_survey_formatters_match_reference_up_to_the_norm_bound(capsys, tmp_path, fmt, D):
+    """a, b, g and the norm up to 500 come from the decimal table, the real
+    minima of D = 21 above it from the int: both match the reference bytes."""
+    cfg = SurveyConfig(d_min=D, d_max=D, norm_bound=500)
+    records, _ = survey(cfg)
+    assert max(r.norm for r in records) > 450
+    assert D < 0 or max(r.minimum for r in records) > 500
+    assert_survey_matches_reference(capsys, tmp_path, cfg, fmt)
+
+
+@pytest.mark.parametrize("norm_bound", [7, 60])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_survey_decimal_table_stays_within_the_norm_bound(monkeypatch, capsys, fmt, norm_bound):
+    monkeypatch.setattr(wrlat.cli, "_DECIMALS", [])
+    survey_output(capsys, -40, 40, norm_bound, fmt)
+    table = wrlat.cli._DECIMALS
+    assert 1 < len(table) <= norm_bound + 1
+    assert table == [str(i) for i in range(len(table))]
+
+
+# 5^40 and a root of b^2 + 1 modulo it, so (5^40, B + delta) is an ideal of Z[i]
+# whose norm is far beyond any survey's bound
+_BIG_A = 5**40
+_BIG_B = 2224618918409236552857702057
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("text", f"D=-1 (a,b,g)=({_BIG_A},{_BIG_B},1) norm={_BIG_A} min={_BIG_A} "
+             "nmin=4 wr=yes hex=no maximal=yes\n"),
+    ("csv", f"{','.join(RECORD_COLUMNS)}\n-1,{_BIG_A},{_BIG_B},1,{_BIG_A},{_BIG_A},1,4,true,false,true\n"),
+    ("json", json.dumps(dict(zip(RECORD_COLUMNS, (-1, _BIG_A, _BIG_B, 1, _BIG_A, _BIG_A, 1, 4,
+                                                  True, False, True))), indent=2) + "\n"),
+])
+def test_classify_of_a_huge_norm_leaves_the_decimal_table_alone(capsys, fmt, want):
+    assert (_BIG_B * _BIG_B + 1) % _BIG_A == 0
+    before = len(wrlat.cli._DECIMALS)
+    assert main(["classify", "--format", fmt, "--", "-1", str(_BIG_A), str(_BIG_B), "1"]) == 0
+    assert capsys.readouterr() == (want, "")
+    assert len(wrlat.cli._DECIMALS) == before
 
 
 # ---------------------------------------------------------------------------
