@@ -37,7 +37,7 @@ from .cyclo import CycloTheoremReport, cyclo_field, verify_cyclotomic_theorem
 from .errors import InvariantViolation
 from .families import family_stream
 from .ideals import IdealTriple
-from .survey import SurveyConfig, TableRow, classify_triple, reference_tables, run_survey
+from .survey import SurveyConfig, TableRow, ideal_shape, reference_tables, run_survey
 from .svp import MAX_ENUM_DIM
 
 EXIT_OK = 0
@@ -211,7 +211,8 @@ def _cmd_classify(args, fh) -> int:
     # main maps a bad radicand or triple (ValueError) to exit 2 and a bound
     # violation (InvariantViolation) to exit 3
     t = IdealTriple(args.a, args.b, args.g, QuadOrder(args.D))
-    (row,) = classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))], t.order.maximal)
+    row = (t.order.D, t.a, t.b, t.g, t.a * t.g, *ideal_shape(t.order, t.a // t.g, t.b // t.g, t.g),
+           t.order.maximal)
     # the integer minimum fills minimum_num and minimum_den = 1
     render(fh, args.format, [row], RECORD_COLUMNS, _records_text, row=lambda r: (*r[:6], 1, *r[6:]))
     return EXIT_OK if row[7] else EXIT_NOT_WR

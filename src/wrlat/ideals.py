@@ -10,14 +10,17 @@ a, so enumeration roots f modulo each prime (Tonelli-Shanks, one pow per
 prime from constants kept with the sieve, which also decides residuosity),
 lifts the roots to prime powers, combines them by the Chinese remainder
 theorem (Cohen, A Course in Computational Algebraic Number Theory, 1.5-1.6)
-and scales each primitive triple by g.  Norm bounds are capped at
-MAX_NORM_BOUND.
+and scales each primitive triple by g.  The multiples of norm N are the g*I
+with g^2 | N, listed by square_divisors, a table kept for every radicand
+(it replaced a table of each a's multipliers, whose triples needed a sort
+by norm).  Norm bounds are capped at MAX_NORM_BOUND.
 
 IdealTriple is the gate for user input (wrlat classify, the families and the
 tables): its constructor checks the conditions above.  primitive_ideals
-builds only valid primitive pairs, so it returns them as plain (a, b) tuples
-and a survey, which classifies each one and scales it to its multiples, runs
-on ints without checking them again; enumerate_ideals lists every triple.
+builds only valid primitive ideals, so it returns them as plain lists of
+roots b per a, and a survey, which classifies each one and scales it to its
+multiples, runs on ints without checking them again; enumerate_ideals lists
+every triple in (norm, a, b, g) order, read off the same walk by norm.
 """
 
 from __future__ import annotations
@@ -98,8 +101,10 @@ def _splits(n: int) -> tuple[tuple[int, int, int, int, tuple[int, int, int] | No
             if e == 1:  # z^u = z^((p-1)/2) = -1 for every non-residue z
                 ts = 1, u, p - 1
             else:
+                # 2 is a non-residue exactly when p = +-3 (mod 8), and p = 1
+                # (mod 4) here, so for p = 5 (mod 8) it is the least one
                 z = 2
-                while pow(z, (p - 1) // 2, p) != p - 1:
+                while p % 8 == 1 and pow(z, (p - 1) // 2, p) != p - 1:
                     z += 1
                 ts = e, u, pow(z, u, p)
         out.append((p, q, m, pow(m, -1, q) if m > 1 else 0, ts))
@@ -140,9 +145,10 @@ def _roots_mod_prime(p: int, ts, tr: int, nm: int, disc: int) -> list[int]:
     return [(r - tr) * half % p, (-r - tr) * half % p]
 
 
-def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]:
-    """Every primitive pair (a, b), the ideal (a, b + delta) of norm a, with
-    a <= norm_bound, sorted by (a, b).
+def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[list[int]]:
+    """The primitive ideals (a, b + delta) of norm a <= norm_bound as root
+    lists: roots[a] holds their b in ascending order, for a = 0..norm_bound
+    (roots[0] is empty).
 
     The b are the roots of f(b) = b*(b + Tr(delta)) + N(delta) modulo a, for
     a = 1..norm_bound along a smallest-prime-factor sieve.  Modulo a prime p
@@ -173,21 +179,32 @@ def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int]]
             rs = [b for r in roots[step] for b in range(r, q, step) if (b * (b + tr) + nm) % q == 0]
         rs.sort()
         roots.append(rs)
-    return [(a, b) for a, rs in enumerate(roots) for b in rs]
+    return roots
 
 
 @lru_cache(maxsize=1)
-def multipliers(norm_bound: int) -> tuple[range, ...]:
-    """For a = 0..norm_bound, the g >= 1 with g^2*a <= norm_bound (none for a = 0),
-    so that the multiples (g*a, g*b, g) of a primitive pair (a, b) lie in the bound."""
-    return (range(0), *(range(1, isqrt(norm_bound // a) + 1) for a in range(1, norm_bound + 1)))
+def square_divisors(norm_bound: int) -> tuple[tuple[int, ...], ...]:
+    """For N = 0..norm_bound, the g >= 2 with g^2 | N in descending order (none
+    for N = 0): the norm N ideals g*I, I = (N/g^2, b + delta) primitive, come
+    by ascending a = N/g, then the primitive ones of a = N.  Built by stepping
+    through the multiples of each g^2, and kept, as it is the same for every
+    radicand."""
+    table: list[tuple[int, ...]] = [()] * (norm_bound + 1)
+    for g in range(isqrt(norm_bound), 1, -1):
+        for n in range(g * g, norm_bound + 1, g * g):
+            table[n] += (g,)
+    return tuple(table)
 
 
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, int]]:
     """Every valid triple (a, b, g) with a*g <= norm_bound, sorted by
     (norm, a, b, g): the multiples (g*a, g*b, g) of each primitive pair
-    (a, b).  Raises ValueError for a bound outside [1, MAX_NORM_BOUND]."""
-    pairs, gs = primitive_ideals(order, norm_bound), multipliers(norm_bound)
-    keys = [(g * g * a, g * a, g * b, g) for a, b in pairs for g in gs[a]]
-    keys.sort()
-    return [(a, b, g) for _, a, b, g in keys]
+    (a, b), read off by norm along square_divisors.  Raises ValueError for a
+    bound outside [1, MAX_NORM_BOUND]."""
+    roots = primitive_ideals(order, norm_bound)
+    out = []
+    for n, gs in enumerate(square_divisors(norm_bound)):
+        for g in gs:
+            out += [(n // g, g * b, g) for b in roots[n // (g * g)]]
+        out += [(n, b, 1) for b in roots[n]]
+    return out

@@ -10,8 +10,9 @@ well-rounded exactly when c1 = c3, and hexagonal exactly when also c1 = c2
 (Buchmann & Vollmer, Binary Quadratic Forms).  The form of g*I is g^2 times
 that of I, and the reduction commutes with that scaling, so a survey reduces
 one primitive ideal of each conjugate pair once (the two forms are
-equivalent) in survey.classify_triple, reads both ideals and their multiples
-off the same coefficients and checks each row's minimum bound; the families
+equivalent) in survey.ideal_shape, which checks its minimum bound, and
+survey.classify_triple reads both ideals and their multiples off the same
+coefficients; the families
 cross-check their closed forms against form_from_ideal; only the tables
 print minimal vectors, which minimal_vectors gets from
 svp.enumerate_shortest.  Forms are plain integer triples, and all is exact.

@@ -1,11 +1,12 @@
 """Batch classification of quadratic ideal lattices and the reference tables.
 
-A survey task is one radicand: build its order, enumerate its primitive
-ideals, classify each one and its multiples g*I within the norm bound in
-one loop (classify_triple: one reduction per conjugate pair I, conj(I) of
-primitive ideals, whose lattices are congruent for either sign of D, the
-multiples by scaling), sort the rows and hand them to the caller's `emit`,
-in a worker process or in this one alike.  Survey results are deterministic:
+A survey task is one radicand: build its order, root its primitive ideals
+(primitive_ideals), classify them and their multiples g*I within the norm
+bound in one pass over the norms (classify_triple: one reduction per
+conjugate pair I, conj(I) of primitive ideals, whose lattices are congruent
+for either sign of D, the multiples by scaling), which emits the rows
+already in (norm, a, b, g) order, and hand them to the caller's `emit`, in
+a worker process or in this one alike.  Survey results are deterministic:
 rows come in (D, norm, a, b, g) order, so identical configurations give
 identical results regardless of worker count.
 """
@@ -21,7 +22,7 @@ from ._frozen import Frozen
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import family_instance
-from .ideals import IdealTriple, check_norm_bound, multipliers, primitive_ideals
+from .ideals import IdealTriple, check_norm_bound, primitive_ideals, square_divisors
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
 
@@ -46,64 +47,91 @@ class SurveyConfig(Frozen):
         object.__setattr__(self, "workers", workers)
 
 
-def classify_triple(order: QuadOrder, items, maximal: bool):
-    """For each item (a, b, gs), a primitive pair from primitive_ideals or the
-    (a/g, b/g) of an IdealTriple, yield the row (D, g*a, g*b, g, norm, minimum,
-    n_minimal, wr, hexagonal, order_maximal) of g*I, I = (a, b + delta), for
-    each g in gs.  I's norm form (c1, c2, c3) is reduced once: that of g*I is
-    g^2 times it, and the reduction commutes with scaling, so g*I has the norm
-    g^2*a, the minimum g^2*c1, and I's minimal vector count and flags.
-    order_maximal is `maximal`, which the caller decides: order.maximal
-    factors |D|, and a caller that already knows |D| is squarefree passes True.
+def ideal_shape(order: QuadOrder, a: int, b: int, g: int) -> tuple:
+    """The shape (minimum, n_minimal, wr, hexagonal) of g*I, I = (a, b + delta)
+    a primitive ideal.  I's norm form is reduced (Buchmann & Vollmer): that of
+    g*I is g^2 times it, and the reduction commutes with scaling, so g*I has
+    the norm g^2*a, the minimum g^2*c1 and I's minimal vector count, 6 when
+    c1 = c2 = c3, 4 when c1 = c3, else 2.
 
-    The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, and
-    its lattice is I's under an isometry: complex conjugation for D < 0, the
-    swap of the two real embeddings for D > 0.  So the two reduced forms
-    differ at most in the sign of c2 and share the minimum, the minimal vector
-    count and both flags (Buchmann & Vollmer).  The first of a pair to come
-    is reduced and its shape kept under its partner's key until the partner
-    comes: a shape is reused only for its own conjugate, in any item order.
-
-    Raises InvariantViolation, naming the replay command, if a row's minimum
+    Raises InvariantViolation, naming the replay command, if the minimum
     breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
     ints).  Scaling multiplies both sides by g^2 for D < 0, and the minimum
     side by g^4 but the norm side by g^2 for D > 0, so g*I breaks it only if
-    I does: with (a, b) ascending and gs from 1 up, the row raised is the
-    least (norm, a, b, g) one that breaks it.
+    I does.
+    """
+    D = order.D
+    c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
+    wr = c1 == c3
+    hexagonal = wr and c1 == c2
+    gg = g * g
+    minimum, nrm = gg * c1, gg * a
+    if not (minimum >= nrm if D < 0 else minimum * minimum >= 4 * nrm):
+        raise InvariantViolation(
+            f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
+            f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
+        )
+    return minimum, 6 if hexagonal else 4 if wr else 2, wr, hexagonal
+
+
+def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> list[tuple]:
+    """The rows (D, a, b, g, norm, minimum, n_minimal, wr, hexagonal,
+    order_maximal) of every ideal of norm <= len(roots) - 1, in (norm, a, b, g)
+    order, from primitive_ideals' root lists.  order_maximal is `maximal`,
+    which the caller decides: order.maximal factors |D|, and a caller that
+    already knows |D| is squarefree passes True.
+
+    One pass over the norms N: first the multiples g*I of the primitive
+    I = (N/g^2, b + delta) kept from earlier, g from square_divisors, so by
+    ascending a = N/g, each with its minimum scaled by g^2 (see ideal_shape);
+    then the primitive ideals (N, b + delta), b in roots[N], which are kept
+    when a multiple of theirs lies in the bound.
+
+    The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, also
+    in roots[a], and its lattice is I's under an isometry: complex
+    conjugation for D < 0, the swap of the two real embeddings for D > 0.  So
+    the two reduced forms differ at most in the sign of c2 and share the
+    minimum, the minimal vector count and both flags: the first of a pair is
+    classified and its shape given to its partner when it comes.
+
+    The minimum bound is checked once per conjugate class, at g = 1: g*I
+    breaks it only if I does, and I's row comes before its multiples', so an
+    InvariantViolation names the least (norm, a, b, g) row that breaks it.
     """
     D, tr = order.D, order.delta_trace
-    shapes = {}  # (a, b') -> the shape of (a, b), until (a, b') comes
-    for a, b, gs in items:
-        shape = shapes.pop((a, b), None)
-        if shape is None:
-            c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
-            # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
-            wr = c1 == c3
-            hexagonal = wr and c1 == c2
-            shape = c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal
-            shapes[a, (-tr - b) % a] = shape
-        c1, n_minimal, wr, hexagonal = shape
+    # kept[a]: the rows of the primitive ideals of norm a, for each a whose
+    # multiple 2*I, of norm 4*a, lies in the bound
+    kept: list = [()] * (len(roots) // 4 + 1)
+    rows: list[tuple] = []
+    append = rows.append
+    for n, (gs, bs) in enumerate(zip(square_divisors(len(roots) - 1), roots)):
         for g in gs:
             gg = g * g
-            minimum, nrm = gg * c1, gg * a
-            if not (minimum >= nrm if D < 0 else minimum * minimum >= 4 * nrm):
-                raise InvariantViolation(
-                    f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
-                    f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
-                )
-            yield D, g * a, g * b, g, nrm, minimum, n_minimal, wr, hexagonal, maximal
+            if kept[n // gg]:  # most a have no ideal: skip building an empty list
+                rows += [(D, g * a, g * b, g, n, gg * c1, n_minimal, wr, hexagonal, maximal)
+                         for _, a, b, _, _, c1, n_minimal, wr, hexagonal, _ in kept[n // gg]]
+        if bs:
+            start = len(rows)
+            shapes = {}  # b' -> the shape of b, until b' comes
+            for b in bs:
+                shape = shapes.pop(b, None)
+                if shape is None:
+                    shape = ideal_shape(order, n, b, 1)
+                    shapes[(-tr - b) % n] = shape
+                c1, n_minimal, wr, hexagonal = shape
+                append((D, n, b, 1, n, c1, n_minimal, wr, hexagonal, maximal))
+            if n < len(kept):
+                kept[n] = rows[start:]
+    return rows
 
 
 def _survey_radicand(norm_bound: int, emit, squarefree: bool, D: int) -> tuple:
     """One survey task: (emit(rows), #rows, #wr, #hexagonal) for radicand D.
     A squarefree window has found |D| squarefree, so the order is maximal;
-    otherwise order.maximal factors |D|.  classify_triple yields the
-    rows of one norm N by ascending a = N/g, then b, so a stable sort by norm
-    alone puts them in (norm, a, b, g) order."""
-    order, gs = QuadOrder(D), multipliers(norm_bound)
-    items = [(a, b, gs[a]) for a, b in primitive_ideals(order, norm_bound)]
-    rows = sorted(classify_triple(order, items, squarefree or order.maximal), key=itemgetter(4))
-    return emit(rows), len(rows), sum([r[7] for r in rows]), sum([r[8] for r in rows])
+    otherwise order.maximal factors |D|."""
+    order = QuadOrder(D)
+    rows = classify_triple(order, primitive_ideals(order, norm_bound), squarefree or order.maximal)
+    return emit(rows), len(rows), sum(map(itemgetter(7), rows)), sum(map(itemgetter(8), rows))
 
 
 def __getattr__(name):
@@ -131,8 +159,9 @@ def run_survey(cfg: SurveyConfig, emit):
     runs where the radicand is classified, so with workers > 1 it must be a
     picklable (module-level) function and its value picklable too.  The
     values come in ascending D, each radicand's rows in (norm, a, b, g)
-    order: pool.map returns results in submission order and each task sorts
-    its radicand's rows.  So any worker count gives the same sequence.
+    order: pool.map returns results in submission order and classify_triple
+    emits each radicand's rows in that order.  So any worker count gives the
+    same sequence.
     """
     ds = [
         D for D in range(cfg.d_min, cfg.d_max + 1)

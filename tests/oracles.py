@@ -4,13 +4,15 @@ Everything here favors obviousness over speed: brute-force boxes, plain trial
 division, Newton's identities, literal coset counting.  The package must agree
 with these on every tested input; nothing in here imports package internals
 beyond plain data, except gram_from_rows, which builds the package's integer
-GramMatrix from a matrix with rational entries.  rotation_spot_check takes the
+GramMatrix from a matrix with rational entries, and classify_items, which
+reduces with the package's norm_form and gauss_reduce and raises its
+InvariantViolation.  rotation_spot_check takes the
 matrix of multiplication by zeta from zeta_on_basis, not from the package.
 Some are the package's own former algorithms, kept as references after a
 faster one replaced them (lll_rebuild, lll_fraction, span_rank_fraction,
 walk_fraction, apply_by_rows, window_minimal_vectors, gram_by_products,
 rotation_spot_check, enumerate_ideals_scan, roots_mod_prime_legendre,
-render_records_reference) or after the package stopped needing them
+render_records_reference, classify_items and survey_rows_by_sort) or after the package stopped needing them
 (hnf_triple, the canonical triple of an ideal from its generators, and
 is_similar, lattice similarity of two binary forms).
 """
@@ -26,6 +28,8 @@ from itertools import product
 
 import numpy as np
 
+from wrlat.errors import InvariantViolation
+from wrlat.planar import gauss_reduce, norm_form
 from wrlat.svp import GramMatrix
 
 
@@ -609,6 +613,69 @@ def enumerate_ideals_scan(order, norm_bound: int) -> list[tuple[int, int, int]]:
                     g += 1
     out.sort(key=lambda t: (t[0] * t[2], t[0], t[1], t[2]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# survey rows from items and a sort by norm
+
+def classify_items(order, items, maximal: bool):
+    """For each item (a, b, gs), a primitive pair from primitive_ideals or the
+    (a/g, b/g) of an IdealTriple, yield the row (D, g*a, g*b, g, norm, minimum,
+    n_minimal, wr, hexagonal, order_maximal) of g*I, I = (a, b + delta), for
+    each g in gs.  I's norm form (c1, c2, c3) is reduced once: that of g*I is
+    g^2 times it, and the reduction commutes with scaling, so g*I has the norm
+    g^2*a, the minimum g^2*c1, and I's minimal vector count and flags.
+    order_maximal is `maximal`, which the caller decides: order.maximal
+    factors |D|, and a caller that already knows |D| is squarefree passes True.
+
+    The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, and
+    its lattice is I's under an isometry: complex conjugation for D < 0, the
+    swap of the two real embeddings for D > 0.  So the two reduced forms
+    differ at most in the sign of c2 and share the minimum, the minimal vector
+    count and both flags (Buchmann & Vollmer).  The first of a pair to come
+    is reduced and its shape kept under its partner's key until the partner
+    comes: a shape is reused only for its own conjugate, in any item order.
+
+    Raises InvariantViolation, naming the replay command, if a row's minimum
+    breaks its bound, min >= N for D < 0 or min^2 >= 4*N for D > 0 (exact, in
+    ints).  Scaling multiplies both sides by g^2 for D < 0, and the minimum
+    side by g^4 but the norm side by g^2 for D > 0, so g*I breaks it only if
+    I does: with (a, b) ascending and gs from 1 up, the row raised is the
+    least (norm, a, b, g) one that breaks it.
+
+    The package's survey classifier until it became one pass over the norms.
+    """
+    D, tr = order.D, order.delta_trace
+    shapes = {}  # (a, b') -> the shape of (a, b), until (a, b') comes
+    for a, b, gs in items:
+        shape = shapes.pop((a, b), None)
+        if shape is None:
+            c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
+            # minimal vectors: 6 when c1 = c2 = c3, 4 when c1 = c3, else 2
+            wr = c1 == c3
+            hexagonal = wr and c1 == c2
+            shape = c1, 6 if hexagonal else 4 if wr else 2, wr, hexagonal
+            shapes[a, (-tr - b) % a] = shape
+        c1, n_minimal, wr, hexagonal = shape
+        for g in gs:
+            gg = g * g
+            minimum, nrm = gg * c1, gg * a
+            if not (minimum >= nrm if D < 0 else minimum * minimum >= 4 * nrm):
+                raise InvariantViolation(
+                    f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
+                    f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
+                )
+            yield D, g * a, g * b, g, nrm, minimum, n_minimal, wr, hexagonal, maximal
+
+
+def survey_rows_by_sort(order, pairs, norm_bound: int, maximal: bool) -> list[tuple]:
+    """One radicand's survey rows as the package made them before its one-pass
+    classifier: classify_items over the primitive pairs (a, b), ascending,
+    each with g = 1..isqrt(norm_bound // a), then a stable sort by norm.
+    classify_items yields the rows of one norm N by ascending a = N/g, then
+    b, so the sort puts them in (norm, a, b, g) order."""
+    items = [(a, b, range(1, math.isqrt(norm_bound // a) + 1)) for a, b in pairs]
+    return sorted(classify_items(order, items, maximal), key=operator.itemgetter(4))
 
 
 # ---------------------------------------------------------------------------

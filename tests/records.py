@@ -1,20 +1,19 @@
 """Survey and classify rows with field names, for the tests to read.
 
-`survey.classify_triple` yields plain tuples in RECORD_COLUMNS order, with
+`survey.classify_triple` returns plain tuples in RECORD_COLUMNS order, with
 the minimum, an int, in one cell; these helpers name the fields.
 """
 
 from collections import namedtuple
 
-from wrlat.survey import classify_triple, run_survey
+from wrlat.survey import ideal_shape, run_survey
 
 Record = namedtuple("Record", "D a b g norm minimum n_minimal wr hexagonal order_maximal")
 
 
 def classify_one(order, a, b, g) -> Record:
     """The row of one ideal, as `wrlat classify` gets it."""
-    (row,) = classify_triple(order, [(a // g, b // g, (g,))], order.maximal)
-    return Record._make(row)
+    return Record(order.D, a, b, g, a * g, *ideal_shape(order, a // g, b // g, g), order.maximal)
 
 
 def survey(cfg) -> tuple[list[Record], dict]:

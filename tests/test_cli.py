@@ -253,6 +253,41 @@ def test_survey_violation_names_primitive_before_its_multiple(monkeypatch, capsy
     )
 
 
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="pooled", marks=_NEEDS_FORK),
+])
+def test_real_violation_names_primitive_and_spares_its_multiple(monkeypatch, capsys, tmp_path, workers):
+    # for D > 0 the bound min^2 >= 4*N scales by g^4 on the left and g^2 on
+    # the right: the reduction of (2, 1, 1) in D = 3, the form (8, 8, 8), made
+    # to report the minimum 2 breaks 2^2 >= 4*2, but its multiple (4, 2, 2),
+    # of minimum 8 and norm 8, keeps 8^2 >= 4*8.  The survey names the
+    # primitive; classify of the multiple reads the same reduction and passes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reduce = wrlat.survey.gauss_reduce
+
+    def one_bad_reduction(c1, c2, c3):
+        red = reduce(c1, c2, c3)
+        return (2, *red[1:]) if (c1, c2, c3) == (8, 8, 8) else red
+
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+    target = tmp_path / "survey.csv"
+    code = main(["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10",
+                 "--workers", str(workers), "--format", "csv", "--out", str(target)])
+    assert code == EXIT_INVARIANT
+    assert not target.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "invariant violation: minimum bound violated for D=3, triple=(2,1,1), "
+        "min=2, norm=2; replay: wrlat classify -- 3 2 1 1\n"
+    )
+    assert main(["classify", "--", "3", "4", "2", "2"]) == EXIT_NOT_WR
+    assert capsys.readouterr() == (
+        "D=3 (a,b,g)=(4,2,2) norm=8 min=8 nmin=2 wr=no hex=no maximal=yes\n", ""
+    )
+
+
 def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
     # a minimum of 1/2 breaks min >= N(I) for every ideal
     monkeypatch.setattr(

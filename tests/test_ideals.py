@@ -228,7 +228,9 @@ def test_primitive_ideals_match_scan():
         o = QuadOrder(D)
         for bound in (1, 2, 64, 250):
             want = [(a, b) for a, b, g in enumerate_ideals_scan(o, bound) if g == 1]
-            assert primitive_ideals(o, bound) == want, (D, bound)
+            roots = primitive_ideals(o, bound)
+            assert len(roots) == bound + 1 and roots[0] == []
+            assert [(a, b) for a, bs in enumerate(roots) for b in bs] == want, (D, bound)
 
 
 def tonelli_constants(p):
@@ -248,6 +250,23 @@ def test_sqrt_mod_prime_with_deep_two_power_in_p_minus_1():
                 assert len(roots) == 2 and all(0 <= r < p and r * r % p == n for r in roots)
             else:
                 assert roots == []
+
+
+def test_tonelli_constants_use_the_least_non_residue():
+    # every odd prime up to the norm cap with 4 | p - 1: c = z^u for the least
+    # non-residue z, which _splits takes to be 2 for p = 5 (mod 8) unsearched
+    primes = 0
+    for p, q, m, _, ts in _splits(MAX_NORM_BOUND):
+        if ts is None or ts[0] < 2:
+            continue
+        assert q == p and m == 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        e, u, c = ts
+        assert (p - 1 == u << e) and u % 2 == 1 and c == pow(z, u, p), p
+        primes += 1
+    assert primes == 4783
 
 
 def test_roots_mod_prime_match_legendre_and_tonelli():

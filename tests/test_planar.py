@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wrlat.arith import QuadOrder
-from wrlat.ideals import IdealTriple, enumerate_ideals
+from wrlat.ideals import IdealTriple, enumerate_ideals, primitive_ideals
 from wrlat.planar import form_from_ideal, gauss_reduce, minimal_vectors
 from wrlat.survey import classify_triple
 from oracles import (
@@ -235,6 +235,5 @@ def test_check_min_bound_examples():
 def test_check_min_bound_holds_on_samples():
     for D in SAMPLE_D:
         o = QuadOrder(D)
-        items = [(a // g, b // g, (g,)) for a, b, g in enumerate_ideals(o, 40)]
-        for rec in map(Record._make, classify_triple(o, items, o.maximal)):
+        for rec in map(Record._make, classify_triple(o, primitive_ideals(o, 40), o.maximal)):
             assert min_bound_holds(rec), rec

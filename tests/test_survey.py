@@ -2,7 +2,6 @@ import concurrent.futures
 import json
 import os
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +12,18 @@ import wrlat.cli
 import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
-from wrlat.ideals import IdealTriple, enumerate_ideals, multipliers, primitive_ideals
+from wrlat.ideals import IdealTriple, enumerate_ideals, primitive_ideals
 from wrlat.planar import gauss_reduce, norm_form
 from wrlat.survey import (
     SurveyConfig,
     classify_triple,
     element_str,
+    ideal_shape,
     reference_tables,
     run_survey,
 )
 from oracles import (
+    classify_items,
     enumerate_ideals_scan,
     hnf_triple,
     min_bound_holds,
@@ -32,6 +33,7 @@ from oracles import (
     qd_trace,
     render_records_reference,
     squarefree_by_factorization,
+    survey_rows_by_sort,
     window_minimal_vectors,
 )
 from records import classify_one, survey
@@ -90,8 +92,8 @@ def test_classify_real_hexagonal():
 @given(st.sampled_from(_POOL))
 def test_classify_consistency(trip):
     order, a, b, g = trip
-    (row,) = classify_triple(order, [(a // g, b // g, (g,))], order.maximal)
-    assert type(row) is tuple and type(row[5]) is int
+    shape = ideal_shape(order, a // g, b // g, g)
+    assert type(shape) is tuple and type(shape[0]) is int
     rec = classify_one(order, a, b, g)
     assert (rec.D, rec.a, rec.b, rec.g) == (order.D, a, b, g)
     assert rec.norm == a * g
@@ -232,7 +234,7 @@ def conjugate_classes(order, norm_bound):
     """The classes {(a, b), (a, b')} of the primitive pairs with a <= norm_bound,
     b' = (-Tr(delta) - b) mod a, each named by its least member."""
     tr = order.delta_trace
-    return {(a, min(b, (-tr - b) % a)) for a, b in primitive_ideals(order, norm_bound)}
+    return {(a, min(b, (-tr - b) % a)) for a, bs in enumerate(primitive_ideals(order, norm_bound)) for b in bs}
 
 
 def test_conjugate_ideals_share_their_shape():
@@ -247,12 +249,12 @@ def test_conjugate_ideals_share_their_shape():
             continue
         order = QuadOrder(D)
         tr = order.delta_trace
-        pairs = primitive_ideals(order, 60)
-        for a, b in pairs:
+        roots = primitive_ideals(order, 60)
+        for a, b in ((a, b) for a, bs in enumerate(roots) for b in bs):
             conj = (-tr - b) % a
             # conj(b + delta) = (b + Tr(delta)) - delta
             assert hnf_triple(D, (a, 0), (b + tr, -1)) == (a, conj, 1)
-            assert (a, conj) in pairs
+            assert conj in roots[a]
             c1, c2, c3 = gauss_reduce(*norm_form(order, a, b, 1))
             k1, k2, k3 = gauss_reduce(*norm_form(order, a, conj, 1))
             assert (c1, abs(c2), c3) == (k1, abs(k2), k3), (D, a, b)
@@ -272,25 +274,31 @@ def test_conjugate_ideals_share_their_shape():
     assert sampled > 500
 
 
-def rows_per_item(order, items):
-    """classify_triple's rows over `items`, split into each item's rows."""
-    rows = iter(classify_triple(order, items, order.maximal))
-    out = [list(islice(rows, len(gs))) for _, _, gs in items]
-    assert next(rows, None) is None
-    return out
+def test_one_pass_matches_classification_by_items_and_sort():
+    # every valid D in -300..300, so both signs and non-maximal orders: the
+    # rows, in order, of the former items classifier and its sort by norm
+    for D in range(-300, 301):
+        if not is_valid_radicand(D):
+            continue
+        order = QuadOrder(D)
+        for bound in (1, 2, 12, 150):
+            roots = primitive_ideals(order, bound)
+            pairs = [(a, b) for a, bs in enumerate(roots) for b in bs]
+            want = survey_rows_by_sort(order, pairs, bound, order.maximal)
+            assert classify_triple(order, roots, order.maximal) == want, (D, bound)
 
 
 @pytest.mark.parametrize("D", (-207, -15, -12, -5, -3, -1, 3, 5, 12, 21, 60, 99, 165))
 def test_conjugate_sharing_never_borrows_a_shape(D):
-    # each item gets the rows of a call on it alone, whatever the order of
-    # the items, and with items repeated
+    # each row is the row of its triple classified alone, so no ideal takes
+    # a shape other than its own or its conjugate's; ints, then three bools
     order = QuadOrder(D)
-    gs = multipliers(150)
-    items = [(a, b, gs[a]) for a, b in primitive_ideals(order, 150)]
-    shuffled = random.Random(D).sample(items, len(items))
-    by_norm = [(a // g, b // g, (g,)) for a, b, g in enumerate_ideals(order, 150)]
-    for seq in (items, shuffled, by_norm, items + items[::-1]):
-        assert rows_per_item(order, seq) == [list(classify_triple(order, [it], order.maximal)) for it in seq]
+    rows = classify_triple(order, primitive_ideals(order, 150), order.maximal)
+    assert [(a, b, g) for _, a, b, g, *_ in rows] == enumerate_ideals(order, 150)
+    for row in rows:
+        assert type(row) is tuple and [type(v) for v in row] == [int] * 7 + [bool] * 3, row
+        _, a, b, g = row[:4]
+        assert [row] == list(classify_items(order, [(a // g, b // g, (g,))], order.maximal)), row
 
 
 @pytest.mark.parametrize("cfg, totals", [
@@ -335,9 +343,9 @@ def test_survey_classifies_as_it_is_read(monkeypatch):
     seen = []
     classify = wrlat.survey.classify_triple
 
-    def counting(order, items, maximal):
+    def counting(order, roots, maximal):
         seen.append(order.D)
-        return classify(order, items, maximal)
+        return classify(order, roots, maximal)
 
     monkeypatch.setattr(wrlat.survey, "classify_triple", counting)
     results = run_survey(SurveyConfig(d_min=-30, d_max=30, norm_bound=10), list)

@@ -12,7 +12,6 @@ from wrlat.arith import QuadOrder
 from wrlat.cyclo import cyclo_field, gram_principal
 from wrlat.ideals import IdealTriple, enumerate_ideals
 from wrlat.planar import form_from_ideal
-from wrlat.survey import classify_triple
 from wrlat.svp import (
     MAX_ENUM_DIM,
     GramMatrix,
@@ -34,6 +33,7 @@ from oracles import (
     transform_gram,
     walk_fraction,
 )
+from records import classify_one
 
 
 def identity_gram(n):
@@ -420,8 +420,8 @@ def test_enumerate_planar_agreement():
     # the walk on the doubled Gram matrix finds twice that minimum
     for t in rng.sample(pool, 60):
         c1, c2, c3 = form_from_ideal(t)
-        row = next(classify_triple(t.order, [(t.a // t.g, t.b // t.g, (t.g,))], t.order.maximal))
-        minimum, n_minimal = row[5], row[6]
+        rec = classify_one(t.order, t.a, t.b, t.g)
+        minimum, n_minimal = rec.minimum, rec.n_minimal
         rep = enumerate_shortest(GramMatrix(((2 * c1, c2), (c2, 2 * c3))))
         assert rep.minimum == 2 * minimum
         assert len(rep.vectors) == n_minimal
