@@ -10,17 +10,15 @@ a, so enumeration roots f modulo each prime (Tonelli-Shanks, one pow per
 prime from constants kept with the sieve, which also decides residuosity),
 lifts the roots to prime powers, combines them by the Chinese remainder
 theorem (Cohen, A Course in Computational Algebraic Number Theory, 1.5-1.6)
-and scales each primitive triple by g.  The multiples of norm N are the g*I
-with g^2 | N, listed by square_divisors, a table kept for every radicand
-(it replaced a table of each a's multipliers, whose triples needed a sort
-by norm).  Norm bounds are capped at MAX_NORM_BOUND.
+and scales each primitive triple by g = 1..isqrt(bound // a).  Norm bounds
+are capped at MAX_NORM_BOUND.
 
 IdealTriple is the gate for user input (wrlat classify, the families and the
 tables): its constructor checks the conditions above.  primitive_ideals
 builds only valid primitive ideals, so it returns them as plain lists of
 roots b per a, and a survey, which classifies each one and scales it to its
 multiples, runs on ints without checking them again; enumerate_ideals lists
-every triple in (norm, a, b, g) order, read off the same walk by norm.
+every triple in (norm, a, b, g) order, by a sort of their keys.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from math import isqrt
 from ._frozen import Frozen
 from .arith import QuadOrder, norm_xy
 
-# Largest norm bound enumerate_ideals and a survey accept.  The tables are
-# built up to the bound, and one radicand at 10**5 already has, for example,
-# 60,466 ideals for D = -3 and 140,492 for D = -5.
+# Largest norm bound enumerate_ideals and a survey accept.  The sieve table
+# and the root lists run up to the bound, and one radicand at 10**5 already
+# has, for example, 60,466 ideals for D = -3 and 140,492 for D = -5.
 MAX_NORM_BOUND = 10**5
 
 
@@ -182,29 +180,13 @@ def primitive_ideals(order: QuadOrder, norm_bound: int) -> list[list[int]]:
     return roots
 
 
-@lru_cache(maxsize=1)
-def square_divisors(norm_bound: int) -> tuple[tuple[int, ...], ...]:
-    """For N = 0..norm_bound, the g >= 2 with g^2 | N in descending order (none
-    for N = 0): the norm N ideals g*I, I = (N/g^2, b + delta) primitive, come
-    by ascending a = N/g, then the primitive ones of a = N.  Built by stepping
-    through the multiples of each g^2, and kept, as it is the same for every
-    radicand."""
-    table: list[tuple[int, ...]] = [()] * (norm_bound + 1)
-    for g in range(isqrt(norm_bound), 1, -1):
-        for n in range(g * g, norm_bound + 1, g * g):
-            table[n] += (g,)
-    return tuple(table)
-
-
 def enumerate_ideals(order: QuadOrder, norm_bound: int) -> list[tuple[int, int, int]]:
     """Every valid triple (a, b, g) with a*g <= norm_bound, sorted by
     (norm, a, b, g): the multiples (g*a, g*b, g) of each primitive pair
-    (a, b), read off by norm along square_divisors.  Raises ValueError for a
-    bound outside [1, MAX_NORM_BOUND]."""
+    (a, b), g = 1..isqrt(norm_bound // a), sorted by their keys
+    (g^2*a, g*a, g*b, g).  Raises ValueError for a bound outside
+    [1, MAX_NORM_BOUND]."""
     roots = primitive_ideals(order, norm_bound)
-    out = []
-    for n, gs in enumerate(square_divisors(norm_bound)):
-        for g in gs:
-            out += [(n // g, g * b, g) for b in roots[n // (g * g)]]
-        out += [(n, b, 1) for b in roots[n]]
-    return out
+    keys = sorted((g * g * a, g * a, g * b, g) for a, bs in enumerate(roots) for b in bs
+                  for g in range(1, isqrt(norm_bound // a) + 1))
+    return [key[1:] for key in keys]

@@ -11,11 +11,11 @@ well-rounded exactly when c1 = c3, and hexagonal exactly when also c1 = c2
 that of I, and the reduction commutes with that scaling, so a survey reduces
 one primitive ideal of each conjugate pair once (the two forms are
 equivalent) in survey.ideal_shape, which checks its minimum bound, and
-survey.classify_triple reads both ideals and their multiples off the same
-coefficients; the families
-cross-check their closed forms against form_from_ideal; only the tables
-print minimal vectors, which minimal_vectors gets from
-svp.enumerate_shortest.  Forms are plain integer triples, and all is exact.
+survey.classify_triple reads both ideals off the same coefficients and
+scales them for the multiples; the families cross-check their closed forms
+against form_from_ideal; only the tables print minimal vectors, which
+minimal_vectors gets from svp.enumerate_shortest.  Forms are plain integer
+triples, and all is exact.
 """
 
 from __future__ import annotations

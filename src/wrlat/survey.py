@@ -4,17 +4,18 @@ A survey task is one radicand: build its order, root its primitive ideals
 (primitive_ideals), classify them and their multiples g*I within the norm
 bound in one pass over the norms (classify_triple: one reduction per
 conjugate pair I, conj(I) of primitive ideals, whose lattices are congruent
-for either sign of D, the multiples by scaling), which emits the rows
-already in (norm, a, b, g) order, and hand them to the caller's `emit`, in
-a worker process or in this one alike.  Survey results are deterministic:
-rows come in (D, norm, a, b, g) order, so identical configurations give
-identical results regardless of worker count.
+for either sign of D, the multiples by scaling, pushed forward to their
+norms), which emits the rows already in (norm, a, b, g) order, and hand
+them to the caller's `emit`, in a worker process or in this one alike.
+Survey results are deterministic: rows come in (D, norm, a, b, g) order, so
+identical configurations give identical results regardless of worker count.
 """
 
 from __future__ import annotations
 
 import os
 from functools import partial
+from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from ._frozen import Frozen
 from .arith import QuadOrder, check_radicand_bound, is_squarefree, is_valid_radicand
 from .errors import InvariantViolation
 from .families import family_instance
-from .ideals import IdealTriple, check_norm_bound, primitive_ideals, square_divisors
+from .ideals import IdealTriple, check_norm_bound, primitive_ideals
 from .planar import form_from_ideal, gauss_reduce, minimal_vectors, norm_form
 
 
@@ -81,11 +82,13 @@ def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> 
     which the caller decides: order.maximal factors |D|, and a caller that
     already knows |D| is squarefree passes True.
 
-    One pass over the norms N: first the multiples g*I of the primitive
-    I = (N/g^2, b + delta) kept from earlier, g from square_divisors, so by
-    ascending a = N/g, each with its minimum scaled by g^2 (see ideal_shape);
-    then the primitive ideals (N, b + delta), b in roots[N], which are kept
-    when a multiple of theirs lies in the bound.
+    One pass over the norms N: first the multiples g*I of norm N, g >= 2,
+    pushed forward from the primitive norm N/g^2; then the primitive ideals
+    (N, b + delta), b in roots[N].  When 4*N lies in the bound, their rows
+    are scaled for each g = 2..isqrt(bound // N), the minimum by g^2 (see
+    ideal_shape), and pushed to norm g^2*N.  The pushes come by ascending
+    primitive norm, then b, so each norm's multiples come by ascending
+    triple a = N/g, then b: (norm, a, b, g) order with no sort.
 
     The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, also
     in roots[a], and its lattice is I's under an isometry: complex
@@ -95,21 +98,18 @@ def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> 
     classified and its shape given to its partner when it comes.
 
     The minimum bound is checked once per conjugate class, at g = 1: g*I
-    breaks it only if I does, and I's row comes before its multiples', so an
-    InvariantViolation names the least (norm, a, b, g) row that breaks it.
+    breaks it only if I does, and I is classified before any multiple of it
+    is emitted, so an InvariantViolation names the least (norm, a, b, g) row
+    that breaks it.
     """
     D, tr = order.D, order.delta_trace
-    # kept[a]: the rows of the primitive ideals of norm a, for each a whose
-    # multiple 2*I, of norm 4*a, lies in the bound
-    kept: list = [()] * (len(roots) // 4 + 1)
+    bound = len(roots) - 1
+    ahead: dict[int, list] = {}  # norm -> the rows of its multiples g*I, g >= 2, pushed so far
     rows: list[tuple] = []
     append = rows.append
-    for n, (gs, bs) in enumerate(zip(square_divisors(len(roots) - 1), roots)):
-        for g in gs:
-            gg = g * g
-            if kept[n // gg]:  # most a have no ideal: skip building an empty list
-                rows += [(D, g * a, g * b, g, n, gg * c1, n_minimal, wr, hexagonal, maximal)
-                         for _, a, b, _, _, c1, n_minimal, wr, hexagonal, _ in kept[n // gg]]
+    for n, bs in enumerate(roots):
+        if n in ahead:
+            rows += ahead.pop(n)
         if bs:
             start = len(rows)
             shapes = {}  # b' -> the shape of b, until b' comes
@@ -120,8 +120,13 @@ def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> 
                     shapes[(-tr - b) % n] = shape
                 c1, n_minimal, wr, hexagonal = shape
                 append((D, n, b, 1, n, c1, n_minimal, wr, hexagonal, maximal))
-            if n < len(kept):
-                kept[n] = rows[start:]
+            if 4 * n <= bound:  # 2*I lies in the bound
+                primitive = rows[start:]
+                for g in range(2, isqrt(bound // n) + 1):
+                    gg = g * g
+                    ahead.setdefault(gg * n, []).extend(
+                        [(D, g * n, g * b, g, gg * n, gg * c1, n_minimal, wr, hexagonal, maximal)
+                         for _, _, b, _, _, c1, n_minimal, wr, hexagonal, _ in primitive])
     return rows
 
 

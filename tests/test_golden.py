@@ -10,8 +10,14 @@ every output format, so a change to any renderer shows up here.
 exit code, stdout and stderr of ``wrlat cyclo K`` for each of the 51 rings with
 phi(k) <= MAX_ENUM_DIM, in json, csv and text.
 
+``test_survey_digests`` pins the SHA-256 of each ``--out`` file of two larger
+surveys: the acceptance window (squarefree -200 <= D <= 200, norms <= 500) in
+csv, json and text, and the wide window (-4000 <= D <= 4000, norms <= 12) in
+csv with one and with two workers, which must give the same bytes.
+
 To record the goldens again after an intended change of output (the script
-prints the new ring digest, which CYCLO_RINGS_SHA256 then takes):
+prints the new ring digest, which CYCLO_RINGS_SHA256 then takes, and the new
+survey digests, which SURVEY_SHA256 then takes):
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -21,6 +27,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -56,6 +63,22 @@ CASES = {
 }
 RING_KS = [k for k in range(3, 2 * MAX_ENUM_DIM**2) if phi_by_factorization(k) <= MAX_ENUM_DIM]
 CYCLO_RINGS_SHA256 = "d31840bae4c3612e6570ecb60b643e24ac584b247bd7e50dbf385a8054414df7"
+ACCEPTANCE_ARGV = ["--d-min", "-200", "--d-max", "200", "--norm-bound", "500", "--squarefree"]
+WIDE_ARGV = ["--d-min", "-4000", "--d-max", "4000", "--norm-bound", "12", "--format", "csv"]
+SURVEYS = {
+    "acceptance.csv": ACCEPTANCE_ARGV + ["--format", "csv"],
+    "acceptance.json": ACCEPTANCE_ARGV + ["--format", "json"],
+    "acceptance.text": ACCEPTANCE_ARGV + ["--format", "text"],
+    "wide.csv.workers1": WIDE_ARGV + ["--workers", "1"],
+    "wide.csv.workers2": WIDE_ARGV + ["--workers", "2"],
+}
+SURVEY_SHA256 = {
+    "acceptance.csv": "8fae50d6a72c2570fd7eb638f4e733b140624d1c752b419db2575342a01eef7d",
+    "acceptance.json": "8c1c5ace74abb1f266af7617faa9e7be0f59be1f352c4874a4f6d012e5c86c4a",
+    "acceptance.text": "bcc3da4067dca4f1004e0495ed62c96d990203eec7d15f19f55b3068a5fec0d7",
+    "wide.csv.workers1": "b0ffa79a54a8af0ca7f2da3fda5ca2a84facced05e2f8ac7a798f4603b981687",
+    "wide.csv.workers2": "b0ffa79a54a8af0ca7f2da3fda5ca2a84facced05e2f8ac7a798f4603b981687",
+}
 OUT_CASE = "tables.json.out"
 OUT_ARGV = ["tables", "--format", "json", "--out"]
 
@@ -105,6 +128,27 @@ def test_cyclo_rings_digest():
     assert cyclo_rings_digest() == CYCLO_RINGS_SHA256
 
 
+def survey_digests(out_dir: Path) -> dict[str, str]:
+    """The SHA-256 of each SURVEYS case's --out file, written under out_dir
+    and read back in chunks (the acceptance json is about 35 MB)."""
+    digests = {}
+    for case, argv in SURVEYS.items():
+        target = out_dir / case
+        code, out, _ = run(["survey", *argv, "--out", str(target)])  # stderr: the summary
+        assert (code, out) == (0, ""), case
+        h = hashlib.sha256()
+        with open(target, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+        target.unlink()
+        digests[case] = h.hexdigest()
+    return digests
+
+
+def test_survey_digests(tmp_path):
+    assert survey_digests(tmp_path) == SURVEY_SHA256
+
+
 def record():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -117,6 +161,8 @@ def record():
     codes[OUT_CASE], _, _ = run(OUT_ARGV + [str(target)])
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     print(f"CYCLO_RINGS_SHA256 = {cyclo_rings_digest()!r}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        print(f"SURVEY_SHA256 = {survey_digests(Path(out_dir))!r}")
 
 
 if __name__ == "__main__":

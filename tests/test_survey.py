@@ -276,16 +276,19 @@ def test_conjugate_ideals_share_their_shape():
 
 def test_one_pass_matches_classification_by_items_and_sort():
     # every valid D in -300..300, so both signs and non-maximal orders: the
-    # rows, in order, of the former items classifier and its sort by norm
-    for D in range(-300, 301):
-        if not is_valid_radicand(D):
-            continue
+    # rows, in order, of the former items classifier and its sort by norm;
+    # then bound 3600 = 60^2 for a few D (-4 and 12 non-maximal): N = 3600
+    # has eleven g >= 2 with g^2 | N, and the norm 1024 for D = -15 and the
+    # norm 2500 for D = -4 each take multiples g*I from five primitive norms
+    # N/g^2
+    cases = [(D, bound) for D in range(-300, 301) if is_valid_radicand(D) for bound in (1, 2, 12, 150)]
+    cases += [(D, 3600) for D in (-15, -4, -3, -1, 5, 12)]
+    for D, bound in cases:
         order = QuadOrder(D)
-        for bound in (1, 2, 12, 150):
-            roots = primitive_ideals(order, bound)
-            pairs = [(a, b) for a, bs in enumerate(roots) for b in bs]
-            want = survey_rows_by_sort(order, pairs, bound, order.maximal)
-            assert classify_triple(order, roots, order.maximal) == want, (D, bound)
+        roots = primitive_ideals(order, bound)
+        pairs = [(a, b) for a, bs in enumerate(roots) for b in bs]
+        want = survey_rows_by_sort(order, pairs, bound, order.maximal)
+        assert classify_triple(order, roots, order.maximal) == want, (D, bound)
 
 
 @pytest.mark.parametrize("D", (-207, -15, -12, -5, -3, -1, 3, 5, 12, 21, 60, 99, 165))
