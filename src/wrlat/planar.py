@@ -7,15 +7,21 @@ trace and norm of b + g*delta by norm_form.  One Gauss-Lagrange reduction,
 gauss_reduce, runs on the coefficients (c1, c2, c3) alone.  Every answer is
 read off the reduced coefficients: the minimum is c1, the lattice is
 well-rounded exactly when c1 = c3, and hexagonal exactly when also c1 = c2
-(Buchmann & Vollmer, Binary Quadratic Forms).  The form of g*I is g^2 times
-that of I, and the reduction commutes with that scaling, so a survey reduces
-one primitive ideal of each conjugate pair once (the two forms are
-equivalent) in survey.ideal_shape, which checks its minimum bound, and
-survey.classify_triple reads both ideals off the same coefficients and
-scales them for the multiples; the families cross-check their closed forms
-against form_from_ideal; only the tables print minimal vectors, which
-minimal_vectors gets from svp.enumerate_shortest.  Forms are plain integer
-triples, and all is exact.
+(Buchmann & Vollmer, Binary Quadratic Forms).  The form of a primitive
+ideal (a, b + delta) has c1 = a^2 (D < 0) or 2*a^2 (D > 0) and the
+discriminant c2^2 - 4*c1*c3 = a^2*Delta (D < 0) or -4*a^2*Delta (D > 0),
+Delta = Tr(delta)^2 - 4*N(delta) the discriminant of Z[delta].  So when
+4*a^2 < |Delta|, the shear that brings c2 into [-c1, c1) leaves
+c3 >= |Delta|/4 > c1 (D < 0) or c3 >= Delta/2 > c1 (D > 0): the form is
+reduced with minimum c1, and the lattice is not WR.  The form of g*I is g^2
+times that of I, and the reduction commutes with that scaling, so a survey
+reads such ideals off a in survey.classify_triple, reduces one primitive
+ideal of each other conjugate pair once (the two forms are equivalent) in
+survey.ideal_shape, which checks its minimum bound, reads both ideals off
+the same coefficients and scales them for the multiples; the families
+cross-check their closed forms against form_from_ideal; only the tables
+print minimal vectors, which minimal_vectors gets from
+svp.enumerate_shortest.  Forms are plain integer triples, and all is exact.
 """
 
 from __future__ import annotations

@@ -2,11 +2,16 @@
 
 A survey task is one radicand: build its order, root its primitive ideals
 (primitive_ideals), classify them and their multiples g*I within the norm
-bound in one pass over the norms (classify_triple: one reduction per
-conjugate pair I, conj(I) of primitive ideals, whose lattices are congruent
-for either sign of D, the multiples by scaling, pushed forward to their
-norms), which emits the rows already in (norm, a, b, g) order, and hand
-them to the caller's `emit`, in a worker process or in this one alike.
+bound in one pass over the norms (classify_triple), which emits the rows
+already in (norm, a, b, g) order, and hand them to the caller's `emit`, in a
+worker process or in this one alike.  The multiples are pushed forward from
+I's row to their norms, by scaling.  A primitive ideal I = (a, b + delta) of
+small norm, 4*a^2 < |Delta| with Delta = Tr(delta)^2 - 4*N(delta) the
+discriminant of Z[delta], has its shape read off a alone: its norm form has
+discriminant a^2*Delta (D < 0) or -4*a^2*Delta (D > 0), so one shear leaves
+c3 > c1 = a^2 (D < 0) or 2*a^2 (D > 0), and I is not WR.  Every other one is
+reduced once per conjugate pair I, conj(I), whose lattices are congruent for
+either sign of D.
 Survey results are deterministic: rows come in (D, norm, a, b, g) order, so
 identical configurations give identical results regardless of worker count.
 """
@@ -48,6 +53,15 @@ class SurveyConfig(Frozen):
         object.__setattr__(self, "workers", workers)
 
 
+def _violation(D: int, a: int, b: int, g: int, minimum: int, nrm: int) -> InvariantViolation:
+    """The minimum bound's violation by g*I, I = (a, b + delta), naming the
+    replay command."""
+    return InvariantViolation(
+        f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
+        f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
+    )
+
+
 def ideal_shape(order: QuadOrder, a: int, b: int, g: int) -> tuple:
     """The shape (minimum, n_minimal, wr, hexagonal) of g*I, I = (a, b + delta)
     a primitive ideal.  I's norm form is reduced (Buchmann & Vollmer): that of
@@ -68,10 +82,7 @@ def ideal_shape(order: QuadOrder, a: int, b: int, g: int) -> tuple:
     gg = g * g
     minimum, nrm = gg * c1, gg * a
     if not (minimum >= nrm if D < 0 else minimum * minimum >= 4 * nrm):
-        raise InvariantViolation(
-            f"minimum bound violated for D={D}, triple=({g * a},{g * b},{g}), "
-            f"min={minimum}, norm={nrm}; replay: wrlat classify -- {D} {g * a} {g * b} {g}"
-        )
+        raise _violation(D, a, b, g, minimum, nrm)
     return minimum, 6 if hexagonal else 4 if wr else 2, wr, hexagonal
 
 
@@ -90,20 +101,35 @@ def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> 
     primitive norm, then b, so each norm's multiples come by ascending
     triple a = N/g, then b: (norm, a, b, g) order with no sort.
 
-    The conjugate of I is (a, b' + delta), b' = (-Tr(delta) - b) mod a, also
-    in roots[a], and its lattice is I's under an isometry: complex
-    conjugation for D < 0, the swap of the two real embeddings for D > 0.  So
-    the two reduced forms differ at most in the sign of c2 and share the
-    minimum, the minimal vector count and both flags: the first of a pair is
-    classified and its shape given to its partner when it comes.
+    A primitive ideal of small norm, 4*N^2 < |Delta| with Delta =
+    Tr(delta)^2 - 4*N(delta) the discriminant of Z[delta] (N <= small below),
+    is not reduced.  Its norm form (c1, c2, c3), c1 = N^2 for D < 0 and 2*N^2
+    for D > 0 (planar.norm_form), has the discriminant c2^2 - 4*c1*c3 =
+    N^2*Delta for D < 0 and -4*N^2*Delta for D > 0.  One shear brings c2 into
+    [-c1, c1), so 4*c1*c3 = c2^2 + N^2*|Delta| gives c3 >= |Delta|/4 > c1
+    for D < 0, and 8*N^2*c3 = c2^2 + 4*N^2*Delta gives c3 >= Delta/2 > c1
+    for D > 0: the sheared form is reduced with c1 < c3.  So every such
+    ideal has the minimum c1, reached only at +-N, 2 minimal vectors, and is
+    not WR.
 
-    The minimum bound is checked once per conjugate class, at g = 1: g*I
-    breaks it only if I does, and I is classified before any multiple of it
-    is emitted, so an InvariantViolation names the least (norm, a, b, g) row
-    that breaks it.
+    Every other one is reduced once per conjugate class.  The conjugate of I
+    is (a, b' + delta), b' = (-Tr(delta) - b) mod a, also in roots[a], and
+    its lattice is I's under an isometry: complex conjugation for D < 0, the
+    swap of the two real embeddings for D > 0.  So the two reduced forms
+    differ at most in the sign of c2 and share the minimum, the minimal
+    vector count and both flags: the first of a pair is classified and its
+    shape given to its partner when it comes.
+
+    The minimum bound is checked once per conjugate class, or once per small
+    norm, at g = 1: g*I breaks it only if I does, and I is classified before
+    any multiple of it is emitted, so an InvariantViolation names the least
+    (norm, a, b, g) row that breaks it.
     """
     D, tr = order.D, order.delta_trace
     bound = len(roots) - 1
+    # 4*N^2 < |Delta| exactly when N <= small
+    small = isqrt(abs(tr * tr - 4 * order.delta_norm) - 1) // 2
+    scale = 1 if D < 0 else 2  # c1 = scale*N^2 at N <= small
     ahead: dict[int, list] = {}  # norm -> the rows of its multiples g*I, g >= 2, pushed so far
     rows: list[tuple] = []
     append = rows.append
@@ -112,14 +138,20 @@ def classify_triple(order: QuadOrder, roots: list[list[int]], maximal: bool) -> 
             rows += ahead.pop(n)
         if bs:
             start = len(rows)
-            shapes = {}  # b' -> the shape of b, until b' comes
-            for b in bs:
-                shape = shapes.pop(b, None)
-                if shape is None:
-                    shape = ideal_shape(order, n, b, 1)
-                    shapes[(-tr - b) % n] = shape
-                c1, n_minimal, wr, hexagonal = shape
-                append((D, n, b, 1, n, c1, n_minimal, wr, hexagonal, maximal))
+            if n <= small:
+                c1 = scale * n * n
+                if not (c1 >= n if D < 0 else c1 * c1 >= 4 * n):  # ideal_shape's bound
+                    raise _violation(D, n, bs[0], 1, c1, n)
+                rows += [(D, n, b, 1, n, c1, 2, False, False, maximal) for b in bs]
+            else:
+                shapes = {}  # b' -> the shape of b, until b' comes
+                for b in bs:
+                    shape = shapes.pop(b, None)
+                    if shape is None:
+                        shape = ideal_shape(order, n, b, 1)
+                        shapes[(-tr - b) % n] = shape
+                    c1, n_minimal, wr, hexagonal = shape
+                    append((D, n, b, 1, n, c1, n_minimal, wr, hexagonal, maximal))
             if 4 * n <= bound:  # 2*I lies in the bound
                 primitive = rows[start:]
                 for g in range(2, isqrt(bound // n) + 1):

@@ -228,16 +228,17 @@ def test_survey_invariant_violation_exit_three(monkeypatch, capsys, tmp_path, to
     pytest.param(2, id="pooled", marks=_NEEDS_FORK),
 ])
 def test_survey_violation_names_primitive_before_its_multiple(monkeypatch, capsys, tmp_path, workers):
-    # the survey reduces (2, 1, 1) of D = -5 once and scales it to its
-    # multiple (4, 2, 2) of norm 8; made to report the minimum 1 < N(I) = 2,
-    # the reduction breaks both rows, and the one named is the least in
+    # the survey reduces (2, 0, 1) of D = -7 (4*2^2 >= |Delta| = 7) once,
+    # gives its shape to its conjugate (2, 1, 1) and scales it to the
+    # multiple (4, 0, 2) of norm 8; made to report the minimum 1 < N(I) = 2,
+    # the reduction breaks all three rows, and the one named is the least in
     # (norm, a, b, g) order: the primitive
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     reduce = wrlat.survey.gauss_reduce
 
     def one_bad_reduction(c1, c2, c3):
         red = reduce(c1, c2, c3)
-        return (1, *red[1:]) if (c1, c2, c3) == (4, 4, 6) else red
+        return (1, *red[1:]) if (c1, c2, c3) == (4, 2, 2) else red
 
     monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
     target = tmp_path / "survey.csv"
@@ -248,8 +249,8 @@ def test_survey_violation_names_primitive_before_its_multiple(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "invariant violation: minimum bound violated for D=-5, triple=(2,1,1), "
-        "min=1, norm=2; replay: wrlat classify -- -5 2 1 1\n"
+        "invariant violation: minimum bound violated for D=-7, triple=(2,0,1), "
+        "min=1, norm=2; replay: wrlat classify -- -7 2 0 1\n"
     )
 
 
@@ -289,7 +290,8 @@ def test_real_violation_names_primitive_and_spares_its_multiple(monkeypatch, cap
 
 
 def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
-    # a minimum of 1/2 breaks min >= N(I) for every ideal
+    # a minimum of 1/2 breaks min >= N(I) for every ideal that is reduced;
+    # the survey reduces every ideal of D = -3, as 4*a^2 >= |Delta| = 3
     monkeypatch.setattr(
         wrlat.survey, "gauss_reduce", lambda c1, c2, c3: (Fraction(1, 2), 0, 1)
     )
@@ -300,10 +302,10 @@ def test_minimum_below_bound_exits_three_with_replay(monkeypatch, capsys):
         "invariant violation: minimum bound violated for D=-15, triple=(2,0,1), "
         "min=1/2, norm=2; replay: wrlat classify -- -15 2 0 1\n"
     )
-    assert main(["survey", "--d-min", "-15", "--d-max", "-15", "--norm-bound", "2"]) == EXIT_INVARIANT
+    assert main(["survey", "--d-min", "-3", "--d-max", "-3", "--norm-bound", "2"]) == EXIT_INVARIANT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.endswith("replay: wrlat classify -- -15 1 0 1\n")
+    assert err.endswith("replay: wrlat classify -- -3 1 0 1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -304,12 +304,27 @@ def test_conjugate_sharing_never_borrows_a_shape(D):
         assert [row] == list(classify_items(order, [(a // g, b // g, (g,))], order.maximal)), row
 
 
+def order_discriminant(D):
+    """Delta = Tr(delta)^2 - 4*N(delta), the discriminant of Z[delta]: D for
+    D = 1 (mod 4), where delta = (1 - sqrt(D))/2, and 4*D otherwise."""
+    return D if D % 4 == 1 else 4 * D
+
+
+def reduced_classes(order, norm_bound):
+    """The conjugate classes that classify_triple reduces: those with
+    4*a^2 >= |Delta|; the shape of every smaller a is read off a."""
+    delta = abs(order_discriminant(order.D))
+    return {(a, b) for a, b in conjugate_classes(order, norm_bound) if 4 * a * a >= delta}
+
+
 @pytest.mark.parametrize("cfg, totals", [
     (SurveyConfig(d_min=-200, d_max=200, norm_bound=500, require_squarefree=True),
-     (45_883, 147_437, 3_005, 326)),
+     (44_876, 147_437, 3_005, 326)),
     (SurveyConfig(d_min=-60, d_max=60, norm_bound=100), None),
+    (SurveyConfig(d_min=-4000, d_max=4000, norm_bound=12), (1_071, 120_117, 254, 27)),
 ])
 def test_survey_reduces_each_conjugate_class_once(monkeypatch, cfg, totals):
+    # the acceptance window, and last the survey_wide benchmark window
     calls = []
     reduce = wrlat.survey.gauss_reduce
     monkeypatch.setattr(wrlat.survey, "gauss_reduce", lambda *c: calls.append(c) or reduce(*c))
@@ -318,12 +333,71 @@ def test_survey_reduces_each_conjugate_class_once(monkeypatch, cfg, totals):
     seen = (0, 0, 0, 0)
     # one worker classifies each radicand when its result is read
     for D, (_, n, w, h) in zip(ds, run_survey(cfg, list), strict=True):
-        classes = len(conjugate_classes(QuadOrder(D), cfg.norm_bound))
+        classes = len(reduced_classes(QuadOrder(D), cfg.norm_bound))
         assert len(calls) == classes, D
         calls.clear()
         seen = tuple(map(sum, zip(seen, (classes, n, w, h))))
     if totals is not None:
         assert seen == totals
+
+
+def test_small_norm_forms_reduce_to_their_first_coefficient():
+    # the lemma classify_triple reads small norms by: for 4*a^2 < |Delta| the
+    # reduced form of (a, b + delta) has c1 = a^2 (D < 0) or 2*a^2 (D > 0) and
+    # c3 > c1, so 2 minimal vectors and no WR; every valid D in -5000..5000,
+    # both signs and non-maximal orders, every primitive ideal with a <= 80
+    cases = 0
+    for D in range(-5000, 5001):
+        if not is_valid_radicand(D):
+            continue
+        order = QuadOrder(D)
+        delta = abs(order_discriminant(D))
+        for a, bs in enumerate(primitive_ideals(order, 80)):
+            if 4 * a * a >= delta:
+                break
+            for b in bs:
+                c1, _, c3 = gauss_reduce(*norm_form(order, a, b, 1))
+                assert c1 == (a * a if D < 0 else 2 * a * a) and c3 > c1, (D, a, b)
+                cases += 1
+    assert cases == 374_563
+
+
+def test_square_orders_at_the_small_norm_boundary():
+    # 4*a^2 = |Delta| only for D = -n^2, Delta = -4n^2, at a = n: there
+    # (n, 0 + delta) = nZ + n*i*Z is a square lattice, WR, so the shortcut
+    # must stop strictly below a = n
+    for n in range(1, 71):
+        D = -n * n
+        order = QuadOrder(D)
+        records, _ = survey(SurveyConfig(d_min=D, d_max=D, norm_bound=80))
+        roots = primitive_ideals(order, 80)
+        pairs = [(a, b) for a, bs in enumerate(roots) for b in bs]
+        assert [tuple(r) for r in records] == survey_rows_by_sort(order, pairs, 80, order.maximal), D
+        square = next(r for r in records if (r.a, r.b, r.g) == (n, 0, 1))
+        assert (square.minimum, square.n_minimal, square.wr) == (n * n, 4, True), D
+
+
+def test_wide_window_matches_reduction_of_every_class():
+    # the survey_wide benchmark window: each radicand's rows against the
+    # oracle that reduces every conjugate class, and a seeded sample of the
+    # rows the shortcut made against `wrlat classify`'s own reduction
+    cfg = SurveyConfig(d_min=-4000, d_max=4000, norm_bound=12)
+    records, summary = survey(cfg)
+    assert summary == {"records": 120_117, "wr": 254, "hexagonal": 27, "bound_ok": 120_117}
+    by_d = {}
+    for r in records:
+        by_d.setdefault(r.D, []).append(tuple(r))
+    for D in range(-4000, 4001):
+        if not is_valid_radicand(D):
+            continue
+        order = QuadOrder(D)
+        roots = primitive_ideals(order, 12)
+        pairs = [(a, b) for a, bs in enumerate(roots) for b in bs]
+        assert by_d.pop(D, []) == survey_rows_by_sort(order, pairs, 12, order.maximal), D
+    assert not by_d
+    short = [r for r in records if 4 * (r.a // r.g) ** 2 < abs(order_discriminant(r.D))]
+    for r in random.Random(40).sample(short, 300):
+        assert classify_one(QuadOrder(r.D), r.a, r.b, r.g) == r, r
 
 
 def test_survey_worker_count_is_invisible(monkeypatch):
