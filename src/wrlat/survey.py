@@ -4,7 +4,8 @@ A survey task is one radicand: build its order, root its primitive ideals
 (primitive_ideals), classify them and their multiples g*I within the norm
 bound in one pass over the norms (classify_triple), which emits the rows
 already in (norm, a, b, g) order, and hand them to the caller's `emit`, in a
-worker process or in this one alike.  The multiples are pushed forward from
+forked worker or in this one alike (a worker sends emit's values back with
+marshal: str, int, bool, tuple, list).  The multiples are pushed forward from
 I's row to their norms, by scaling.  A primitive ideal I = (a, b + delta) of
 small norm, 4*a^2 < |Delta| with Delta = Tr(delta)^2 - 4*N(delta) the
 discriminant of Z[delta], has its shape read off a alone: its norm form has
@@ -18,6 +19,7 @@ identical configurations give identical results regardless of worker count.
 
 from __future__ import annotations
 
+import marshal
 import os
 from functools import partial
 from math import isqrt
@@ -171,19 +173,9 @@ def _survey_radicand(norm_bound: int, emit, squarefree: bool, D: int) -> tuple:
     return emit(rows), len(rows), sum(map(itemgetter(7), rows)), sum(map(itemgetter(8), rows))
 
 
-def __getattr__(name):
-    # keeps wrlat.survey.ProcessPoolExecutor reachable without importing the pool
-    # machinery for every command (PEP 562)
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 _MIN_RADICANDS = 8  # radicands per survey worker, at least
-# tasks sent to each survey worker: fewer, larger tasks pay less per task, and
-# smaller ones hold fewer records in a worker at a time
+# chunks run by each survey worker: fewer, larger chunks pay less per chunk,
+# and smaller ones hold fewer records in a worker at a time
 _TASKS_PER_WORKER = 32
 
 
@@ -193,30 +185,78 @@ def run_survey(cfg: SurveyConfig, emit):
     is classified.
 
     `emit` maps a radicand's list of classify_triple rows to a value, and
-    runs where the radicand is classified, so with workers > 1 it must be a
-    picklable (module-level) function and its value picklable too.  The
-    values come in ascending D, each radicand's rows in (norm, a, b, g)
-    order: pool.map returns results in submission order and classify_triple
-    emits each radicand's rows in that order.  So any worker count gives the
-    same sequence.
+    runs where the radicand is classified, so with workers > 1 its values
+    must be ones marshal can write (str, int, bool, tuple, list).  The values
+    come in ascending D, each radicand's rows in (norm, a, b, g) order: the
+    chunks of radicands are yielded in order, and classify_triple emits each
+    radicand's rows in that order, so any worker count gives the same sequence.
     """
     ds = [
         D for D in range(cfg.d_min, cfg.d_max + 1)
         if is_valid_radicand(D) and (not cfg.require_squarefree or is_squarefree(abs(D)))
     ]
     task = partial(_survey_radicand, cfg.norm_bound, emit, cfg.require_squarefree)
-    # the pool starts all its processes at once, so start no more than there
-    # are CPUs this process may run on or groups of _MIN_RADICANDS radicands
+    # start no more workers than there are CPUs this process may run on or
+    # groups of _MIN_RADICANDS radicands
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cfg.workers, -(-len(ds) // _MIN_RADICANDS), cpus)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
-
-        chunksize = -(-len(ds) // (_TASKS_PER_WORKER * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(task, ds, chunksize=chunksize)
+    if workers > 1 and hasattr(os, "fork"):
+        size = -(-len(ds) // (_TASKS_PER_WORKER * workers))
+        yield from _run_forked(task, [ds[i:i + size] for i in range(0, len(ds), size)], workers)
     else:
         yield from map(task, ds)
+
+
+def _run_forked(task, chunks: list, workers: int):
+    """Yield task's values for the chunks in order.  Chunk i runs here when
+    i % workers == 0, else in child i % workers, which sends it over its pipe
+    as one frame: an 8-byte length, then marshal bytes of the values, or of the
+    pickled exception that stops the child.  A child leaves by os._exit alone,
+    so it flushes no buffer it inherited (the spool's, stdio's)."""
+    pipes, pids = [], []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        for chunk in chunks[k::workers]:
+                            try:
+                                frame, stop = marshal.dumps(list(map(task, chunk))), False
+                            except BaseException as exc:  # raised again in the parent
+                                import pickle
+                                frame, stop = marshal.dumps(pickle.dumps(exc)), True
+                            frame = memoryview(len(frame).to_bytes(8, "little") + frame)
+                            while frame:  # a stop signal can cut a write short
+                                frame = frame[os.write(w, frame):]
+                            if stop:
+                                break
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        for i, chunk in enumerate(chunks):
+            if i % workers == 0:
+                yield from map(task, chunk)
+                continue
+            pipe = pipes[i % workers - 1]
+            n = int.from_bytes(head := pipe.read(8), "little")
+            if len(head) < 8 or len(frame := pipe.read(n)) < n:
+                raise RuntimeError(f"survey worker {i % workers} exited before sending its results")
+            values = marshal.loads(frame)
+            if type(values) is bytes:
+                import pickle
+                raise pickle.loads(values)
+            yield from values
+    finally:  # a child whose pipe is closed fails at its next write, and exits
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

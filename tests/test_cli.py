@@ -1,6 +1,5 @@
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -156,6 +155,18 @@ def test_survey_refuses_norm_bound_above_cap(tmp_path, capsys):
     assert _config_error(tmp_path, capsys, {"norm_bound": MAX_NORM_BOUND + 1}) == line
 
 
+def test_survey_accepts_norm_bound_at_cap(capsys):
+    # the cap itself is allowed: D = -3 has 60,466 ideals of norm <= 100000,
+    # every one of them WR and hexagonal (Z[omega] is a principal ideal ring)
+    assert MAX_NORM_BOUND == 100_000
+    argv = ["survey", "--d-min", "-3", "--d-max", "-3", "--norm-bound", str(MAX_NORM_BOUND),
+            "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "60466 ideals: 60466 wr, 60466 hexagonal, bound holds for 60466/60466\n"
+    assert out.count("\n") == 60467 and out.endswith(",1,6,true,true,true\n")
+
+
 def test_survey_refuses_radicand_above_cap(tmp_path, capsys):
     big = 10**30 + 57
     line = f"error: radicand {big} exceeds MAX_RADICAND = {MAX_RADICAND} in absolute value\n"
@@ -185,9 +196,8 @@ def test_survey_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0].startswith("D,a,b,g,norm")
 
 
-# a monkeypatch reaches the survey workers only when they are forked
-_NEEDS_FORK = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                 reason="needs the fork start method")
+# a survey forks its workers, so a monkeypatch reaches them, where os.fork exists
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @pytest.mark.parametrize("to_file, workers", [
@@ -924,26 +934,31 @@ def test_import_loads_every_module():
     assert proc.stdout.split() == [f"wrlat.{m}" for m in modules], proc.stderr
 
 
+@_NEEDS_FORK
 def test_cli_import_leaves_the_process_pool_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, wrlat.cli; "
-         "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, env=_ENV,
-    )
-    assert proc.stdout == "False False\n", proc.stderr
-    import concurrent.futures
-    import wrlat.survey
-
-    assert wrlat.survey.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    # a two-worker survey, on two CPUs whatever the host, forks its one child
+    # itself: it loads neither multiprocessing nor concurrent.futures
+    script = """if True:
+        import os, sys, wrlat.cli
+        os.sched_getaffinity = lambda pid: {0, 1}
+        fork, forks = os.fork, []
+        os.fork = lambda: forks.append(1) or fork()
+        argv = ["survey", "--d-min", "-300", "--d-max", "300", "--workers", "2", "--out", os.devnull]
+        assert wrlat.cli.main(argv) == 0
+        print(len(forks), *[m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
 
 def test_cli_import_leaves_unneeded_modules_unloaded():
     # start-up is most of a one-command run: dataclasses alone, with the inspect
     # module it loads, once took a third of `import wrlat.cli`, and no command
-    # needs it; the pool modules load only when a survey starts workers, and
-    # json and csv only for their output formats and --config
-    unneeded = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json", "csv")
+    # needs it; no command needs the pool modules, signal or select, pickle
+    # loads only when a survey worker fails, and json and csv only for their
+    # output formats and --config
+    unneeded = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json", "csv",
+                "signal", "pickle", "select")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, wrlat.cli; print(*[m for m in {unneeded!r} if m in sys.modules])"],

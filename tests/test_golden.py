@@ -14,6 +14,9 @@ phi(k) <= MAX_ENUM_DIM, in json, csv and text.
 surveys: the acceptance window (squarefree -200 <= D <= 200, norms <= 500) in
 csv, json and text, and the wide window (-4000 <= D <= 4000, norms <= 12) in
 csv with one and with two workers, which must give the same bytes.
+``test_two_worker_survey_on_other_interpreters`` checks the two-worker digest
+under Python 3.10, 3.12 and 3.13 from pyenv's versions directory, with
+warnings as errors, and skips an interpreter that is not installed.
 
 To record the goldens again after an intended change of output (the script
 prints the new ring digest, which CYCLO_RINGS_SHA256 then takes, and the new
@@ -26,6 +29,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -147,6 +152,38 @@ def survey_digests(out_dir: Path) -> dict[str, str]:
 
 def test_survey_digests(tmp_path):
     assert survey_digests(tmp_path) == SURVEY_SHA256
+
+
+# other interpreters, from pyenv's versions directory, run the two-worker
+# wide survey on two CPUs with the standard library alone and warnings as errors
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_FORKED_SURVEY = """if True:
+    import os, platform, sys
+    import wrlat.cli
+    os.sched_getaffinity = lambda pid: {0, 1}
+    fork, forks = os.fork, []
+    os.fork = lambda: forks.append(1) or fork()
+    assert wrlat.cli.main(["survey", *sys.argv[2:], "--out", sys.argv[1]]) == 0
+    print(platform.python_version(), len(forks))
+"""
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
+def test_two_worker_survey_on_other_interpreters(tmp_path, minor):
+    found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python3"))
+    if not found:
+        pytest.skip(f"no Python {minor} in {PYENV_VERSIONS}")
+    target = tmp_path / "wide.csv"
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [str(found[-1]), "-W", "error", "-c", _FORKED_SURVEY, str(target), *SURVEYS["wide.csv.workers2"]],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stderr == "120117 ideals: 254 wr, 27 hexagonal, bound holds for 120117/120117\n"
+    version, forks = proc.stdout.split()
+    assert (proc.returncode, version.rpartition(".")[0], forks) == (0, minor, "1"), version
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SURVEY_SHA256["wide.csv.workers2"]
 
 
 def record():

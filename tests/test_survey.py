@@ -1,7 +1,7 @@
-import concurrent.futures
 import json
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ import wrlat.cli
 import wrlat.survey
 from wrlat.arith import MAX_RADICAND, QuadOrder, is_squarefree, is_valid_radicand
 from wrlat.cli import _RECORDS, RECORD_COLUMNS, main
+from wrlat.errors import InvariantViolation
 from wrlat.ideals import IdealTriple, enumerate_ideals, primitive_ideals
 from wrlat.planar import gauss_reduce, norm_form
 from wrlat.survey import (
@@ -432,26 +433,18 @@ def test_survey_classifies_as_it_is_read(monkeypatch):
     assert n == len(rows) > 0 and {r[0] for r in rows} == {-30}
 
 
-class RecordingPool:
-    """Stand-in for ProcessPoolExecutor that records its size and runs the
-    tasks in this process, so no process is started."""
+def recording_fork(sizes: list):
+    """Stand-in for survey._run_forked that records its worker count and runs
+    the chunks in this process, so no process is started."""
 
-    sizes: list = []
+    def run(task, chunks, workers):
+        sizes.append(workers)
+        # each worker gets about 32 chunks of consecutive radicands
+        size = -(-sum(map(len, chunks)) // (32 * workers))
+        assert all(len(c) == size for c in chunks[:-1]) and 0 < len(chunks[-1]) <= size
+        return (value for chunk in chunks for value in map(task, chunk))
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        self.workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize):
-        # each worker gets about 32 tasks
-        assert chunksize == -(-len(jobs) // (32 * self.workers))
-        return map(fn, jobs)
+    return run
 
 
 @pytest.mark.parametrize(
@@ -470,8 +463,8 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
     # cpus is (os.cpu_count(), the affinity set), or n for (n, range(n));
     # an affinity of None stands for an os module without sched_getaffinity
     count, affinity = cpus if isinstance(cpus, tuple) else (cpus, cpus and range(cpus))
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    sizes = []
+    monkeypatch.setattr(wrlat.survey, "_run_forked", recording_fork(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -479,10 +472,141 @@ def test_survey_pool_size_is_capped(monkeypatch, d_range, workers, cpus, expecte
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
     cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4, workers=workers)
     results = list(run_survey(cfg, list))
-    assert RecordingPool.sizes == ([] if expected is None else [expected])
+    assert sizes == ([] if expected is None else [expected])
     serial_cfg = SurveyConfig(d_min=d_range[0], d_max=d_range[1], norm_bound=4)
     assert results == list(run_survey(serial_cfg, list))
     assert all(type(r) is tuple for chunk, *_ in results for r in chunk)
+
+
+# two workers: chunk i of 10 radicands runs in child 1 when i is odd
+_FORKED = SurveyConfig(d_min=-300, d_max=300, norm_bound=6, workers=2)
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that hangs, waiting on a child, after 60 s, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the survey hung on its workers")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_survey_without_fork_runs_here(monkeypatch):
+    # where os.fork does not exist, two workers on two CPUs run the survey in
+    # this process, with the same values
+    sizes = []
+    monkeypatch.setattr(wrlat.survey, "_run_forked", recording_fork(sizes))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    serial = list(run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6), _RECORDS["csv"]))
+    assert list(run_survey(_FORKED, _RECORDS["csv"])) == serial
+    assert sizes == []
+
+
+@_NEEDS_FORK
+def test_survey_raises_when_a_worker_dies(monkeypatch, deadline):
+    # the child exits at the first radicand of chunk 1, before it sends it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ds = [D for D in range(_FORKED.d_min, _FORKED.d_max + 1) if is_valid_radicand(D)]
+    doomed = ds[-(-len(ds) // 64)]
+    parent, classify = os.getpid(), wrlat.survey.classify_triple
+
+    def dying(order, roots, maximal):
+        if order.D == doomed and os.getpid() != parent:
+            os._exit(7)
+        return classify(order, roots, maximal)
+
+    monkeypatch.setattr(wrlat.survey, "classify_triple", dying)
+    with pytest.raises(RuntimeError, match="survey worker 1 exited"):
+        list(run_survey(_FORKED, list))
+    assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_worker_stops_at_its_first_failed_chunk(monkeypatch, deadline, tmp_path):
+    # the child fails at the first radicand of chunk 1, its first, and sends
+    # the exception, which is raised here; it classifies no later chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ds = [D for D in range(_FORKED.d_min, _FORKED.d_max + 1) if is_valid_radicand(D)]
+    doomed, log = ds[-(-len(ds) // 64)], tmp_path / "classified"
+    parent, classify = os.getpid(), wrlat.survey.classify_triple
+
+    def failing(order, roots, maximal):
+        if os.getpid() != parent:
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{order.D}\n")
+            if order.D == doomed:
+                raise InvariantViolation(f"made to fail at D={doomed}")
+        return classify(order, roots, maximal)
+
+    monkeypatch.setattr(wrlat.survey, "classify_triple", failing)
+    with pytest.raises(InvariantViolation, match=f"^made to fail at D={doomed}$"):
+        list(run_survey(_FORKED, list))
+    assert log.read_text(encoding="ascii") == f"{doomed}\n"
+    assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_worker_violation_exits_three_and_leaves_no_child(monkeypatch, deadline, capsys):
+    # (3, 1, 1) of D = -5, the form (9, 6, 6), is made to break the bound; of
+    # the 36 radicands of -20..20, in chunks of one, D = -5 is the 16th, so
+    # the child reduces it and this process never does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reduce, seen = wrlat.survey.gauss_reduce, []
+
+    def one_bad_reduction(c1, c2, c3):
+        red = reduce(c1, c2, c3)
+        if (c1, c2, c3) != (9, 6, 6):
+            return red
+        seen.append(os.getpid())
+        return (2, *red[1:])
+
+    monkeypatch.setattr(wrlat.survey, "gauss_reduce", one_bad_reduction)
+    argv = ["survey", "--d-min", "-20", "--d-max", "20", "--norm-bound", "10", "--format", "csv"]
+    assert main([*argv, "--workers", "1"]) == 3
+    serial = capsys.readouterr()
+    assert seen.pop() == os.getpid() and serial.out == ""
+    assert serial.err.endswith("; replay: wrlat classify -- -5 3 1 1\n")
+    assert main([*argv, "--workers", "2"]) == 3
+    assert capsys.readouterr() == serial and seen == []
+    assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_worker_sends_a_frame_cut_short_in_pieces(monkeypatch, deadline):
+    # a signal (SIGSTOP, say) can end a write to a pipe early, having written
+    # part of the frame: the child writes the rest until the frame is whole
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
+    serial = list(run_survey(SurveyConfig(d_min=-300, d_max=300, norm_bound=6), _RECORDS["csv"]))
+    assert list(run_survey(_FORKED, _RECORDS["csv"])) == serial
+    assert_no_child_left()
+
+
+@_NEEDS_FORK
+def test_closing_a_forked_survey_reaps_its_worker(monkeypatch, deadline):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = run_survey(_FORKED, list)
+    next(results)
+    results.close()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
